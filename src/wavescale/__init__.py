@@ -68,7 +68,6 @@ from .synthetic import two_class_fbm_dataset
 from .wavelets import (
     DwtDecomposition,
     FilterPair,
-    PacketNode,
     PacketTree,
     analysis_step,
     dwt_forward,
@@ -90,7 +89,7 @@ __all__ = [
     "hurst_dwt", "hurst_jones", "hurst_wang", "IngestionError",
     "knn_predict", "LEVEL_PLANS", "load_dataset", "logistic_gradient",
     "logistic_objective", "LogisticModel", "make_filter", "make_windows",
-    "MethodConfig", "METHODS", "PacketNode", "PacketTree",
+    "MethodConfig", "METHODS", "PacketTree",
     "predict_logistic", "rank_size_fit", "rank_sum_test", "run_estimator_benchmark",
     "scaling_descriptor", "ScalingDescriptor", "select_top", "shannon_cost",
     "ShapeError", "SlopeFit", "SpectraDataset", "SpectrumPoint",

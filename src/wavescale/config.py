@@ -1,18 +1,18 @@
 """Pipeline run configuration: a YAML file mapped onto a dataclass.
 
 Only the dataset paths and the method are mandatory; everything else has
-the per-method defaults applied when omitted.  Referenced paths are
-checked at load time.
+the per-method defaults applied when omitted.  Referenced paths, the
+selection mode and key names are checked at load time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
-from .classify import ClassifierSpec, SplitSpec
+from .classify import SELECTION_MODES, ClassifierSpec, SplitSpec
 from .errors import ConfigurationError
 from .estimators import METHODS
 from .pipeline import MethodConfig, default_method_config
@@ -39,7 +39,12 @@ class RunConfig:
     output_dir: Path
     dataset_tag: str = None
     per_repeat_log: bool = False
-    extra: dict = field(default_factory=dict)
+
+
+_TOP_KEYS = ("dataset method wavelet depth levels window balance classifiers "
+             "split features standardize selection seed threads output_dir "
+             "per_repeat_log")
+_CLASSIFIER_KEYS = {"logistic": "kind C l2_c max_iters tol", "knn": "kind k"}
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -48,9 +53,21 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _known(mapping, where: str, keys: str) -> dict:
+    """``mapping``, checked to hold only the space-separated ``keys``."""
+    if not isinstance(mapping, dict):
+        raise ConfigurationError(f"{where}: expected a mapping, got {mapping!r}")
+    unknown = [k for k in mapping if k not in keys.split()]
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown key(s) "
+                                 f"{', '.join(map(repr, unknown))}; allowed: {keys}")
+    return mapping
+
+
 def _parse_level_plan(raw) -> tuple:
     plan = []
     for i, entry in enumerate(raw):
+        _known(entry, f"levels entry {i}", "windows levels")
         try:
             lo, hi = entry["windows"]
             levels = tuple(int(v) for v in entry["levels"])
@@ -67,18 +84,19 @@ def _parse_classifiers(raw) -> tuple:
     for i, entry in enumerate(raw):
         if isinstance(entry, str):
             entry = {"kind": entry}
-        kind = _require(entry, "kind", f"classifiers[{i}]")
+        where = f"classifiers[{i}]"
+        kind = _require(entry, "kind", where)
+        if kind not in _CLASSIFIER_KEYS:
+            raise ConfigurationError(f"{where}: unknown kind {kind!r}")
+        _known(entry, where, _CLASSIFIER_KEYS[kind])
         if kind == "logistic":
             specs.append(ClassifierSpec(
                 kind="logistic",
                 l2_c=float(entry.get("C", entry.get("l2_c", 1.0))),
                 max_iters=int(entry.get("max_iters", 500)),
                 tol=float(entry.get("tol", 1e-6))))
-        elif kind == "knn":
-            specs.append(ClassifierSpec(kind="knn", k=int(entry.get("k", 5))))
         else:
-            raise ConfigurationError(
-                f"classifiers[{i}]: unknown kind {kind!r}")
+            specs.append(ClassifierSpec(kind="knn", k=int(entry.get("k", 5))))
     if not specs:
         raise ConfigurationError("classifier list is empty")
     return tuple(specs)
@@ -93,10 +111,10 @@ def load_run_config(path) -> RunConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: top level must be a mapping")
+    _known(raw, str(path), _TOP_KEYS)
 
-    dataset = _require(raw, "dataset", str(path))
+    dataset = _known(_require(raw, "dataset", str(path)), "dataset",
+                     "matrix labels tag")
     matrix_path = Path(_require(dataset, "matrix", "dataset"))
     labels_path = Path(_require(dataset, "labels", "dataset"))
     for p in (matrix_path, labels_path):
@@ -115,17 +133,17 @@ def load_run_config(path) -> RunConfig:
     plan = _parse_level_plan(raw["levels"]) if "levels" in raw else base.level_plan
     method_config = MethodConfig(family=family, depth=depth, level_plan=plan)
 
-    window = raw.get("window", {})
+    window = _known(raw.get("window", {}), "window", "length stride")
     window_len = int(window.get("length", 1024))
     stride = int(window.get("stride", 500))
 
-    split_raw = raw.get("split", {})
+    split_raw = _known(raw.get("split", {}), "split", "train_fraction repeats")
     split = SplitSpec(
         train_fraction=float(split_raw.get("train_fraction", 0.67)),
         n_repeats=int(split_raw.get("repeats", 10_000)),
         master_seed=int(raw.get("seed", 0)))
 
-    features = raw.get("features", {})
+    features = _known(raw.get("features", {}), "features", "p curve curve_repeats")
     p = int(features.get("p", 10))
     curve = features.get("curve")
     if curve is not None:
@@ -141,6 +159,9 @@ def load_run_config(path) -> RunConfig:
         raw.get("classifiers", [{"kind": "logistic"}, {"kind": "knn"}]))
 
     selection_mode = raw.get("selection", "per-split")
+    if selection_mode not in SELECTION_MODES:
+        raise ConfigurationError(f"selection must be one of {SELECTION_MODES}, "
+                                 f"got {selection_mode!r}")
 
     return RunConfig(
         matrix_path=matrix_path,
@@ -162,9 +183,4 @@ def load_run_config(path) -> RunConfig:
         output_dir=Path(raw.get("output_dir", ".")),
         dataset_tag=dataset_tag,
         per_repeat_log=bool(raw.get("per_repeat_log", False)),
-        extra={k: v for k, v in raw.items()
-               if k not in {"dataset", "method", "wavelet", "depth", "levels",
-                            "window", "balance", "classifiers", "split",
-                            "features", "standardize", "selection", "seed",
-                            "threads", "output_dir", "per_repeat_log"}},
     )

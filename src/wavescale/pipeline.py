@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,9 +43,17 @@ class SpectraDataset:
             raise IngestionError("labels/ids do not match the intensity rows")
         if not np.isin(self.labels, (0, 1)).all():
             raise IngestionError("labels must be 0 (control) or 1 (case)")
-        if self.mz_values is not None and len(self.mz_values) != m:
+        for s, b in np.argwhere(~np.isfinite(self.intensities))[:1]:
             raise IngestionError(
-                f"m/z axis has {len(self.mz_values)} entries for {m} bins")
+                f"sample {self.sample_ids[s]!r} bin {b + 1}: intensity "
+                f"{float(self.intensities[s, b])!r} is not finite")
+        if self.mz_values is not None:
+            if len(self.mz_values) != m:
+                raise IngestionError(
+                    f"m/z axis has {len(self.mz_values)} entries for {m} bins")
+            down = np.flatnonzero(~(np.diff(self.mz_values) >= 0))
+            if len(down):
+                raise IngestionError(f"m/z axis is not ascending at bin {down[0] + 2}")
 
     @property
     def n_samples(self) -> int:
@@ -153,110 +163,113 @@ class FeatureMatrix:
                            + [format_float(v) for v in self.slopes[i]])
 
 
-def _read_rows(path) -> list:
+_BAD_NUMBER = re.compile(r"string '(.*)' to \w+ at row (\d+), column (\d+)")
+
+
+def _read_csv(path, header=(), n_text=0, width=None):
+    """Parse one CSV into (header, first ``n_text`` fields of each data row,
+    float matrix of the other fields from one np.loadtxt call).  The header
+    starts with ``header`` (None: only a first line not starting with a
+    number is a header); every line is ``width`` fields wide, by default
+    the header's.  Fields split at each comma, with no quoting.  Errors name
+    the file, the 1-based row and, for a bad number, the column, read from
+    np.loadtxt's message, which counts data rows from 0."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines() or [""]
+    except (OSError, UnicodeError) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
+    head = [c.strip() for c in lines[0].split(",")]
+    if header is None:
+        with suppress(ValueError):
+            float(head[0])
+            head = None
+    elif [c.lower() for c in head[:len(header)]] != list(header):
+        raise IngestionError(f"{path}: row 1: expected a header starting "
+                             f"{','.join(header)}, got {lines[0]!r}")
+    first = 1 if head is None else 2
+    if len(lines) < first:
+        raise IngestionError(f"{path}: no data rows after row 1")
+    width = width or len(head)
+
+    def check_rows():
+        for line, row in enumerate(lines, start=1):
+            if not row.strip():
+                raise IngestionError(f"{path}: row {line} is blank")
+            if row.count(",") + 1 != width:
+                raise IngestionError(f"{path}: row {line} has {row.count(',') + 1}"
+                                     f" columns, expected {width}")
+
+    if n_text or "" in lines or lines[0].count(",") + 1 != width:
+        check_rows()
+    rows, text = lines[first - 1:], None
+    if n_text:
+        parts = [row.split(",", n_text) for row in rows]
+        text = [[f.strip() for f in p[:n_text]] for p in parts]
+        rows = [p[-1] for p in parts] if width > n_text else []
+    values = np.empty((len(text or ()), 0))
+    if rows:
+        try:
+            values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            check_rows()
+            bad = _BAD_NUMBER.search(str(exc))
+            where = (f"row {first + int(bad[2])} column {n_text + int(bad[3])}"
+                     f": non-numeric value {bad[1]!r}") if bad else exc
+            raise IngestionError(f"{path}: {where}") from None
+    if values.shape[1] != width - n_text:
+        check_rows()
+    return head, text, values
 
 
-def _parse_float(text: str, where: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise IngestionError(f"non-numeric value {text!r} in {where}") from None
+def _label_map(path, text) -> dict:
+    """sample_id -> 0/1 from the (sample_id, label) fields of rows 2, 3, ..."""
+    labels = {}
+    for line, (sid, raw) in enumerate(text, start=2):
+        if raw.lower() not in LABEL_ALIASES:
+            raise IngestionError(f"{path}: row {line}: sample {sid!r} has "
+                                 f"unknown label {raw!r}")
+        if sid in labels:
+            raise IngestionError(f"{path}: row {line}: duplicate sample id {sid!r}")
+        labels[sid] = LABEL_ALIASES[raw.lower()]
+    return labels
 
 
 def load_labels(labels_path) -> dict:
     """Read a sample_id -> {0, 1} map from a two-column CSV."""
-    rows = _read_rows(labels_path)
-    if not rows:
-        raise IngestionError(f"{labels_path}: empty labels file")
-    header = [c.strip().lower() for c in rows[0]]
-    if header[:2] != ["sample_id", "label"]:
-        raise IngestionError(
-            f"{labels_path}: expected header sample_id,label, got {rows[0]}")
-    labels = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise IngestionError(f"{labels_path}: row {i} is not two columns")
-        sid, raw = row[0].strip(), row[1].strip().lower()
-        if raw not in LABEL_ALIASES:
-            raise IngestionError(
-                f"{labels_path}: sample {sid!r} has unknown label {row[1]!r}")
-        if sid in labels:
-            raise IngestionError(f"{labels_path}: duplicate sample id {sid!r}")
-        labels[sid] = LABEL_ALIASES[raw]
-    return labels
+    _, text, _ = _read_csv(labels_path, ("sample_id", "label"), 2, 2)
+    return _label_map(labels_path, text)
 
 
 def _load_matrix_file(matrix_path):
-    rows = _read_rows(matrix_path)
-    if len(rows) < 2:
-        raise IngestionError(f"{matrix_path}: need a header row and data rows")
-    header = rows[0]
-    ids = [c.strip() for c in header[1:]]
+    head, _, values = _read_csv(matrix_path)
+    ids = head[1:]
     if not ids:
         raise IngestionError(f"{matrix_path}: header lists no sample columns")
-    width = len(header)
-    mz = np.empty(len(rows) - 1)
-    intens = np.empty((len(ids), len(rows) - 1))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise IngestionError(
-                f"{matrix_path}: row {i} has {len(row)} columns, expected {width}")
-        mz[i - 2] = _parse_float(row[0], f"{matrix_path} row {i}")
-        for s in range(len(ids)):
-            intens[s, i - 2] = _parse_float(
-                row[s + 1], f"{matrix_path} row {i} column {s + 2}")
-    return ids, mz, intens
+    where = [f"{matrix_path}: row 1 column {c + 2}" for c in range(len(ids))]
+    return ids, where, values[:, 0].copy(), values[:, 1:].T.copy()
 
 
 def _load_sample_dir(dir_path):
-    dir_path = Path(dir_path)
-    manifest = dir_path / "manifest.csv"
-    rows = _read_rows(manifest)
-    if not rows or [c.strip().lower() for c in rows[0]][:2] != ["sample_id", "filename"]:
-        raise IngestionError(
-            f"{manifest}: expected header sample_id,filename")
-    ids, files = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise IngestionError(f"{manifest}: row {i} is not two columns")
-        ids.append(row[0].strip())
-        files.append(dir_path / row[1].strip())
-    mz = None
-    intens = None
-    for s, fp in enumerate(files):
-        body = _read_rows(fp)
-        if not body:
-            raise IngestionError(f"{fp}: empty file")
-        start = 0
-        try:
-            float(body[0][0])
-        except (ValueError, IndexError):
-            start = 1  # header line
-        data = body[start:]
-        if intens is None:
-            mz = np.empty(len(data))
-            intens = np.empty((len(ids), len(data)))
-        elif len(data) != intens.shape[1]:
+    manifest = Path(dir_path) / "manifest.csv"
+    _, text, _ = _read_csv(manifest, ("sample_id", "filename"), 2, 2)
+    ids = [sid for sid, _ in text]
+    where = [f"{manifest}: row {line}" for line in range(2, len(ids) + 2)]
+    mz = intens = None
+    for s, (sid, name) in enumerate(text):
+        fp = manifest.parent / name
+        head, _, values = _read_csv(fp, header=None, width=2)
+        if mz is None:
+            mz, intens = values[:, 0].copy(), np.empty((len(ids), len(values)))
+        n = min(len(mz), len(values))
+        off = ~(abs(values[:n, 0] - mz[:n]) <= 1e-9 * np.maximum(1.0, abs(mz[:n])))
+        if off.any() or len(values) != len(mz):
+            row = (1 if head is None else 2) + (off.argmax() if off.any() else n)
             raise IngestionError(
-                f"{fp}: {len(data)} bins, expected {intens.shape[1]} "
-                f"(sample {ids[s]!r})")
-        for i, row in enumerate(data):
-            if len(row) != 2:
-                raise IngestionError(f"{fp}: row {start + i + 1} is not two columns")
-            v = _parse_float(row[0], f"{fp} row {start + i + 1}")
-            if s == 0:
-                mz[i] = v
-            elif abs(v - mz[i]) > 1e-9 * max(1.0, abs(mz[i])):
-                raise IngestionError(
-                    f"{fp}: m/z grid differs from first sample at row "
-                    f"{start + i + 1}")
-            intens[s, i] = _parse_float(row[1], f"{fp} row {start + i + 1}")
-    return ids, mz, intens
+                f"{fp}: row {row}: m/z grid does not match the first "
+                f"sample's ({len(values)} bins, expected {len(mz)})")
+        intens[s] = values[:, 1]
+    return ids, where, mz, intens
 
 
 def load_dataset(matrix_path, labels_path) -> SpectraDataset:
@@ -268,21 +281,18 @@ def load_dataset(matrix_path, labels_path) -> SpectraDataset:
     ``manifest.csv`` with columns sample_id,filename.  ``labels_path`` is
     a CSV mapping sample_id to case/control (or 1/0).
 
-    Ingestion problems raise IngestionError naming the offending record.
+    IngestionError names the file and row of the offending record.
     """
     if Path(matrix_path).is_dir():
-        ids, mz, intens = _load_sample_dir(matrix_path)
+        ids, where, mz, intens = _load_sample_dir(matrix_path)
     else:
-        ids, mz, intens = _load_matrix_file(matrix_path)
-    seen = set()
-    for sid in ids:
-        if sid in seen:
-            raise IngestionError(f"duplicate sample id {sid!r}")
-        seen.add(sid)
+        ids, where, mz, intens = _load_matrix_file(matrix_path)
     label_map = load_labels(labels_path)
-    missing = [sid for sid in ids if sid not in label_map]
-    if missing:
-        raise IngestionError(f"labels file is missing ids: {missing}")
+    for s, (sid, at) in enumerate(zip(ids, where)):
+        if ids.index(sid) < s:
+            raise IngestionError(f"{at}: duplicate sample id {sid!r}")
+        if sid not in label_map:
+            raise IngestionError(f"{at}: no label for {sid!r} in {labels_path}")
     labels = np.array([label_map[sid] for sid in ids], dtype=np.int8)
     return SpectraDataset(
         intensities=intens, labels=labels,
@@ -481,36 +491,20 @@ def read_feature_csv(path) -> FeatureMatrix:
     The file stores slopes only, so the Hurst columns come back as NaN and
     the window grid is absent.
     """
-    rows = _read_rows(path)
-    if len(rows) < 2:
-        raise IngestionError(f"{path}: need a header row and data rows")
-    header = rows[0]
-    if [c.strip().lower() for c in header[:2]] != ["sample_id", "label"]:
+    _, text, slopes = _read_csv(path, ("sample_id", "label"), 2)
+    if slopes.shape[1] < 1:
+        raise IngestionError(f"{path}: row 1: no feature columns")
+    label_map = _label_map(path, text)
+    for r, w in np.argwhere(~np.isfinite(slopes))[:1]:
         raise IngestionError(
-            f"{path}: expected header starting sample_id,label")
-    n_windows = len(header) - 2
-    if n_windows < 1:
-        raise IngestionError(f"{path}: no feature columns")
-    ids, labels = [], []
-    slopes = np.empty((len(rows) - 1, n_windows))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise IngestionError(f"{path}: row {i} has {len(row)} columns, "
-                                 f"expected {len(header)}")
-        ids.append(row[0].strip())
-        raw = row[1].strip().lower()
-        if raw not in LABEL_ALIASES:
-            raise IngestionError(
-                f"{path}: sample {row[0]!r} has unknown label {row[1]!r}")
-        labels.append(LABEL_ALIASES[raw])
-        for w in range(n_windows):
-            slopes[i - 2, w] = _parse_float(row[w + 2], f"{path} row {i}")
+            f"{path}: row {r + 2}: sample {text[r][0]!r} window {w + 1} has "
+            f"the non-finite slope {float(slopes[r, w])!r}")
     return FeatureMatrix(
         method="unknown",
         slopes=slopes,
         hurst=np.full_like(slopes, np.nan),
-        labels=np.array(labels, dtype=np.int8),
-        sample_ids=tuple(ids))
+        labels=np.array(list(label_map.values()), dtype=np.int8),
+        sample_ids=tuple(label_map))
 
 
 def window_mz_ranges(grid: WindowGrid, mz_values) -> list:

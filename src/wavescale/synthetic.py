@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .fbm import _fgn, fbm_from_fgn
+from .fbm import FbmSpec, fbm_from_fgn, fgn_sample
 from .pipeline import SpectraDataset
 
 
@@ -33,9 +33,8 @@ def two_class_fbm_dataset(n_per_class: int = 50, hurst_control: float = 0.3,
     for label, hurst, prefix in ((0, hurst_control, "ctrl"),
                                  (1, hurst_case, "case")):
         for i in range(n_per_class):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(label, i)))
-            path = fbm_from_fgn(_fgn(hurst, gen_len, rng))
+            path = fbm_from_fgn(fgn_sample(FbmSpec(
+                hurst, gen_len, np.random.SeedSequence(seed, spawn_key=(label, i)))))
             rows.append(path[:n_bins])
             ids.append(f"{prefix}{i + 1:03d}")
             labels.append(label)

@@ -51,15 +51,6 @@ class FilterPair:
 
 
 @dataclass(frozen=True)
-class PacketNode:
-    """One node of a packet tree: coefficients at (level, index)."""
-
-    level: int
-    index: int
-    coeffs: np.ndarray
-
-
-@dataclass(frozen=True)
 class PacketTree:
     """Full wavelet packet table of a dyadic-length signal.
 
@@ -89,9 +80,6 @@ class PacketTree:
             raise ConfigurationError(
                 f"node index {index} out of range at level {level}")
         return self.levels[d][index]
-
-    def node(self, level: int, index: int) -> PacketNode:
-        return PacketNode(level, index, self.coeffs(level, index))
 
     def level_matrix(self, level: int) -> np.ndarray:
         """All nodes of one level as rows, in index order."""

@@ -5,8 +5,10 @@ enumeration, and O(n^2) searches that stay independent of the library's
 own arithmetic paths.
 """
 
+import csv
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -119,3 +121,58 @@ def finite_difference_gradient(fn, params, eps=1e-6):
         dn[i] -= eps
         grad[i] = (fn(up) - fn(dn)) / (2 * eps)
     return grad
+
+
+# ------------------------------------------------------------- CSV ingest
+# The package's former row-by-row reader: csv.reader rows and one float()
+# per cell.  It checks little and serves only as the parsing reference.
+
+_LABELS = {"case": 1, "control": 0, "1": 1, "0": 0}
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def reference_load_labels(path):
+    """sample_id -> 0/1 from a sample_id,label CSV."""
+    return {row[0].strip(): _LABELS[row[1].strip().lower()]
+            for row in _csv_rows(path)[1:]}
+
+
+def reference_load_dataset(matrix_path, labels_path):
+    """(ids, labels, mz, intensities) of a matrix CSV or sample directory."""
+    matrix_path = Path(matrix_path)
+    if matrix_path.is_dir():
+        manifest = _csv_rows(matrix_path / "manifest.csv")[1:]
+        ids = [row[0].strip() for row in manifest]
+        bodies = []
+        for row in manifest:
+            body = _csv_rows(matrix_path / row[1].strip())
+            try:
+                float(body[0][0])
+            except ValueError:
+                body = body[1:]  # header line
+            bodies.append(body)
+        mz = np.array([float(r[0]) for r in bodies[0]])
+        intens = np.array([[float(r[1]) for r in body] for body in bodies])
+    else:
+        rows = _csv_rows(matrix_path)
+        ids = [c.strip() for c in rows[0][1:]]
+        mz = np.array([float(r[0]) for r in rows[1:]])
+        intens = np.array([[float(r[s + 1]) for r in rows[1:]]
+                           for s in range(len(ids))])
+    label_map = reference_load_labels(labels_path)
+    labels = np.array([label_map[sid] for sid in ids], dtype=np.int8)
+    return ids, labels, mz, intens
+
+
+def reference_read_feature_csv(path):
+    """(ids, labels, slopes) of a sample_id,label,w01.. feature CSV."""
+    rows = _csv_rows(path)[1:]
+    ids = [row[0].strip() for row in rows]
+    labels = np.array([_LABELS[row[1].strip().lower()] for row in rows],
+                      dtype=np.int8)
+    slopes = np.array([[float(v) for v in row[2:]] for row in rows])
+    return ids, labels, slopes

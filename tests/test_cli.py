@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from wavescale import two_class_fbm_dataset
+from wavescale import ConfigurationError, two_class_fbm_dataset
 from wavescale.cli import main, parse_float_range, parse_int_range
+from wavescale.config import load_run_config
 from wavescale.utils import resolve_threads
 
 
@@ -146,6 +150,28 @@ def test_extract_missing_labels_file_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value,message", [
+    (2, "nan", r"sample 'ctrl002' bin 5: intensity nan is not finite"),
+    (0, "0.5", r"m/z axis is not ascending at bin 5"),
+], ids=["nan-intensity", "descending-mz"])
+def test_extract_rejects_bad_values_before_any_output(tmp_path, capsys,
+                                                      field, value, message):
+    matrix, labels = _write_dataset(tmp_path, n_per_class=2)
+    lines = matrix.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[field] = value
+    lines[5] = ",".join(cells)
+    matrix.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    feats = tmp_path / "f.csv"
+    rc = main(["extract", "--matrix", str(matrix), "--labels", str(labels),
+               "--method", "jones", "--window-len", "512", "--stride", "512",
+               "--out", str(feats)])
+    assert rc == 3
+    assert re.search(message, capsys.readouterr().err)
+    assert not feats.exists()
+    assert not (tmp_path / "f_windows.csv").exists()
+
+
 def test_extract_estimation_failure_exit_4(tmp_path):
     matrix = tmp_path / "flat.csv"
     matrix.write_text(
@@ -243,3 +269,41 @@ def test_pipeline_config_missing_path_exit_2(tmp_path, capsys):
                    "method: dwt\n", encoding="utf-8")
     assert main(["pipeline", str(cfg)]) == 2
     assert "exist" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("  repeats: 20", "  repeat: 20", "split: unknown key(s) 'repeat'"),
+    ("seed: 11", "seed: 11\nrepeat: 20", "unknown key(s) 'repeat'"),
+    ("    k: 5", "    K: 5", "classifiers[1]: unknown key(s) 'K'"),
+    ("  stride: 512", "  strides: 512", "window: unknown key(s) 'strides'"),
+    ("  labels:", "  tags: x\n  labels:", "dataset: unknown key(s) 'tags'"),
+    ("seed: 11", "seed: 11\nselection: globl", "'globl'"),
+], ids=["split", "top-level", "classifier", "window", "dataset", "selection"])
+def test_pipeline_config_rejects_unknown_keys_before_ingest(tmp_path, capsys,
+                                                            old, new,
+                                                            message):
+    matrix, labels = _write_dataset(tmp_path, n_per_class=2)
+    matrix.write_text("not a matrix\n", encoding="utf-8")  # never read
+    out_dir = tmp_path / "out"
+    cfg = _write_config(tmp_path, matrix, labels, out_dir)
+    text = cfg.read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main(["pipeline", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_config_example_keys_are_all_accepted(tmp_path):
+    matrix, labels = _write_dataset(tmp_path, n_per_class=2)
+    example = Path(__file__).resolve().parents[1] / "config.example.yaml"
+    text = example.read_text(encoding="utf-8")
+    text = text.replace("data/ovarian-8-7-02/matrix.csv", str(matrix))
+    text = text.replace("data/ovarian-8-7-02/labels.csv", str(labels))
+    cfg = tmp_path / "example.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    run = load_run_config(cfg)
+    assert run.method == "wang" and run.selection_mode == "per-split"
+    cfg.write_text(text + "extra: 1\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="unknown key"):
+        load_run_config(cfg)

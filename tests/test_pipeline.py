@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import exact_rank_sum_p
+from oracles import (
+    exact_rank_sum_p,
+    reference_load_dataset,
+    reference_read_feature_csv,
+)
 from wavescale import (
     ConfigurationError,
     EstimationError,
@@ -12,6 +16,7 @@ from wavescale import (
     balance_classes,
     default_method_config,
     extract_features,
+    fbm_from_fgn,
     fisher_scores,
     load_dataset,
     make_windows,
@@ -149,6 +154,189 @@ def test_mismatched_sample_grid_rejected(tmp_path):
     lpath = _write_labels(tmp_path, {"a": 1, "b": 0})
     with pytest.raises(IngestionError, match="b.csv"):
         load_dataset(ddir, lpath)
+
+
+# ------------------------------------------- reader vs. csv reference
+
+def _number_text(rng, n):
+    """Decimal forms the parser must read exactly like Python's float()."""
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+    forms = [repr, "{:.6g}".format, "{:.3e}".format, " {:+.12f} ".format]
+    return [forms[i % 4](float(v)) for i, v in enumerate(vals)] \
+        + ["-0.0", "5e-324", "1e308", "17"]
+
+
+def _write_layout(tmp_path, layout, newline="\n"):
+    rng = np.random.default_rng(2)
+    ids = ["a", "b", "c"]
+    n = 24
+    mz = [repr(float(v)) for v in np.sort(rng.uniform(700, 12000, n))]
+    cells = np.array(_number_text(rng, 3 * n - 4)).reshape(3, n)
+    _write_labels(tmp_path, {"a": "case", "b": "control", "c": "0"})
+    if layout == "matrix":
+        lines = ["mz," + ",".join(ids)] + [
+            ",".join([mz[i]] + list(cells[:, i])) for i in range(n)]
+        path = tmp_path / "matrix.csv"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        return path
+    path = tmp_path / "samples"
+    path.mkdir()
+    (path / "manifest.csv").write_bytes(newline.join(
+        ["sample_id,filename"] + [f"{sid},{sid}.csv" for sid in ids]
+        + [""]).encode())
+    for s, sid in enumerate(ids):
+        head = [] if layout == "dir-bare" else ["M/Z,Intensity"]
+        body = head + [f"{m},{v}" for m, v in zip(mz, cells[s])]
+        (path / f"{sid}.csv").write_bytes((newline.join(body) + newline).encode())
+    return path
+
+
+@pytest.mark.parametrize("layout,newline", [
+    ("matrix", "\n"), ("matrix", "\r\n"), ("dir", "\n"), ("dir", "\r\n"),
+    ("dir-bare", "\n")])
+def test_reader_matches_csv_reference_bitwise(tmp_path, layout, newline):
+    path = _write_layout(tmp_path, layout, newline)
+    labels = tmp_path / "labels.csv"
+    ds = load_dataset(path, labels)
+    ids, ref_labels, mz, intens = reference_load_dataset(path, labels)
+    assert ds.sample_ids == tuple(ids)
+    assert ds.labels.tobytes() == ref_labels.tobytes()
+    for got, want in ((ds.mz_values, mz), (ds.intensities, intens)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags["C_CONTIGUOUS"]
+
+
+def test_feature_csv_reader_matches_csv_reference_bitwise(tmp_path):
+    rng = np.random.default_rng(4)
+    slopes = np.array([float(v) for v in _number_text(rng, 36)]).reshape(4, 10)
+    fm = FeatureMatrix(method="dwt", slopes=slopes,
+                       hurst=np.full_like(slopes, np.nan),
+                       labels=np.array([1, 0, 1, 0], dtype=np.int8),
+                       sample_ids=("p", "q", "r", "s"))
+    path = tmp_path / "features.csv"
+    fm.write_csv(path)
+    back = read_feature_csv(path)
+    ids, labels, ref = reference_read_feature_csv(path)
+    assert back.sample_ids == tuple(ids) == fm.sample_ids
+    assert back.labels.tobytes() == labels.tobytes() == fm.labels.tobytes()
+    assert back.slopes.tobytes() == ref.tobytes() == slopes.tobytes()
+
+
+_LABELS = "sample_id,label\na,1\nb,0\n"
+_SAMPLE = "mz,intensity\n1.0,5.0\n2.0,6.0\n"
+
+# (case, files, what to load, message): every rejection names the file and
+# the 1-based row, and a bad number also its column.
+_REJECTIONS = [
+    ("bad number", {"m.csv": "mz,a,b\n1.0,2.0,3.0\n2.0,x,4.0\n"}, "m.csv",
+     r"m\.csv: row 3 column 2: non-numeric value 'x'"),
+    ("bad feature", {"f.csv": "sample_id,label,w01,w02\na,1,0.5,0.25\n"
+                              "b,0,0.1,oops\n"}, "features",
+     r"f\.csv: row 3 column 4: non-numeric value 'oops'"),
+    ("header wider", {"m.csv": "mz,a,b,c\n1.0,2.0,3.0\n"}, "m.csv",
+     r"m\.csv: row 2 has 3 columns, expected 4"),
+    ("header narrower", {"m.csv": "mz,a\n1.0,2.0,3.0\n"}, "m.csv",
+     r"m\.csv: row 2 has 3 columns, expected 2"),
+    ("sample header wider", {"d/a.csv": "mz,intensity,note\n1.0,5.0\n"},
+     "d", r"a\.csv: row 1 has 3 columns, expected 2"),
+    ("ragged row", {"m.csv": "mz,a,b\n1.0,2.0,3.0\n2.0,3.0\n"}, "m.csv",
+     r"m\.csv: row 3 has 2 columns, expected 3"),
+    ("ragged manifest", {"d/manifest.csv": "sample_id,filename\na,a.csv,x\n"},
+     "d", r"manifest\.csv: row 2 has 3 columns, expected 2"),
+    ("blank line", {"m.csv": "mz,a,b\n1.0,2.0,3.0\n\n2.0,3.0,4.0\n"},
+     "m.csv", r"m\.csv: row 3 is blank"),
+    ("blank sample line", {"d/a.csv": "1.0,5.0\n   \n2.0,6.0\n"}, "d",
+     r"a\.csv: row 2 is blank"),
+    ("blank labels line", {"labels.csv": "sample_id,label\na,1\n\nb,0\n"},
+     "m.csv", r"labels\.csv: row 3 is blank"),
+    ("empty data block", {"m.csv": "mz,a,b\n"}, "m.csv",
+     r"m\.csv: no data rows after row 1"),
+    ("empty file", {"m.csv": ""}, "m.csv",
+     r"m\.csv: no data rows after row 1"),
+    ("grid mismatch", {"d/b.csv": "mz,intensity\n1.0,5.0\n2.5,6.0\n"}, "d",
+     r"b\.csv: row 3: m/z grid does not match the first sample's"),
+    ("bin count", {"d/b.csv": _SAMPLE + "3.0,7.0\n"}, "d",
+     r"b\.csv: row 4: m/z grid .*\(3 bins, expected 2\)"),
+    ("missing label", {"labels.csv": "sample_id,label\na,1\n"}, "m.csv",
+     r"m\.csv: row 1 column 3: no label for 'b'"),
+    ("duplicate column", {"m.csv": "mz,a,a\n1.0,2.0,3.0\n"}, "m.csv",
+     r"m\.csv: row 1 column 3: duplicate sample id 'a'"),
+    ("duplicate manifest row",
+     {"d/manifest.csv": "sample_id,filename\na,a.csv\na,b.csv\n"}, "d",
+     r"manifest\.csv: row 3: duplicate sample id 'a'"),
+    ("duplicate label", {"labels.csv": _LABELS + "a,0\n"}, "m.csv",
+     r"labels\.csv: row 4: duplicate sample id 'a'"),
+    ("unknown label", {"labels.csv": "sample_id,label\na,1\nb,sick\n"},
+     "m.csv", r"labels\.csv: row 3: sample 'b' has unknown label 'sick'"),
+    ("labels header", {"labels.csv": "id,label\na,1\nb,0\n"}, "m.csv",
+     r"labels\.csv: row 1: expected a header starting sample_id,label"),
+]
+
+
+@pytest.mark.parametrize("files,target,message",
+                         [c[1:] for c in _REJECTIONS],
+                         ids=[c[0] for c in _REJECTIONS])
+def test_ingest_rejection_names_file_and_row(tmp_path, files, target,
+                                            message):
+    defaults = {"m.csv": "mz,a,b\n1.0,2.0,3.0\n2.0,3.0,4.0\n",
+                "labels.csv": _LABELS,
+                "d/manifest.csv": "sample_id,filename\na,a.csv\nb,b.csv\n",
+                "d/a.csv": _SAMPLE, "d/b.csv": _SAMPLE}
+    for name, text in {**defaults, **files}.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(IngestionError, match=message):
+        if target == "features":
+            read_feature_csv(tmp_path / "f.csv")
+        else:
+            load_dataset(tmp_path / target, tmp_path / "labels.csv")
+
+
+def test_non_finite_intensity_rejected_with_sample_and_bin():
+    x = np.zeros((2, 4))
+    x[1, 2] = np.inf
+    with pytest.raises(IngestionError, match=r"sample 'b' bin 3: .*inf"):
+        SpectraDataset(intensities=x, labels=np.array([1, 0]),
+                       sample_ids=("a", "b"))
+
+
+def test_non_finite_intensity_rejected_at_load(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("mz,a,b\n1.0,2.0,3.0\n2.0,4.0,nan\n", encoding="utf-8")
+    lpath = _write_labels(tmp_path, {"a": 1, "b": 0})
+    with pytest.raises(IngestionError, match=r"sample 'b' bin 2: .*nan"):
+        load_dataset(path, lpath)
+
+
+def test_non_finite_slope_rejected_with_sample_and_window(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("sample_id,label,w01,w02\na,1,0.5,0.25\nb,0,-inf,0.1\n",
+                    encoding="utf-8")
+    with pytest.raises(IngestionError,
+                       match=r"f\.csv: row 3: sample 'b' window 1 .*-inf"):
+        read_feature_csv(path)
+
+
+def test_descending_mz_axis_rejected():
+    with pytest.raises(IngestionError, match="not ascending at bin 3"):
+        SpectraDataset(intensities=np.zeros((1, 4)), labels=np.array([1]),
+                       sample_ids=("a",),
+                       mz_values=np.array([1.0, 3.0, 2.0, 4.0]))
+
+
+def test_synthetic_paths_match_the_direct_generator_bitwise():
+    from wavescale.fbm import _fgn
+
+    ds = two_class_fbm_dataset(n_per_class=2, hurst_control=0.3,
+                               hurst_case=0.7, n_bins=300, seed=5)
+    expected = []
+    for label, hurst in ((0, 0.3), (1, 0.7)):
+        for i in range(2):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(5, spawn_key=(label, i)))
+            expected.append(fbm_from_fgn(_fgn(hurst, 512, rng))[:300])
+    assert ds.intensities.tobytes() == np.vstack(expected).tobytes()
 
 
 # ----------------------------------------------------------------- fisher
