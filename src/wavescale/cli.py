@@ -186,10 +186,11 @@ def _method_config_from_args(args) -> MethodConfig:
 
 
 def cmd_extract(args) -> int:
+    method_config = _method_config_from_args(args)
+    method_config.check(args.window_len)  # before minutes of ingest
     dataset = load_dataset(args.matrix, args.labels)
     grid = make_windows(dataset.n_bins, args.window_len, args.stride)
-    features = extract_features(dataset, args.method, grid,
-                                _method_config_from_args(args),
+    features = extract_features(dataset, args.method, grid, method_config,
                                 threads=args.threads)
     features.write_csv(args.out)
     meta = args.meta or str(Path(args.out).with_suffix("")) + "_windows.csv"

@@ -2,11 +2,13 @@
 
 Only the dataset paths and the method are mandatory; everything else has
 the per-method defaults applied when omitted.  Referenced paths, the
-selection mode and key names are checked at load time.
+selection mode, key names, value types, and the window length, depth and
+wavelet family are checked at load time.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,6 +66,29 @@ def _known(mapping, where: str, keys: str) -> dict:
     return mapping
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", list: "a list"}
+
+
+def _get(mapping: dict, key: str, where: str, kind: type, default=None):
+    """``mapping[key]`` (``default`` when absent), checked to be a ``kind``.
+
+    A float key also takes an integer or a numeric string (YAML reads
+    ``1e-6`` as a string).  A mistyped value is a ConfigurationError
+    naming ``where.key``.
+    """
+    if key not in mapping:
+        return default
+    value = mapping[key]
+    if kind is float and not isinstance(value, bool):
+        with suppress(TypeError, ValueError):
+            return float(value)
+    elif isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise ConfigurationError(f"{where + '.' if where else ''}{key}: expected "
+                             f"{_KIND_NAMES[kind]}, got {value!r}")
+
+
 def _parse_level_plan(raw) -> tuple:
     plan = []
     for i, entry in enumerate(raw):
@@ -82,28 +107,39 @@ def _parse_level_plan(raw) -> tuple:
 def _parse_classifiers(raw) -> tuple:
     specs = []
     for i, entry in enumerate(raw):
+        where = f"classifiers[{i}]"
         if isinstance(entry, str):
             entry = {"kind": entry}
-        where = f"classifiers[{i}]"
-        kind = _require(entry, "kind", where)
+        if not isinstance(entry, dict):
+            raise ConfigurationError(f"{where}: expected a mapping or a "
+                                     f"classifier name, got {entry!r}")
+        kind = _get(entry, "kind", where, str)
+        if kind is None:
+            raise ConfigurationError(f"{where}: missing required key 'kind'")
         if kind not in _CLASSIFIER_KEYS:
             raise ConfigurationError(f"{where}: unknown kind {kind!r}")
         _known(entry, where, _CLASSIFIER_KEYS[kind])
         if kind == "logistic":
             specs.append(ClassifierSpec(
                 kind="logistic",
-                l2_c=float(entry.get("C", entry.get("l2_c", 1.0))),
-                max_iters=int(entry.get("max_iters", 500)),
-                tol=float(entry.get("tol", 1e-6))))
+                l2_c=_get(entry, "C", where, float,
+                          _get(entry, "l2_c", where, float, 1.0)),
+                max_iters=_get(entry, "max_iters", where, int, 500),
+                tol=_get(entry, "tol", where, float, 1e-6)))
         else:
-            specs.append(ClassifierSpec(kind="knn", k=int(entry.get("k", 5))))
+            specs.append(ClassifierSpec(kind="knn",
+                                        k=_get(entry, "k", where, int, 5)))
     if not specs:
         raise ConfigurationError("classifier list is empty")
     return tuple(specs)
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse and validate a YAML run configuration."""
+    """Parse and validate a YAML run configuration.
+
+    Besides key names and value types, the window length, decomposition
+    depth and wavelet family are checked here, before any input is read.
+    """
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -115,12 +151,14 @@ def load_run_config(path) -> RunConfig:
 
     dataset = _known(_require(raw, "dataset", str(path)), "dataset",
                      "matrix labels tag")
-    matrix_path = Path(_require(dataset, "matrix", "dataset"))
-    labels_path = Path(_require(dataset, "labels", "dataset"))
+    _require(dataset, "matrix", "dataset")
+    _require(dataset, "labels", "dataset")
+    matrix_path = Path(_get(dataset, "matrix", "dataset", str))
+    labels_path = Path(_get(dataset, "labels", "dataset", str))
     for p in (matrix_path, labels_path):
         if not p.exists():
             raise ConfigurationError(f"referenced path does not exist: {p}")
-    dataset_tag = dataset.get("tag")
+    dataset_tag = _get(dataset, "tag", "dataset", str)
 
     method = _require(raw, "method", str(path))
     if method not in METHODS:
@@ -128,37 +166,40 @@ def load_run_config(path) -> RunConfig:
             f"method must be one of {METHODS}, got {method!r}")
 
     base = default_method_config(method, dataset_tag)
-    family = raw.get("wavelet", base.family)
-    depth = int(raw.get("depth", base.depth))
-    plan = _parse_level_plan(raw["levels"]) if "levels" in raw else base.level_plan
-    method_config = MethodConfig(family=family, depth=depth, level_plan=plan)
+    plan = (_parse_level_plan(_get(raw, "levels", "", list))
+            if "levels" in raw else base.level_plan)
+    method_config = MethodConfig(
+        family=_get(raw, "wavelet", "", str, base.family),
+        depth=_get(raw, "depth", "", int, base.depth), level_plan=plan)
 
     window = _known(raw.get("window", {}), "window", "length stride")
-    window_len = int(window.get("length", 1024))
-    stride = int(window.get("stride", 500))
+    window_len = _get(window, "length", "window", int, 1024)
+    stride = _get(window, "stride", "window", int, 500)
+    method_config.check(window_len)
 
+    seed = _get(raw, "seed", "", int, 0)
     split_raw = _known(raw.get("split", {}), "split", "train_fraction repeats")
     split = SplitSpec(
-        train_fraction=float(split_raw.get("train_fraction", 0.67)),
-        n_repeats=int(split_raw.get("repeats", 10_000)),
-        master_seed=int(raw.get("seed", 0)))
+        train_fraction=_get(split_raw, "train_fraction", "split", float, 0.67),
+        n_repeats=_get(split_raw, "repeats", "split", int, 10_000),
+        master_seed=seed)
 
     features = _known(raw.get("features", {}), "features", "p curve curve_repeats")
-    p = int(features.get("p", 10))
+    p = _get(features, "p", "features", int, 10)
     curve = features.get("curve")
     if curve is not None:
         try:
             lo, hi = (int(curve[0]), int(curve[1]))
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError, IndexError, KeyError):
             raise ConfigurationError(
                 "features.curve must be a [lo, hi] pair") from None
         curve = (lo, hi)
-    curve_repeats = int(features.get("curve_repeats", 1000))
+    curve_repeats = _get(features, "curve_repeats", "features", int, 1000)
 
-    classifiers = _parse_classifiers(
-        raw.get("classifiers", [{"kind": "logistic"}, {"kind": "knn"}]))
+    classifiers = _parse_classifiers(_get(
+        raw, "classifiers", "", list, [{"kind": "logistic"}, {"kind": "knn"}]))
 
-    selection_mode = raw.get("selection", "per-split")
+    selection_mode = _get(raw, "selection", "", str, "per-split")
     if selection_mode not in SELECTION_MODES:
         raise ConfigurationError(f"selection must be one of {SELECTION_MODES}, "
                                  f"got {selection_mode!r}")
@@ -170,17 +211,17 @@ def load_run_config(path) -> RunConfig:
         method_config=method_config,
         window_len=window_len,
         stride=stride,
-        balance=bool(raw.get("balance", False)),
+        balance=_get(raw, "balance", "", bool, False),
         classifiers=classifiers,
         split=split,
         p=p,
         curve=curve,
         curve_repeats=curve_repeats,
-        standardize=bool(raw.get("standardize", True)),
+        standardize=_get(raw, "standardize", "", bool, True),
         selection_mode=selection_mode,
-        seed=int(raw.get("seed", 0)),
-        threads=int(raw["threads"]) if "threads" in raw else None,
-        output_dir=Path(raw.get("output_dir", ".")),
+        seed=seed,
+        threads=_get(raw, "threads", "", int),
+        output_dir=Path(_get(raw, "output_dir", "", str, ".")),
         dataset_tag=dataset_tag,
-        per_repeat_log=bool(raw.get("per_repeat_log", False)),
+        per_repeat_log=_get(raw, "per_repeat_log", "", bool, False),
     )

@@ -19,14 +19,15 @@ mixed with the other method's H mapping.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .best_basis import basis_coefficients, best_basis
+from .best_basis import best_basis_rows
 from .errors import ConfigurationError, EstimationError
-from .wavelets import PacketTree
+from .wavelets import FilterPair, PacketTree, packet_cascade
 
 METHODS = ("dwt", "wang", "jones")
 
@@ -59,22 +60,41 @@ class ScalingDescriptor:
     fit: SlopeFit
 
 
-def _level_points(tree: PacketTree, levels, energy_of) -> list:
+def _level_energies(method: str, level: np.ndarray) -> np.ndarray:
+    """(R,) level energies from an (R, 2**d, m) level array: node 1 for
+    dwt, the mean over the odd (detail) nodes for wang."""
+    det = level[:, 1:2] if method == "dwt" else level[:, 1::2]
+    return np.mean(np.mean(det * det, axis=2), axis=1)
+
+
+def _spectrum_points(energies: dict, levels) -> list:
+    """Spectrum points from a level -> energy map, zero energies dropped."""
     if levels is None:
-        levels = list(tree.decomposed_levels)
+        levels = energies
     levels = sorted(set(int(j) for j in levels))
     if not levels:
         raise ConfigurationError("no spectrum levels requested")
+    for j in levels:
+        if j not in energies:
+            raise ConfigurationError(
+                f"level {j} not present (decomposed levels: "
+                f"{sorted(energies)})")
     pts = []
     for j in levels:
-        e = energy_of(j)
+        e = float(energies[j])
         if e <= 0.0:
             warnings.warn(
                 f"level {j} has zero energy; point dropped", RuntimeWarning,
-                stacklevel=3)
+                stacklevel=4)
             continue
         pts.append(SpectrumPoint(level=j, log_energy=float(np.log2(e))))
     return pts
+
+
+def _tree_spectrum(method: str, tree: PacketTree, levels) -> list:
+    energies = {tree.data_level - d: _level_energies(method, lv[None])[0]
+                for d, lv in enumerate(tree.levels) if d > 0}
+    return _spectrum_points(energies, levels)
 
 
 def spectrum_dwt(tree: PacketTree, levels=None) -> list:
@@ -83,11 +103,7 @@ def spectrum_dwt(tree: PacketTree, levels=None) -> list:
     ``levels`` defaults to every decomposed level.  Zero-energy levels are
     dropped with a warning; an empty request raises ConfigurationError.
     """
-    def energy(j):
-        node = tree.coeffs(j, 1)
-        return float(np.mean(node * node))
-
-    return _level_points(tree, levels, energy)
+    return _tree_spectrum("dwt", tree, levels)
 
 
 def spectrum_wang(tree: PacketTree, levels=None) -> list:
@@ -99,11 +115,7 @@ def spectrum_wang(tree: PacketTree, levels=None) -> list:
     coincides with spectrum_dwt on the first decomposition level where the
     only detail node is (J-1, 1).
     """
-    def energy(j):
-        det = tree.detail_matrix(j)
-        return float(np.mean(np.mean(det * det, axis=1)))
-
-    return _level_points(tree, levels, energy)
+    return _tree_spectrum("wang", tree, levels)
 
 
 def fit_slope(points) -> SlopeFit:
@@ -158,7 +170,11 @@ def rank_size_fit(values) -> SlopeFit:
 
     Raises EstimationError when fewer than two nonzero values exist.
     """
-    c = np.sort(np.abs(np.asarray(values, dtype=float)))[::-1]
+    magnitudes = np.abs(np.asarray(values, dtype=float))
+    return _rank_size_sorted(np.sort(magnitudes)[::-1])
+
+
+def _rank_size_sorted(c: np.ndarray) -> SlopeFit:
     ranks = np.arange(1, len(c) + 1, dtype=float)
     nz = c > 0.0
     if np.count_nonzero(nz) < 2:
@@ -167,20 +183,41 @@ def rank_size_fit(values) -> SlopeFit:
     return _ols(np.log(ranks[nz]), np.log(c[nz]))
 
 
+_HURST = {"dwt": hurst_dwt, "wang": hurst_wang,
+          "jones": lambda slope: abs(slope + 1.0)}
+
+
+def _descriptors(method: str, levels, data_level: int, level_sets):
+    """One descriptor per row of the (R, 2**d, m) level arrays ``levels``
+    (d = 0, 1, ...), with ``level_sets[r]`` restricting row r's spectrum."""
+    if method not in METHODS:
+        raise ConfigurationError(
+            f"unknown method {method!r}; choose from {METHODS}")
+    if method == "jones":
+        levels = list(levels)
+        selected, _ = best_basis_rows(levels)
+        coeffs = np.empty((len(levels[0]), levels[0].shape[2]))
+        for lv, mask in zip(levels, selected):
+            np.copyto(coeffs.reshape(lv.shape), lv, where=mask[:, :, None])
+        fits = map(_rank_size_sorted, np.sort(np.abs(coeffs), axis=1)[:, ::-1])
+    else:
+        energies = {data_level - d: _level_energies(method, lv)
+                    for d, lv in enumerate(levels) if d > 0}
+        fits = (fit_slope(_spectrum_points(
+                    {j: e[r] for j, e in energies.items()}, lv_set))
+                for r, lv_set in enumerate(level_sets))
+    for fit in fits:
+        yield ScalingDescriptor(method, fit.slope, _HURST[method](fit.slope),
+                                fit)
+
+
 def hurst_jones(tree: PacketTree) -> ScalingDescriptor:
     """Rank-size Hurst estimate from the entropy-best basis.
 
     All coefficients of the selected basis enter the rank-size fit; the
     fitted slope d maps to H = |d + 1|.
     """
-    selection = best_basis(tree)
-    fit = rank_size_fit(basis_coefficients(tree, selection))
-    return ScalingDescriptor(
-        method="jones",
-        slope=fit.slope,
-        hurst=abs(fit.slope + 1.0),
-        fit=fit,
-    )
+    return scaling_descriptor("jones", tree)
 
 
 def scaling_descriptor(method: str, tree: PacketTree, levels=None) -> ScalingDescriptor:
@@ -189,12 +226,26 @@ def scaling_descriptor(method: str, tree: PacketTree, levels=None) -> ScalingDes
     ``levels`` restricts the spectrum regression for the dwt and wang
     methods and is ignored by jones, which always uses the whole basis.
     """
-    if method == "dwt":
-        fit = fit_slope(spectrum_dwt(tree, levels))
-        return ScalingDescriptor("dwt", fit.slope, hurst_dwt(fit.slope), fit)
-    if method == "wang":
-        fit = fit_slope(spectrum_wang(tree, levels))
-        return ScalingDescriptor("wang", fit.slope, hurst_wang(fit.slope), fit)
-    if method == "jones":
-        return hurst_jones(tree)
-    raise ConfigurationError(f"unknown method {method!r}; choose from {METHODS}")
+    return next(_descriptors(method, [lv[None] for lv in tree.levels],
+                             tree.data_level, [levels]))
+
+
+def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
+                        level_sets=None):
+    """Yield ``scaling_descriptor(method, wpd_full(row, f, depth), levels)``
+    for every row of the (R, N) matrix ``rows``, bit for bit, computed as
+    one batch.
+
+    ``level_sets[r]`` restricts row r's spectrum (default: all levels).
+    Only what a method needs is kept: dwt runs the pyramid alone, wang
+    keeps one level's energies at a time, and jones keeps every level for
+    the best-basis search and sorts all rows' selected coefficients in one
+    call.  A failed row raises EstimationError when it is reached, after
+    the rows before it have been yielded.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if level_sets is None:
+        level_sets = [None] * len(rows)
+    cascade = packet_cascade(rows, f, depth, pyramid=method == "dwt")
+    yield from _descriptors(method, itertools.chain([rows[:, None, :]], cascade),
+                            rows.shape[1].bit_length() - 1, level_sets)

@@ -118,11 +118,17 @@ def _sample_cholesky(hurst: float, n: int, rng) -> np.ndarray:
     return np.linalg.cholesky(cov) @ rng.standard_normal(n)
 
 
-def _fgn(hurst: float, n: int, rng) -> np.ndarray:
-    lam = _embedding_eigenvalues(n, hurst)
+def _fgn_from_eigenvalues(lam: np.ndarray, hurst: float, n: int,
+                          rng) -> np.ndarray:
+    """One fGn draw given the embedding eigenvalues of (n, hurst)."""
     if lam.min() < _EIGENVALUE_FLOOR:
         return _sample_cholesky(hurst, n, rng)
     return _sample_circulant(lam, n, rng)
+
+
+def _fgn(hurst: float, n: int, rng) -> np.ndarray:
+    return _fgn_from_eigenvalues(_embedding_eigenvalues(n, hurst), hurst, n,
+                                 rng)
 
 
 def fgn_sample(spec: FbmSpec) -> np.ndarray:
@@ -171,10 +177,11 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
     depth = {"haar": J, "symmlet4": J - 1}
 
     def one_replicate(args):
-        ih, rep = args
+        ih, rep, eigs = args
         rng = np.random.default_rng(
             np.random.SeedSequence(master_seed, spawn_key=(ih, rep)))
-        path = fbm_from_fgn(_fgn(h_grid[ih], length, rng))
+        path = fbm_from_fgn(_fgn_from_eigenvalues(eigs, h_grid[ih], length,
+                                                  rng))
         trees = {fam: wpd_full(path, f, depth[fam])
                  for fam, f in filters.items()}
         out = {}
@@ -191,7 +198,8 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
         if eigs.min() < _EIGENVALUE_FLOOR and length > 4096:
             raise EstimationError(
                 f"circulant embedding failed for H={h} at length {length}")
-        results = map_ordered(one_replicate, [(ih, r) for r in range(n_reps)],
+        results = map_ordered(one_replicate,
+                              [(ih, r, eigs) for r in range(n_reps)],
                               threads=threads)
         for m in methods:
             vals = np.array([r[m] for r in results if r[m] is not None])

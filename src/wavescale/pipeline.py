@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EstimationError, IngestionError
-from .estimators import METHODS, scaling_descriptor
+from .estimators import METHODS, scaling_descriptors
 from .utils import format_float, map_ordered, resolve_threads
-from .wavelets import make_filter, wpd_full
+from .wavelets import make_filter
 
 LABEL_ALIASES = {"case": 1, "control": 0, "1": 1, "0": 0}
 
@@ -90,6 +91,20 @@ class MethodConfig:
     family: str
     depth: int
     level_plan: tuple = ()
+
+    def check(self, window_len: int) -> None:
+        """Raise ConfigurationError naming the bad value unless the family
+        is known, ``window_len`` is a power of two and 1 <= depth <=
+        log2(window_len)."""
+        make_filter(self.family)
+        if window_len < 2 or window_len & (window_len - 1):
+            raise ConfigurationError(
+                f"window length {window_len} is not a power of two")
+        J = window_len.bit_length() - 1
+        if not 1 <= self.depth <= J:
+            raise ConfigurationError(
+                f"depth {self.depth} does not fit window length "
+                f"{window_len}: it must be in 1..{J}")
 
     def levels_for(self, window_number: int):
         for lo, hi, levels in self.level_plan:
@@ -330,21 +345,21 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
     if method_config is None:
         method_config = default_method_config(method)
     wl = grid.window_len
-    if wl & (wl - 1):
-        raise ConfigurationError(
-            f"window length {wl} is not a power of two")
+    method_config.check(wl)
     f = make_filter(method_config.family)
     threads = resolve_threads(threads)
+    level_sets = [method_config.levels_for(w + 1) for w in range(grid.count)]
 
     def one_sample(s):
-        row = dataset.intensities[s]
+        # every window of the sample as one (windows, window_len) view
+        rows = sliding_window_view(dataset.intensities[s], wl)[::grid.stride]
+        descriptors = scaling_descriptors(method, rows[:grid.count], f,
+                                          method_config.depth, level_sets)
         slopes = np.empty(grid.count)
         hurst = np.empty(grid.count)
-        for w, (lo, hi) in enumerate(grid.windows):
-            tree = wpd_full(row[lo:hi], f, method_config.depth)
+        for w in range(grid.count):
             try:
-                d = scaling_descriptor(method, tree,
-                                       method_config.levels_for(w + 1))
+                d = next(descriptors)
             except EstimationError as exc:
                 raise EstimationError(
                     f"estimate failed for sample {dataset.sample_ids[s]!r}, "

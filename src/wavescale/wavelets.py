@@ -221,11 +221,36 @@ def synthesis_step(approx: np.ndarray, detail: np.ndarray, f: FilterPair) -> np.
     return x
 
 
-def _check_dyadic(x: np.ndarray) -> int:
-    n = len(x)
+def _check_dyadic(n: int) -> int:
     if n < 2 or n & (n - 1):
         raise ShapeError(f"signal length {n} is not a power of two")
     return n.bit_length() - 1
+
+
+def packet_cascade(rows: np.ndarray, f: FilterPair, depth: int,
+                   pyramid: bool = False):
+    """Yield levels d = 1..depth of the packet tables of every row at once.
+
+    ``rows`` is a (R, N) matrix of dyadic-length signals (any strides).
+    Level d comes out as an (R, 2**d, N / 2**d) array whose [r, n] entry is
+    node (J - d, n) of row r, computed by one ``_analysis_rows`` call on all
+    R * 2**(d-1) parent nodes, so every row's coefficients are bitwise those
+    of a one-row run.  With ``pyramid`` only the approximation node is
+    split and each level holds just nodes 0 and 1 (the DWT pyramid).
+    Requires 1 <= depth <= J.
+    """
+    J = _check_dyadic(rows.shape[1])
+    if not 1 <= depth <= J:
+        raise ConfigurationError(f"depth must be in 1..{J}, got {depth}")
+    level = rows[:, None, :]
+    for _ in range(depth):
+        parents = level[:, :1] if pyramid else level
+        r, k, m = parents.shape
+        approx, detail = _analysis_rows(parents.reshape(r * k, m), f)
+        level = np.empty((r, 2 * k, m // 2))
+        level[:, 0::2] = approx.reshape(r, k, m // 2)
+        level[:, 1::2] = detail.reshape(r, k, m // 2)
+        yield level
 
 
 def dwt_forward(x: np.ndarray, f: FilterPair, depth: int) -> DwtDecomposition:
@@ -236,21 +261,19 @@ def dwt_forward(x: np.ndarray, f: FilterPair, depth: int) -> DwtDecomposition:
     length and 1 <= depth <= J.
     """
     x = np.asarray(x, dtype=float)
-    J = _check_dyadic(x)
-    if not 1 <= depth <= J:
-        raise ConfigurationError(f"depth must be in 1..{J}, got {depth}")
+    if x.ndim != 1:
+        raise ShapeError("dwt_forward expects a 1-D vector")
+    J = _check_dyadic(len(x))
     details = {}
-    approx = x
-    for step in range(1, depth + 1):
-        approx, detail = _analysis_rows(approx[None, :], f)
-        approx, detail = approx[0], detail[0]
-        details[J - step] = _freeze(detail)
+    pyramid = packet_cascade(x[None], f, depth, pyramid=True)
+    for step, level in enumerate(pyramid, 1):
+        details[J - step] = _freeze(level[0, 1])
     return DwtDecomposition(
         filter=f,
         signal_length=len(x),
         data_level=J,
         approx_level=J - depth,
-        approx=_freeze(approx),
+        approx=_freeze(level[0, 0]),
         details=details,
     )
 
@@ -260,25 +283,18 @@ def wpd_full(x: np.ndarray, f: FilterPair, depth: int) -> PacketTree:
 
     Level J - d (d = 1..depth) receives 2**d nodes; every level carries N
     coefficients in total.  Requires a dyadic length and 1 <= depth <= J.
+    This is the one-row call of ``packet_cascade``.
     """
     x = np.asarray(x, dtype=float)
-    J = _check_dyadic(x)
-    if depth > J:
-        raise ConfigurationError(f"depth {depth} exceeds {J} available levels")
-    if depth < 1:
-        raise ConfigurationError("depth must be at least 1")
-    levels = [_freeze(x[None, :].copy())]
-    for _ in range(depth):
-        approx, detail = _analysis_rows(levels[-1], f)
-        m, half = approx.shape
-        nxt = np.empty((2 * m, half))
-        nxt[0::2] = approx
-        nxt[1::2] = detail
-        levels.append(_freeze(nxt))
+    if x.ndim != 1:
+        raise ShapeError("wpd_full expects a 1-D vector")
+    J = _check_dyadic(len(x))
+    levels = [x[None, :].copy()]
+    levels += [lv[0] for lv in packet_cascade(x[None], f, depth)]
     return PacketTree(
         filter=f,
         depth=depth,
         signal_length=len(x),
         data_level=J,
-        levels=tuple(levels),
+        levels=tuple(_freeze(lv) for lv in levels),
     )

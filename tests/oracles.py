@@ -8,6 +8,7 @@ own arithmetic paths.
 import csv
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,3 +177,123 @@ def reference_read_feature_csv(path):
                       dtype=np.int8)
     slopes = np.array([[float(v) for v in row[2:]] for row in rows])
     return ids, labels, slopes
+
+
+# ------------------------------------------------- per-window extraction
+# The package's former one-window-at-a-time path: a packet table built by
+# gathering columns per tap, a Python shannon_cost call for every node of
+# the best-basis search, and one estimator call per window.  It is the
+# reference for the row-batched kernels.
+
+def reference_wpd_levels(x, f, depth):
+    """Level matrices 0..depth of the packet table of one signal."""
+    levels = [np.asarray(x, dtype=float)[None, :].copy()]
+    for _ in range(depth):
+        rows = levels[-1]
+        n = rows.shape[1]
+        base = 2 * np.arange(n // 2)
+        approx = np.zeros((rows.shape[0], n // 2))
+        detail = np.zeros_like(approx)
+        for i in range(f.length):
+            cols = rows[:, (base + i) % n]
+            approx += f.low[i] * cols
+            detail += f.high[i] * cols
+        nxt = np.empty((2 * rows.shape[0], n // 2))
+        nxt[0::2] = approx
+        nxt[1::2] = detail
+        levels.append(nxt)
+    return levels
+
+
+def reference_shannon_cost(x):
+    e = np.asarray(x, dtype=float) ** 2
+    e = e[e > 0.0]
+    if e.size == 0:
+        return 0.0
+    return float(-np.sum(e * np.log(e)))
+
+
+def reference_best_basis(levels, data_level):
+    """(nodes, total cost) by per-node costing and a stack walk."""
+    depth = len(levels) - 1
+    costs = [np.array([reference_shannon_cost(row) for row in lev])
+             for lev in levels]
+    best = costs[depth].copy()
+    marked = [None] * (depth + 1)
+    marked[depth] = np.ones(best.shape, dtype=bool)
+    for d in range(depth - 1, -1, -1):
+        combined = best[0::2] + best[1::2]
+        marked[d] = costs[d] <= combined
+        best = np.where(marked[d], costs[d], combined)
+    nodes = []
+    stack = [(0, 0)]
+    while stack:
+        d, n = stack.pop()
+        if marked[d][n]:
+            nodes.append((data_level - d, n))
+        else:
+            stack.append((d + 1, 2 * n + 1))
+            stack.append((d + 1, 2 * n))
+    nodes.sort(key=lambda jn: (-jn[0], jn[1]))
+    return tuple(nodes), float(best[0])
+
+
+def _reference_ols(xs, ys):
+    dx, dy = xs - xs.mean(), ys - ys.mean()
+    return float(np.dot(dx, dy)) / float(np.dot(dx, dx))
+
+
+def reference_slope(method, x, f, depth, levels=None):
+    """Fitted slope of one window, warning and failing as the old path did."""
+    from wavescale import EstimationError
+
+    tree = reference_wpd_levels(x, f, depth)
+    J = len(x).bit_length() - 1
+    if method == "jones":
+        nodes, _ = reference_best_basis(tree, J)
+        c = np.concatenate([tree[J - j][n] for j, n in nodes])
+        c = np.sort(np.abs(c))[::-1]
+        ranks = np.arange(1, len(c) + 1, dtype=float)
+        nz = c > 0.0
+        if np.count_nonzero(nz) < 2:
+            raise EstimationError(
+                "rank-size fit needs at least 2 nonzero coefficients")
+        return _reference_ols(np.log(ranks[nz]), np.log(c[nz]))
+    if levels is None:
+        levels = range(J - depth, J)
+    pts = []
+    for j in sorted(set(levels)):
+        lev = tree[J - j]
+        if method == "dwt":
+            e = float(np.mean(lev[1] * lev[1]))
+        else:
+            e = float(np.mean(np.mean(lev[1::2] * lev[1::2], axis=1)))
+        if e <= 0.0:
+            warnings.warn(f"level {j} has zero energy; point dropped",
+                          RuntimeWarning)
+            continue
+        pts.append((j, float(np.log2(e))))
+    if len(pts) < 2:
+        raise EstimationError(
+            f"slope fit needs at least 2 spectrum points, got {len(pts)}")
+    return _reference_ols(np.array([p[0] for p in pts], dtype=float),
+                          np.array([p[1] for p in pts]))
+
+
+def reference_extract_slopes(dataset, method, grid, method_config):
+    """Per-window loop over every (sample, window) of a dataset."""
+    from wavescale import EstimationError, make_filter
+
+    f = make_filter(method_config.family)
+    slopes = np.empty((dataset.n_samples, grid.count))
+    for s in range(dataset.n_samples):
+        for w, (lo, hi) in enumerate(grid.windows):
+            try:
+                slopes[s, w] = reference_slope(
+                    method, dataset.intensities[s, lo:hi], f,
+                    method_config.depth, method_config.levels_for(w + 1))
+            except EstimationError as exc:
+                raise EstimationError(
+                    f"estimate failed for sample {dataset.sample_ids[s]!r}, "
+                    f"window {w + 1}: {exc}") from exc
+    return slopes

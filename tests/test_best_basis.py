@@ -110,21 +110,24 @@ def test_depth_zero_tree_returns_root():
 
 
 def test_cost_evaluated_once_per_node(monkeypatch):
-    # the bottom-up search is linear in the node count
+    # the bottom-up search is linear in the node count: the level-cost
+    # kernel sees every node of the table exactly once
     import importlib
     bb = importlib.import_module("wavescale.best_basis")
-    calls = {"n": 0}
-    real = bb.shannon_cost
+    seen = []
+    real = bb._level_costs
 
-    def counting(x):
-        calls["n"] += 1
-        return real(x)
+    def counting(nodes):
+        seen.extend(map(tuple, nodes))
+        return real(nodes)
 
-    monkeypatch.setattr(bb, "shannon_cost", counting)
+    monkeypatch.setattr(bb, "_level_costs", counting)
     f = make_filter("haar")
     tree = wpd_full(np.random.default_rng(2).standard_normal(16), f, 4)
     best_basis(tree)
-    assert calls["n"] == sum(2 ** d for d in range(5))
+    assert len(seen) == sum(2 ** d for d in range(5))
+    assert sorted(seen) == sorted(tuple(row) for lv in tree.levels
+                                  for row in lv)
 
 
 def test_basis_coefficients_cover_all_n():

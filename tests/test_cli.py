@@ -282,6 +282,10 @@ def test_pipeline_config_missing_path_exit_2(tmp_path, capsys):
 def test_pipeline_config_rejects_unknown_keys_before_ingest(tmp_path, capsys,
                                                             old, new,
                                                             message):
+    _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
+
+
+def _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message):
     matrix, labels = _write_dataset(tmp_path, n_per_class=2)
     matrix.write_text("not a matrix\n", encoding="utf-8")  # never read
     out_dir = tmp_path / "out"
@@ -290,6 +294,58 @@ def test_pipeline_config_rejects_unknown_keys_before_ingest(tmp_path, capsys,
     assert old in text
     cfg.write_text(text.replace(old, new, 1), encoding="utf-8")
     assert main(["pipeline", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("  repeats: 20", "  repeats: ten",
+     "split.repeats: expected an integer, got 'ten'"),
+    ("  - kind: logistic\n    C: 1.0\n  - kind: knn\n    k: 5", "  - 5",
+     "classifiers[0]: expected a mapping or a classifier name, got 5"),
+    ("    C: 1.0", "    C: strong",
+     "classifiers[0].C: expected a number, got 'strong'"),
+    ("  - kind: knn", "  - kind: [knn]",
+     "classifiers[1].kind: expected a string, got ['knn']"),
+    ("balance: false", "balance: maybe",
+     "balance: expected true or false, got 'maybe'"),
+    ("seed: 11", "seed: 1.5", "seed: expected an integer, got 1.5"),
+    ("  p: 2", "  p: [2]", "features.p: expected an integer, got [2]"),
+    ("method: wang", "method: wang\nthreads: two",
+     "threads: expected an integer, got 'two'"),
+], ids=["repeats", "classifier-entry", "C", "kind", "balance", "seed", "p",
+        "threads"])
+def test_pipeline_config_rejects_ill_typed_values_before_ingest(
+        tmp_path, capsys, old, new, message):
+    _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
+
+
+@pytest.mark.parametrize("command", ["pipeline", "extract"])
+@pytest.mark.parametrize("window,depth,wavelet,message", [
+    (500, 9, "haar", "window length 500 is not a power of two"),
+    (512, 10, "haar", "depth 10 does not fit window length 512"),
+    (512, 0, "haar", "depth 0 does not fit window length 512"),
+    (512, 9, "db2", "unknown wavelet family 'db2'"),
+], ids=["window", "depth", "depth-zero", "family"])
+def test_bad_window_depth_or_family_fails_before_ingest(
+        tmp_path, capsys, command, window, depth, wavelet, message):
+    matrix, labels = _write_dataset(tmp_path, n_per_class=2)
+    matrix.write_text("not a matrix\n", encoding="utf-8")  # never read
+    out_dir = tmp_path / "out"
+    if command == "pipeline":
+        cfg = _write_config(tmp_path, matrix, labels, out_dir,
+                            extra=f"wavelet: {wavelet}\n")
+        cfg.write_text(cfg.read_text()
+                       .replace("depth: 9", f"depth: {depth}")
+                       .replace("length: 512", f"length: {window}"),
+                       encoding="utf-8")
+        argv = ["pipeline", str(cfg)]
+    else:
+        argv = ["extract", "--matrix", str(matrix), "--labels", str(labels),
+                "--method", "wang", "--wavelet", wavelet,
+                "--depth", str(depth), "--window-len", str(window),
+                "--stride", "512", "--out", str(out_dir / "f.csv")]
+    assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
 

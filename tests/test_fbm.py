@@ -9,7 +9,10 @@ from wavescale import (
     fbm_from_fgn,
     fgn_autocovariance,
     fgn_sample,
+    make_filter,
     run_estimator_benchmark,
+    scaling_descriptor,
+    wpd_full,
 )
 
 
@@ -162,3 +165,27 @@ def test_benchmark_csv_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "H,method,mean,std,n,failures"
+
+
+def test_benchmark_computes_eigenvalues_once_per_h(monkeypatch):
+    calls = []
+    real = fbm_mod._embedding_eigenvalues
+
+    def counting(n, hurst):
+        calls.append(hurst)
+        return real(n, hurst)
+
+    monkeypatch.setattr(fbm_mod, "_embedding_eigenvalues", counting)
+    h_grid = [0.3, 0.7]
+    report = run_estimator_benchmark(h_grid, n_reps=6, length=64,
+                                     methods=("dwt",), master_seed=4)
+    assert calls == h_grid
+    # each replicate draws bitwise what a fresh _fgn call draws
+    f = make_filter("haar")
+    for ih, h in enumerate(h_grid):
+        vals = np.array([scaling_descriptor("dwt", wpd_full(fbm_from_fgn(
+            fbm_mod._fgn(h, 64, np.random.default_rng(np.random.SeedSequence(
+                4, spawn_key=(ih, rep))))), f, 6)).hurst for rep in range(6)])
+        cell = report.cell(h, "dwt")
+        assert (cell.mean, cell.std) == (float(vals.mean()),
+                                         float(vals.std(ddof=1)))
