@@ -1,12 +1,18 @@
 """Repeated random-split evaluation of simple classifiers.
 
 Two classifiers are implemented from first principles: an L2-regularized
-logistic regression fitted by deterministic gradient descent with a
-backtracking line search, and a majority-vote k-nearest-neighbors rule.
-The evaluation loop draws seeded train/test splits, ranks features by
-Fisher score on the training rows only (unless the global compatibility
-mode is requested), standardizes with training statistics, and aggregates
-test accuracy across repeats.
+logistic regression fitted by damped Newton steps (iteratively
+reweighted least squares with a backtracking line search), and a
+majority-vote k-nearest-neighbors rule.  One evaluation core draws seeded
+train/test splits, ranks windows by Fisher score on the training rows
+only (unless the global compatibility mode is requested), standardizes
+with training statistics, and scores every requested feature count.
+
+The core works on chunks of splits at once.  Its kernels take a leading
+axis of splits and compute each split on its own, with no reduction
+across splits, so a split's result does not depend on the chunk it is
+in.  ``train_logistic``, ``predict_logistic`` and ``knn_predict`` are
+the one-split calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError
-from .pipeline import FeatureMatrix, _fisher_from_arrays, select_top
+from .pipeline import FeatureMatrix, fisher_ratio, fisher_scores
 from .utils import format_float, map_ordered, resolve_threads
 
 SELECTION_MODES = ("per-split", "global")
@@ -105,6 +111,15 @@ class EvalReport:
     per_repeat: tuple = field(default=None, repr=False)
 
 
+def _column_stats(train: np.ndarray):
+    """Mean, scale and zero-std mask of each column of ``(..., n, p)``
+    training rows; a zero-std column keeps scale 1."""
+    mean = train.mean(axis=-2)
+    std = train.std(axis=-2, ddof=0)
+    degenerate = std == 0.0
+    return mean, np.where(degenerate, 1.0, std), degenerate
+
+
 def standardize(train_x: np.ndarray, test_x: np.ndarray):
     """Center and scale by training statistics; apply unchanged to test.
 
@@ -115,32 +130,52 @@ def standardize(train_x: np.ndarray, test_x: np.ndarray):
     test_x = np.asarray(test_x, dtype=float)
     if train_x.shape[0] < 2:
         raise EstimationError("standardization needs at least 2 training rows")
-    mean = train_x.mean(axis=0)
-    std = train_x.std(axis=0, ddof=0)
-    degenerate = std == 0.0
+    mean, scale, degenerate = _column_stats(train_x)
     if degenerate.any():
         warnings.warn("zero training std; feature centered only",
                       RuntimeWarning, stacklevel=2)
-    scale = np.where(degenerate, 1.0, std)
     t = StandardizeTransform(mean=mean, scale=scale, degenerate=degenerate)
     return t.apply(train_x), t.apply(test_x), t
 
 
+# ---------------------------------------------------------------- logistic
+# Every kernel below takes rows x (c, n, p), labels y (c, n), weights
+# w (c, p) and biases b (c,): one fit per index of the leading axis.
+
+def _logits(x, w, b):
+    return (x @ w[..., None])[..., 0] + b[..., None]
+
+
+def _objective(x, y, w, b, l2_c):
+    s = _logits(x, w, b)
+    nll = np.mean(np.logaddexp(0.0, s) - y * s, axis=-1)
+    return nll + np.sum(w * w, axis=-1) / (2.0 * l2_c * y.shape[-1])
+
+
+def _gradient(x, y, w, b, l2_c):
+    """(gradient in w, gradient in b, probabilities) of ``_objective``."""
+    n = y.shape[-1]
+    probs = _sigmoid(_logits(x, w, b))
+    resid = probs - y
+    gw = (resid[..., None, :] @ x)[..., 0, :] / n + w / (l2_c * n)
+    return gw, resid.mean(axis=-1), probs
+
+
+def _one(a) -> np.ndarray:
+    """A single fit's array with the leading fit axis added."""
+    return np.ascontiguousarray(np.asarray(a, dtype=float)[None])
+
+
 def logistic_objective(weights, bias, x, y, l2_c) -> float:
     """Mean negative log-likelihood plus ||w||^2 / (2 * C * n)."""
-    s = x @ weights + bias
-    nll = np.mean(np.logaddexp(0.0, s) - y * s)
-    return float(nll + np.dot(weights, weights) / (2.0 * l2_c * len(y)))
+    return float(_objective(_one(x), _one(y), _one(weights), _one(bias),
+                            l2_c)[0])
 
 
 def logistic_gradient(weights, bias, x, y, l2_c):
     """Analytic gradient of logistic_objective in (weights, bias)."""
-    n = len(y)
-    p = _sigmoid(x @ weights + bias)
-    resid = p - y
-    gw = x.T @ resid / n + weights / (l2_c * n)
-    gb = float(resid.mean())
-    return gw, gb
+    gw, gb, _ = _gradient(_one(x), _one(y), _one(weights), _one(bias), l2_c)
+    return gw[0], float(gb[0])
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
@@ -152,53 +187,109 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fit_logistic(x, y, l2_c, max_iters, tol):
+    """Damped Newton fits of rows x (c, n, p) to 0/1 labels y (c, n).
+
+    Each fit starts from zero weights and stops once its gradient norm
+    falls below ``tol``.  A step solves the Newton system of the
+    penalized objective (the bias is not penalized) and is halved until
+    it gives an Armijo decrease; after 60 halvings the last trial is
+    taken.  Returns weights (c, p), biases (c,), converged flags and
+    step counts, and warns once per fit that has not converged within
+    ``max_iters`` steps.
+    """
+    c, n, p = x.shape
+    w = np.zeros((c, p))
+    b = np.zeros(c)
+    obj = _objective(x, y, w, b, l2_c)
+    penalty = np.eye(p + 1) / (l2_c * n)
+    penalty[p, p] = 0.0  # the bias is not penalized
+    active = np.ones(c, dtype=bool)
+    iters = np.zeros(c, dtype=int)
+    for it in range(max_iters + 1):
+        gw, gb, probs = _gradient(x, y, w, b, l2_c)
+        active &= ~(np.sqrt(np.sum(gw * gw, axis=-1) + gb * gb) < tol)
+        if it == max_iters or not active.any():
+            break
+        iters[active] = it + 1
+        g = np.concatenate([gw, gb[:, None]], axis=-1)
+        d = probs * (1.0 - probs) / n
+        xd = np.swapaxes(x, -1, -2) * d[:, None, :]
+        hess = np.empty((c, p + 1, p + 1))
+        hess[:, :p, :p] = xd @ x
+        hess[:, :p, p] = hess[:, p, :p] = xd.sum(axis=-1)
+        hess[:, p, p] = d.sum(axis=-1)
+        step = np.linalg.solve(hess + penalty, g[..., None])[..., 0]
+        descent = np.sum(g * step, axis=-1)
+        t = np.ones(c)
+        searching = active.copy()
+        for _ in range(60):
+            w_try = w - t[:, None] * step[:, :p]
+            b_try = b - t * step[:, p]
+            obj_try = _objective(x, y, w_try, b_try, l2_c)
+            searching &= ~(obj_try <= obj - 1e-4 * t * descent)
+            if not searching.any():
+                break
+            t = np.where(searching, 0.5 * t, t)
+        w = np.where(active[:, None], w_try, w)
+        b = np.where(active, b_try, b)
+        obj = np.where(active, obj_try, obj)
+    for _ in range(int(active.sum())):
+        warnings.warn(f"logistic fit did not converge in {max_iters} "
+                      "iterations", RuntimeWarning, stacklevel=3)
+    return w, b, ~active, iters
+
+
 def train_logistic(x: np.ndarray, y: np.ndarray, l2_c: float = 1.0,
                    max_iters: int = 500, tol: float = 1e-6) -> LogisticModel:
-    """Fit by gradient descent with an Armijo backtracking line search.
+    """Fit by damped Newton steps with a backtracking line search.
 
-    Deterministic: starts from zero weights, halves the step until the
-    sufficient-decrease test passes, and stops once the gradient norm
-    falls below ``tol``.  Non-convergence within ``max_iters`` returns the
-    last iterate with ``converged`` False and a warning.
+    Deterministic: starts from zero weights and stops once the gradient
+    norm falls below ``tol``.  Non-convergence within ``max_iters`` steps
+    returns the last iterate with ``converged`` False and a warning.
+    This is the one-fit call of the solver ``evaluate`` runs on chunks
+    of splits, and gives bitwise the same model.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    obj = logistic_objective(w, b, x, y, l2_c)
-    step = 1.0
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        gw, gb = logistic_gradient(w, b, x, y, l2_c)
-        gnorm2 = float(np.dot(gw, gw) + gb * gb)
-        if np.sqrt(gnorm2) < tol:
-            converged = True
-            it -= 1
-            break
-        step = min(step * 2.0, 1e6)
-        for _ in range(60):
-            w_new = w - step * gw
-            b_new = b - step * gb
-            obj_new = logistic_objective(w_new, b_new, x, y, l2_c)
-            if obj_new <= obj - 0.5 * step * gnorm2:
-                break
-            step *= 0.5
-        w, b, obj = w_new, b_new, obj_new
-    else:
-        gw, gb = logistic_gradient(w, b, x, y, l2_c)
-        converged = np.sqrt(np.dot(gw, gw) + gb * gb) < tol
-    if not converged:
-        warnings.warn(f"logistic fit did not converge in {max_iters} "
-                      "iterations", RuntimeWarning, stacklevel=2)
-    return LogisticModel(weights=w, bias=float(b),
-                         converged=converged, n_iters=it)
+    w, b, converged, iters = _fit_logistic(_one(x), _one(y), l2_c,
+                                           max_iters, tol)
+    return LogisticModel(weights=w[0], bias=float(b[0]),
+                         converged=bool(converged[0]), n_iters=int(iters[0]))
+
+
+def _predict(x, w, b):
+    probs = _sigmoid(_logits(x, w, b))
+    return (probs > 0.5).astype(np.int8), probs
 
 
 def predict_logistic(model: LogisticModel, x: np.ndarray):
     """Probabilities via the sigmoid score, labels thresholded at 0.5."""
-    probs = _sigmoid(np.asarray(x, dtype=float) @ model.weights + model.bias)
-    return (probs > 0.5).astype(np.int8), probs
+    labels, probs = _predict(_one(x), _one(model.weights), _one(model.bias))
+    return labels[0], probs[0]
+
+
+# --------------------------------------------------------------------- knn
+
+# Elements of the (queries, training rows, features) difference tensor
+# that the kNN kernel builds at once (4 MB), unless one split needs more.
+_KNN_BLOCK = 1 << 19
+
+
+def _knn_votes(train, train_y, queries, k):
+    """Majority vote of (c, m, p) queries among the k nearest of the
+    (c, n, p) training rows with (c, n) labels, split by split."""
+    c, m, p = queries.shape
+    n = train.shape[1]
+    out = np.empty((c, m), dtype=np.int8)
+    step = max(1, _KNN_BLOCK // (m * n * p))
+    for lo in range(0, c, step):
+        blk = slice(lo, lo + step)
+        diff = queries[blk, :, None, :] - train[blk, None, :, :]
+        d2 = np.square(diff, out=diff).sum(axis=-1)
+        nearest = np.argsort(d2, axis=-1, kind="stable")[..., :k]
+        votes = np.take_along_axis(train_y[blk, None, :], nearest,
+                                   axis=-1).sum(axis=-1)
+        out[blk] = votes * 2 > k
+    return out
 
 
 def knn_predict(train_x: np.ndarray, train_y: np.ndarray,
@@ -215,40 +306,156 @@ def knn_predict(train_x: np.ndarray, train_y: np.ndarray,
     if k > train_x.shape[0]:
         raise ConfigurationError(
             f"k={k} exceeds {train_x.shape[0]} training rows")
-    d2 = ((test_x[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    votes = np.asarray(train_y)[nearest].sum(axis=1)
-    return (votes * 2 > k).astype(np.int8)
+    return _knn_votes(train_x[None], np.asarray(train_y)[None],
+                      test_x[None], k)[0]
 
 
-def _accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
-    return float(np.mean(pred == truth))
+# --------------------------------------------------------- evaluation core
+
+# Splits scored together.  Fixed, so memory does not grow with n_repeats;
+# results do not depend on it.
+_CHUNK = 64
 
 
-def _run_split(slopes, labels, train_idx, test_idx, spec: ClassifierSpec,
-               p: int, apply_standardize: bool, global_selection=None):
-    """Train and score one split; selection sees training labels only."""
-    y_train = labels[train_idx]
-    if global_selection is None:
-        scores = _fisher_from_arrays(slopes[train_idx], y_train)
-        selected = select_top(scores, p)
+def _draw_splits(labels, n_train, master_seed, reps):
+    """Row orders (c, n), training rows first, of the given repeats and
+    their redraw counts.  Repeat ``rep`` draws permutations from spawn key
+    (rep,) until its training rows hold two samples of each class."""
+    n = len(labels)
+    perms = np.empty((len(reps), n), dtype=np.intp)
+    redraws = np.zeros(len(reps), dtype=int)
+    for i, rep in enumerate(reps):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(master_seed, spawn_key=(rep,)))
+        while True:
+            perm = rng.permutation(n)
+            ones = int(labels[perm[:n_train]].sum())
+            # Fisher ranking needs two samples of each class in training
+            if 2 <= ones <= n_train - 2:
+                break
+            redraws[i] += 1
+            if redraws[i] > 1000:
+                raise EstimationError(
+                    "could not draw a training split with two samples "
+                    "per class")
+        perms[i] = perm
+    return perms, redraws
+
+
+def _standardized(x, n_train, p):
+    """The first p columns of rows x (c, n, W), standardized by their
+    first n_train rows as ``standardize`` does it for those p columns."""
+    cols = x[:, :, :p]
+    mean, scale, degenerate = _column_stats(cols[:, :n_train])
+    if degenerate.any():
+        warnings.warn("zero training std; feature centered only",
+                      RuntimeWarning, stacklevel=3)
+    return (cols - mean[:, None, :]) / scale[:, None, :]
+
+
+def _split_features(slopes, labels, perms, n_train, ps,
+                    apply_standardize: bool, order=None):
+    """Each split's rows restricted to its top p windows, for every p.
+
+    ``perms`` (c, n) holds each split's rows, training rows first.  The
+    windows are ranked once per split, by Fisher score on its training
+    rows (or by a given global ``order``), and standardized once.
+    Returns one (c, n, p) array per p in ``ps``, bitwise what
+    ``standardize`` gives the split's top p columns, and the (c, W)
+    rankings.
+    """
+    x = slopes[perms]
+    if order is None:
+        order = np.argsort(-fisher_ratio(x[:, :n_train],
+                                         labels[perms[:, :n_train]]),
+                           axis=-1, kind="stable")
     else:
-        selected = global_selection
-    x_train = slopes[np.ix_(train_idx, selected)]
-    x_test = slopes[np.ix_(test_idx, selected)]
-    if apply_standardize:
-        x_train, x_test, _ = standardize(x_train, x_test)
-    y_test = labels[test_idx]
-    if spec.kind == "logistic":
-        model = train_logistic(x_train, y_train, l2_c=spec.l2_c,
-                               max_iters=spec.max_iters, tol=spec.tol)
-        pred_train, _ = predict_logistic(model, x_train)
-        pred_test, _ = predict_logistic(model, x_test)
-    else:
-        pred_train = knn_predict(x_train, y_train, x_train, k=spec.k)
-        pred_test = knn_predict(x_train, y_train, x_test, k=spec.k)
-    return (_accuracy(pred_test, y_test), _accuracy(pred_train, y_train),
-            selected)
+        order = np.broadcast_to(order, (len(perms), len(order)))
+    pmax = max(ps)
+    x = np.take_along_axis(x, order[:, None, :pmax], axis=-1)
+    if not apply_standardize:
+        return [x[:, :, :p] for p in ps], order
+    top = _standardized(x, n_train, pmax)
+    # numpy sums a lone column pairwise but several columns row by row,
+    # so p = 1 gets the statistics of its own column
+    first = _standardized(x, n_train, 1) if 1 in ps and pmax > 1 else top
+    return [(first if p == 1 else top)[:, :, :p] for p in ps], order
+
+
+def _score_splits(features, y, n_train, spec: ClassifierSpec):
+    """Test and train accuracies, each (len(features), c), of classifying
+    each (c, n, p) array of ``features`` with row labels y (c, n)."""
+    y_train, y_test = y[:, :n_train], y[:, n_train:]
+    test_acc = np.empty((len(features), len(y)))
+    train_acc = np.empty_like(test_acc)
+    for i, z in enumerate(features):
+        if spec.kind == "logistic":
+            x_train = np.ascontiguousarray(z[:, :n_train])
+            x_test = np.ascontiguousarray(z[:, n_train:])
+            w, b, _, _ = _fit_logistic(x_train, y_train.astype(float),
+                                       spec.l2_c, spec.max_iters, spec.tol)
+            pred_train, _ = _predict(x_train, w, b)
+            pred_test, _ = _predict(x_test, w, b)
+        else:
+            rows = np.ascontiguousarray(z)
+            pred = _knn_votes(rows[:, :n_train], y_train, rows, spec.k)
+            pred_train, pred_test = pred[:, :n_train], pred[:, n_train:]
+        test_acc[i] = np.mean(pred_test == y_test, axis=-1)
+        train_acc[i] = np.mean(pred_train == y_train, axis=-1)
+    return test_acc, train_acc
+
+
+def _evaluate(features: FeatureMatrix, spec: ClassifierSpec, ps,
+              split: SplitSpec, apply_standardize: bool, selection_mode: str,
+              keep_per_repeat: bool, threads) -> list:
+    """One EvalReport per p in ``ps``, all from the same splits."""
+    if selection_mode not in SELECTION_MODES:
+        raise ConfigurationError(
+            f"selection_mode must be one of {SELECTION_MODES}")
+    ps = [int(p) for p in ps]
+    for p in ps:
+        if not 1 <= p <= features.n_windows:
+            raise ConfigurationError(
+                f"p must be in 1..{features.n_windows}, got {p}")
+    if not ps:
+        return []
+    n = len(features.labels)
+    n_train = int(round(split.train_fraction * n))
+    n_train = min(max(n_train, 1), n - 1)
+    if spec.kind == "knn" and spec.k > n_train:
+        raise ConfigurationError(f"k={spec.k} exceeds {n_train} training rows")
+    labels = features.labels.astype(np.int8)
+    order = None
+    if selection_mode == "global":
+        order = np.argsort(-fisher_scores(features), kind="stable")
+
+    def one_chunk(reps):
+        perms, redraws = _draw_splits(labels, n_train, split.master_seed,
+                                      reps)
+        columns, _ = _split_features(features.slopes, labels, perms, n_train,
+                                     ps, apply_standardize, order)
+        return (*_score_splits(columns, labels[perms], n_train, spec),
+                redraws)
+
+    chunks = [range(lo, min(lo + _CHUNK, split.n_repeats))
+              for lo in range(0, split.n_repeats, _CHUNK)]
+    rows = map_ordered(one_chunk, chunks, threads=resolve_threads(threads))
+    test_acc = np.concatenate([r[0] for r in rows], axis=1) * 100.0
+    train_acc = np.concatenate([r[1] for r in rows], axis=1) * 100.0
+    redraws = int(sum(r[2].sum() for r in rows))
+    many = split.n_repeats > 1
+    return [EvalReport(
+        classifier=spec.describe(),
+        p=p,
+        n_repeats=split.n_repeats,
+        mean_test_accuracy=float(te.mean()),
+        std_test_accuracy=float(te.std(ddof=1)) if many else 0.0,
+        mean_train_accuracy=float(tr.mean()),
+        std_train_accuracy=float(tr.std(ddof=1)) if many else 0.0,
+        redraws=redraws,
+        selection_mode=selection_mode,
+        per_repeat=tuple(zip(te, tr)) if keep_per_repeat else None,
+    ) for p, te, tr in zip(ps, test_acc, train_acc)]
 
 
 def evaluate(features: FeatureMatrix, classifier_spec: ClassifierSpec,
@@ -266,63 +473,13 @@ def evaluate(features: FeatureMatrix, classifier_spec: ClassifierSpec,
     before splitting, reproducing pipelines that select features ahead of
     the split at the cost of information leaking into the test score.
 
-    Per-repeat seeds spawn from the split's master seed, so reports are
-    identical for any thread count.
+    Per-repeat seeds spawn from the split's master seed, and each split
+    is computed on its own, so reports are identical for any thread
+    count.  ``threads`` maps over chunks of splits.
     """
-    if selection_mode not in SELECTION_MODES:
-        raise ConfigurationError(
-            f"selection_mode must be one of {SELECTION_MODES}")
-    n = len(features.labels)
-    if not 1 <= p <= features.n_windows:
-        raise ConfigurationError(
-            f"p must be in 1..{features.n_windows}, got {p}")
-    n_train = int(round(split.train_fraction * n))
-    n_train = min(max(n_train, 1), n - 1)
-    labels = features.labels.astype(np.int8)
-    slopes = features.slopes
-    threads = resolve_threads(threads)
-
-    global_selection = None
-    if selection_mode == "global":
-        global_selection = select_top(_fisher_from_arrays(slopes, labels), p)
-
-    def one_repeat(rep):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(split.master_seed, spawn_key=(rep,)))
-        redraws = 0
-        while True:
-            perm = rng.permutation(n)
-            train_idx, test_idx = perm[:n_train], perm[n_train:]
-            ones = int(labels[train_idx].sum())
-            # Fisher ranking needs two samples of each class in training
-            if 2 <= ones <= n_train - 2:
-                break
-            redraws += 1
-            if redraws > 1000:
-                raise EstimationError(
-                    "could not draw a training split with two samples "
-                    "per class")
-        test_acc, train_acc, _ = _run_split(
-            slopes, labels, train_idx, test_idx, classifier_spec, p,
-            apply_standardize, global_selection)
-        return test_acc, train_acc, redraws
-
-    rows = map_ordered(one_repeat, range(split.n_repeats), threads=threads)
-    test_acc = np.array([r[0] for r in rows]) * 100.0
-    train_acc = np.array([r[1] for r in rows]) * 100.0
-    redraws = sum(r[2] for r in rows)
-    return EvalReport(
-        classifier=classifier_spec.describe(),
-        p=p,
-        n_repeats=split.n_repeats,
-        mean_test_accuracy=float(test_acc.mean()),
-        std_test_accuracy=float(test_acc.std(ddof=1)) if len(test_acc) > 1 else 0.0,
-        mean_train_accuracy=float(train_acc.mean()),
-        std_train_accuracy=float(train_acc.std(ddof=1)) if len(train_acc) > 1 else 0.0,
-        redraws=redraws,
-        selection_mode=selection_mode,
-        per_repeat=tuple(zip(test_acc, train_acc)) if keep_per_repeat else None,
-    )
+    return _evaluate(features, classifier_spec, [p], split,
+                     apply_standardize, selection_mode, keep_per_repeat,
+                     threads)[0]
 
 
 def accuracy_vs_feature_count(features: FeatureMatrix,
@@ -335,15 +492,15 @@ def accuracy_vs_feature_count(features: FeatureMatrix,
 
     ``p_range`` defaults to 1..W and ``split`` to 1,000 repeats, giving
     train and test accuracy curves against the number of kept features.
+    Every p is scored on the same splits and rankings, and each report
+    equals ``evaluate`` at that p.
     """
     if p_range is None:
         p_range = range(1, features.n_windows + 1)
     if split is None:
         split = SplitSpec(n_repeats=1000)
-    return [evaluate(features, classifier_spec, p, split,
-                     apply_standardize=apply_standardize,
-                     selection_mode=selection_mode, threads=threads)
-            for p in p_range]
+    return _evaluate(features, classifier_spec, p_range, split,
+                     apply_standardize, selection_mode, False, threads)
 
 
 def feature_correlation(features: FeatureMatrix, selected=None) -> np.ndarray:

@@ -304,7 +304,7 @@ def cmd_pipeline(args) -> int:
             features, cfg.classifiers, cfg.p, cfg.split, cfg.curve,
             cfg.curve_repeats, cfg.standardize, cfg.selection_mode, out_dir,
             cfg.threads, per_repeat_log=cfg.per_repeat_log, written=written)
-    except Exception:
+    except BaseException:  # an interrupt too leaves no partial output set
         for p in written:
             try:
                 Path(p).unlink()

@@ -2,8 +2,9 @@
 
 Only the dataset paths and the method are mandatory; everything else has
 the per-method defaults applied when omitted.  Referenced paths, the
-selection mode, key names, value types, and the window length, depth and
-wavelet family are checked at load time.
+selection mode, key names, value types, the window length, stride, depth
+and wavelet family, the level plan, and the feature counts are checked at
+load time.
 """
 
 from __future__ import annotations
@@ -94,14 +95,30 @@ def _parse_level_plan(raw) -> tuple:
     for i, entry in enumerate(raw):
         _known(entry, f"levels entry {i}", "windows levels")
         try:
-            lo, hi = entry["windows"]
+            lo, hi = (int(v) for v in entry["windows"])
             levels = tuple(int(v) for v in entry["levels"])
         except (KeyError, TypeError, ValueError):
             raise ConfigurationError(
                 f"levels entry {i}: expected windows: [lo, hi] and a "
                 "levels list") from None
-        plan.append((int(lo), int(hi), levels))
+        if not 1 <= lo <= hi:
+            raise ConfigurationError(
+                f"levels entry {i}: windows must satisfy 1 <= lo <= hi, "
+                f"got [{lo}, {hi}]")
+        plan.append((lo, hi, levels))
     return tuple(plan)
+
+
+def _check_plan_levels(plan, window_len: int, depth: int) -> None:
+    """Every plan level must be one the decomposition produces."""
+    J = window_len.bit_length() - 1
+    for i, (_, _, levels) in enumerate(plan):
+        outside = [j for j in levels if not J - depth <= j <= J - 1]
+        if outside:
+            raise ConfigurationError(
+                f"levels entry {i}: level(s) {outside} outside the "
+                f"decomposed levels {J - depth}..{J - 1} (window length "
+                f"{window_len}, depth {depth})")
 
 
 def _parse_classifiers(raw) -> tuple:
@@ -137,8 +154,10 @@ def _parse_classifiers(raw) -> tuple:
 def load_run_config(path) -> RunConfig:
     """Parse and validate a YAML run configuration.
 
-    Besides key names and value types, the window length, decomposition
-    depth and wavelet family are checked here, before any input is read.
+    Besides key names and value types, the window length, stride,
+    decomposition depth and wavelet family, the level plan's windows and
+    levels, ``features.p`` and ``features.curve`` are checked here, before
+    any input is read.
     """
     path = Path(path)
     try:
@@ -176,6 +195,9 @@ def load_run_config(path) -> RunConfig:
     window_len = _get(window, "length", "window", int, 1024)
     stride = _get(window, "stride", "window", int, 500)
     method_config.check(window_len)
+    if stride < 1:
+        raise ConfigurationError(f"window.stride must be >= 1, got {stride}")
+    _check_plan_levels(plan, window_len, method_config.depth)
 
     seed = _get(raw, "seed", "", int, 0)
     split_raw = _known(raw.get("split", {}), "split", "train_fraction repeats")
@@ -186,6 +208,8 @@ def load_run_config(path) -> RunConfig:
 
     features = _known(raw.get("features", {}), "features", "p curve curve_repeats")
     p = _get(features, "p", "features", int, 10)
+    if p < 1:
+        raise ConfigurationError(f"features.p must be >= 1, got {p}")
     curve = features.get("curve")
     if curve is not None:
         try:
@@ -193,6 +217,9 @@ def load_run_config(path) -> RunConfig:
         except (TypeError, ValueError, IndexError, KeyError):
             raise ConfigurationError(
                 "features.curve must be a [lo, hi] pair") from None
+        if not 1 <= lo <= hi:
+            raise ConfigurationError(
+                f"features.curve must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")
         curve = (lo, hi)
     curve_repeats = _get(features, "curve_repeats", "features", int, 1000)
 

@@ -376,15 +376,32 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
                          sample_ids=dataset.sample_ids, grid=grid)
 
 
-def _fisher_from_arrays(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    case = values[labels == 1]
-    ctrl = values[labels == 0]
-    if len(case) < 2 or len(ctrl) < 2:
-        raise EstimationError(
-            "Fisher scores need at least 2 samples in each class")
-    num = (case.mean(axis=0) - ctrl.mean(axis=0)) ** 2
-    den = case.var(axis=0, ddof=1) + ctrl.var(axis=0, ddof=1)
-    scores = np.full(values.shape[1], np.inf)
+def fisher_ratio(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-column Fisher score of ``(..., n, W)`` values with ``(..., n)``
+    0/1 labels: the squared class-mean gap over the summed within-class
+    variances (ddof=1), one row of W scores per leading index.
+
+    A zero denominator gives inf (0 when the means also agree) and a
+    warning.  Class sums run over all n rows with the other class's rows
+    zeroed, so for W >= 2 every score is bitwise the one computed on that
+    matrix alone.
+    """
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels)
+    stats = []
+    for mask in (labels == 1, labels == 0):
+        count = mask.sum(axis=-1)[..., None]
+        if (count < 2).any():
+            raise EstimationError(
+                "Fisher scores need at least 2 samples in each class")
+        mask = mask[..., None]
+        mean = np.where(mask, values, 0.0).sum(axis=-2) / count
+        dev = np.where(mask, values - mean[..., None, :], 0.0)
+        stats.append((mean, (dev * dev).sum(axis=-2) / (count - 1)))
+    (case_mean, case_var), (ctrl_mean, ctrl_var) = stats
+    num = (case_mean - ctrl_mean) ** 2
+    den = case_var + ctrl_var
+    scores = np.full(num.shape, np.inf)
     ok = den > 0.0
     scores[ok] = num[ok] / den[ok]
     zero_sep = (~ok) & (num == 0.0)
@@ -397,7 +414,7 @@ def _fisher_from_arrays(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def fisher_scores(features: FeatureMatrix) -> np.ndarray:
     """Per-window class separation (mean gap squared over summed variance)."""
-    return _fisher_from_arrays(features.slopes, features.labels)
+    return fisher_ratio(features.slopes, features.labels)
 
 
 def select_top(scores: np.ndarray, p: int) -> np.ndarray:
@@ -406,8 +423,7 @@ def select_top(scores: np.ndarray, p: int) -> np.ndarray:
     w = len(scores)
     if not 1 <= p <= w:
         raise ConfigurationError(f"p must be in 1..{w}, got {p}")
-    order = np.lexsort((np.arange(w), -scores))
-    return order[:p]
+    return np.argsort(-scores, kind="stable")[:p]
 
 
 def _normal_rank_sum(a: np.ndarray, b: np.ndarray):

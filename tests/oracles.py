@@ -297,3 +297,138 @@ def reference_extract_slopes(dataset, method, grid, method_config):
                     f"estimate failed for sample {dataset.sample_ids[s]!r}, "
                     f"window {w + 1}: {exc}") from exc
     return slopes
+
+
+# ------------------------------------------------- per-split evaluation
+# The package's former evaluation path: one split at a time, Fisher
+# ranking on the gathered class rows, standardization of the selected
+# columns, a logistic fit by gradient descent with an Armijo line search,
+# and one kNN call for the training rows and one for the test rows.  It is
+# the reference for the batched evaluation core.
+
+def reference_fisher(values, labels):
+    case = values[labels == 1]
+    ctrl = values[labels == 0]
+    num = (case.mean(axis=0) - ctrl.mean(axis=0)) ** 2
+    den = case.var(axis=0, ddof=1) + ctrl.var(axis=0, ddof=1)
+    scores = np.full(values.shape[1], np.inf)
+    ok = den > 0.0
+    scores[ok] = num[ok] / den[ok]
+    scores[(~ok) & (num == 0.0)] = 0.0
+    return scores
+
+
+def _reference_standardize(train_x, test_x):
+    mean = train_x.mean(axis=0)
+    std = train_x.std(axis=0, ddof=0)
+    scale = np.where(std == 0.0, 1.0, std)
+    return (train_x - mean) / scale, (test_x - mean) / scale
+
+
+def _reference_sigmoid(s):
+    out = np.empty_like(s, dtype=float)
+    pos = s >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    es = np.exp(s[~pos])
+    out[~pos] = es / (1.0 + es)
+    return out
+
+
+def _reference_objective(w, b, x, y, l2_c):
+    s = x @ w + b
+    nll = np.mean(np.logaddexp(0.0, s) - y * s)
+    return float(nll + np.dot(w, w) / (2.0 * l2_c * len(y)))
+
+
+def reference_train_logistic(x, y, l2_c=1.0, max_iters=500, tol=1e-6):
+    """(weights, bias) by gradient descent with a backtracking line search."""
+    n = len(y)
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    obj = _reference_objective(w, b, x, y, l2_c)
+    step = 1.0
+    for _ in range(max_iters):
+        resid = _reference_sigmoid(x @ w + b) - y
+        gw = x.T @ resid / n + w / (l2_c * n)
+        gb = float(resid.mean())
+        gnorm2 = float(np.dot(gw, gw) + gb * gb)
+        if np.sqrt(gnorm2) < tol:
+            break
+        step = min(step * 2.0, 1e6)
+        for _ in range(60):
+            w_new = w - step * gw
+            b_new = b - step * gb
+            obj_new = _reference_objective(w_new, b_new, x, y, l2_c)
+            if obj_new <= obj - 0.5 * step * gnorm2:
+                break
+            step *= 0.5
+        w, b, obj = w_new, b_new, obj_new
+    return w, b
+
+
+def _reference_split(slopes, labels, train_idx, test_idx, spec, p,
+                    apply_standardize=True, global_selection=None):
+    """(test accuracy, train accuracy, margin) of one split; margin is the
+    smallest |probability - 0.5| of a logistic prediction (inf for kNN)."""
+    y_train = labels[train_idx]
+    if global_selection is None:
+        scores = reference_fisher(slopes[train_idx], y_train)
+        selected = np.lexsort((np.arange(len(scores)), -scores))[:p]
+    else:
+        selected = global_selection
+    x_train = slopes[np.ix_(train_idx, selected)]
+    x_test = slopes[np.ix_(test_idx, selected)]
+    if apply_standardize:
+        x_train, x_test = _reference_standardize(x_train, x_test)
+    y_test = labels[test_idx]
+    margin = math.inf
+    if spec.kind == "logistic":
+        w, b = reference_train_logistic(x_train, y_train.astype(float),
+                                        spec.l2_c, spec.max_iters, spec.tol)
+        probs_train = _reference_sigmoid(x_train @ w + b)
+        probs_test = _reference_sigmoid(x_test @ w + b)
+        pred_train = (probs_train > 0.5).astype(np.int8)
+        pred_test = (probs_test > 0.5).astype(np.int8)
+        margin = float(np.abs(np.concatenate([probs_train, probs_test])
+                              - 0.5).min())
+    else:
+        pred_train = _reference_knn(x_train, y_train, x_train, spec.k)
+        pred_test = _reference_knn(x_train, y_train, x_test, spec.k)
+    return (float(np.mean(pred_test == y_test)),
+            float(np.mean(pred_train == y_train)), margin)
+
+
+def _reference_knn(train_x, train_y, test_x, k):
+    d2 = ((test_x[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    votes = np.asarray(train_y)[nearest].sum(axis=1)
+    return (votes * 2 > k).astype(np.int8)
+
+
+def reference_evaluate(features, spec, p, split, apply_standardize=True,
+                       selection_mode="per-split"):
+    """Per-repeat (test %, train %) pairs and the smallest logistic margin,
+    one split after another as the former ``evaluate`` computed them."""
+    labels = features.labels.astype(np.int8)
+    slopes = features.slopes
+    n = len(labels)
+    n_train = min(max(int(round(split.train_fraction * n)), 1), n - 1)
+    global_selection = None
+    if selection_mode == "global":
+        scores = reference_fisher(slopes, labels)
+        global_selection = np.lexsort((np.arange(len(scores)), -scores))[:p]
+    per_repeat, margin = [], math.inf
+    for rep in range(split.n_repeats):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(split.master_seed, spawn_key=(rep,)))
+        while True:
+            perm = rng.permutation(n)
+            ones = int(labels[perm[:n_train]].sum())
+            if 2 <= ones <= n_train - 2:
+                break
+        test_acc, train_acc, m = _reference_split(
+            slopes, labels, perm[:n_train], perm[n_train:], spec, p,
+            apply_standardize, global_selection)
+        per_repeat.append((test_acc * 100.0, train_acc * 100.0))
+        margin = min(margin, m)
+    return per_repeat, margin

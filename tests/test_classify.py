@@ -19,7 +19,7 @@ from wavescale import (
     standardize,
     train_logistic,
 )
-from wavescale.classify import _run_split
+from wavescale.classify import _split_features
 
 
 def _features_from(slopes, labels):
@@ -249,14 +249,13 @@ def test_selection_never_reads_test_labels():
     n = len(labels)
     rng = np.random.default_rng(13)
     perm = rng.permutation(n)
-    train_idx, test_idx = perm[:60], perm[60:]
-    _, _, selected = _run_split(fm.slopes, labels, train_idx, test_idx,
-                                ClassifierSpec(kind="logistic"), 4, True)
+    test_idx = perm[60:]
+    _, order = _split_features(fm.slopes, labels, perm[None], 60, [4], True)
     poisoned = labels.copy()
     poisoned[test_idx] = 1 - poisoned[test_idx]
-    _, _, selected_p = _run_split(fm.slopes, poisoned, train_idx, test_idx,
-                                  ClassifierSpec(kind="logistic"), 4, True)
-    np.testing.assert_array_equal(selected, selected_p)
+    _, order_p = _split_features(fm.slopes, poisoned, perm[None], 60, [4],
+                                 True)
+    np.testing.assert_array_equal(order[0, :4], order_p[0, :4])
 
 
 def test_global_selection_mode_differs_and_is_reported():

@@ -254,6 +254,21 @@ def test_pipeline_failure_removes_partial_outputs(tmp_path):
     assert not (out_dir / "rank_sum_screen.csv").exists()
 
 
+def test_pipeline_interrupt_removes_partial_outputs(tmp_path, monkeypatch):
+    matrix, labels = _write_dataset(tmp_path, n_per_class=5)
+    out_dir = tmp_path / "out"
+    cfg = _write_config(tmp_path, matrix, labels, out_dir)
+
+    def interrupt(*args, **kwargs):
+        assert (out_dir / "features.csv").exists()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("wavescale.cli.write_window_metadata_csv", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["pipeline", str(cfg)])
+    assert list(out_dir.iterdir()) == []
+
+
 def test_pipeline_config_missing_method_exit_2(tmp_path, capsys):
     matrix, labels = _write_dataset(tmp_path, n_per_class=2)
     cfg = tmp_path / "bad.yaml"
@@ -348,6 +363,29 @@ def test_bad_window_depth_or_family_fails_before_ingest(
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("  stride: 512", "  stride: 0", "window.stride must be >= 1, got 0"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: [3, 1]\n    levels: [5, 6]",
+     "levels entry 0: windows must satisfy 1 <= lo <= hi, got [3, 1]"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: [0, 1]\n    levels: [5, 6]",
+     "levels entry 0: windows must satisfy 1 <= lo <= hi, got [0, 1]"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: [1, 1]\n    levels: [5, 6]\n"
+     "  - windows: [2, 3]\n    levels: [8, 9]",
+     "levels entry 1: level(s) [9] outside the decomposed levels 0..8"),
+    ("depth: 9", "depth: 3\nlevels:\n  - windows: [1, 3]\n    levels: [5, 6]",
+     "levels entry 0: level(s) [5] outside the decomposed levels 6..8"),
+    ("  p: 2", "  p: 0", "features.p must be >= 1, got 0"),
+    ("  curve: [1, 3]", "  curve: [3, 1]",
+     "features.curve must satisfy 1 <= lo <= hi, got [3, 1]"),
+    ("  curve: [1, 3]", "  curve: [0, 3]",
+     "features.curve must satisfy 1 <= lo <= hi, got [0, 3]"),
+], ids=["stride", "plan-windows-order", "plan-windows-zero", "plan-level-high",
+        "plan-level-low", "p", "curve-order", "curve-zero"])
+def test_pipeline_config_rejects_bad_values_before_ingest(tmp_path, capsys,
+                                                          old, new, message):
+    _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
 
 
 def test_config_example_keys_are_all_accepted(tmp_path):
