@@ -166,7 +166,20 @@ def _parse_classifier_names(text: str):
     return specs
 
 
+def _check_out_path(path) -> None:
+    """Fail before any work when the output file ``path`` cannot be
+    written: its directory is missing, or it is itself a directory."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigurationError(f"output path {str(path)!r} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigurationError(
+            f"output directory {str(path.parent)!r} for {str(path)!r} does "
+            "not exist")
+
+
 def cmd_simulate(args) -> int:
+    _check_out_path(args.out)
     h_grid = parse_float_range(args.h)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     report = run_estimator_benchmark(
@@ -188,12 +201,14 @@ def _method_config_from_args(args) -> MethodConfig:
 def cmd_extract(args) -> int:
     method_config = _method_config_from_args(args)
     method_config.check(args.window_len)  # before minutes of ingest
+    meta = args.meta or str(Path(args.out).with_suffix("")) + "_windows.csv"
+    _check_out_path(args.out)
+    _check_out_path(meta)
     dataset = load_dataset(args.matrix, args.labels)
     grid = make_windows(dataset.n_bins, args.window_len, args.stride)
     features = extract_features(dataset, args.method, grid, method_config,
                                 threads=args.threads)
     features.write_csv(args.out)
-    meta = args.meta or str(Path(args.out).with_suffix("")) + "_windows.csv"
     write_window_metadata_csv(grid, dataset.mz_values, meta)
     print(f"wrote {args.out} ({features.slopes.shape[0]} samples x "
           f"{features.n_windows} windows) and {meta}")

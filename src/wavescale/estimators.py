@@ -187,9 +187,19 @@ _HURST = {"dwt": hurst_dwt, "wang": hurst_wang,
           "jones": lambda slope: abs(slope + 1.0)}
 
 
+def _outcomes(fit, args):
+    """fit(a) for each a, or the EstimationError that fit raised on it."""
+    for a in args:
+        try:
+            yield fit(a)
+        except EstimationError as exc:
+            yield exc
+
+
 def _descriptors(method: str, levels, data_level: int, level_sets):
-    """One descriptor per row of the (R, 2**d, m) level arrays ``levels``
-    (d = 0, 1, ...), with ``level_sets[r]`` restricting row r's spectrum."""
+    """One outcome per row of the (R, 2**d, m) level arrays ``levels``
+    (d = 0, 1, ...), with ``level_sets[r]`` restricting row r's spectrum:
+    the row's descriptor, or the EstimationError its fit raised."""
     if method not in METHODS:
         raise ConfigurationError(
             f"unknown method {method!r}; choose from {METHODS}")
@@ -199,16 +209,28 @@ def _descriptors(method: str, levels, data_level: int, level_sets):
         coeffs = np.empty((len(levels[0]), levels[0].shape[2]))
         for lv, mask in zip(levels, selected):
             np.copyto(coeffs.reshape(lv.shape), lv, where=mask[:, :, None])
-        fits = map(_rank_size_sorted, np.sort(np.abs(coeffs), axis=1)[:, ::-1])
+        fits = _outcomes(_rank_size_sorted,
+                         np.sort(np.abs(coeffs), axis=1)[:, ::-1])
     else:
         energies = {data_level - d: _level_energies(method, lv)
                     for d, lv in enumerate(levels) if d > 0}
-        fits = (fit_slope(_spectrum_points(
-                    {j: e[r] for j, e in energies.items()}, lv_set))
-                for r, lv_set in enumerate(level_sets))
+        fits = _outcomes(fit_slope, (
+            _spectrum_points({j: e[r] for j, e in energies.items()}, lv_set)
+            for r, lv_set in enumerate(level_sets)))
     for fit in fits:
-        yield ScalingDescriptor(method, fit.slope, _HURST[method](fit.slope),
-                                fit)
+        if isinstance(fit, EstimationError):
+            yield fit
+        else:
+            yield ScalingDescriptor(method, fit.slope,
+                                    _HURST[method](fit.slope), fit)
+
+
+def _raising(outcomes):
+    """The descriptors of ``outcomes``, raising at the first failed row."""
+    for d in outcomes:
+        if isinstance(d, EstimationError):
+            raise d
+        yield d
 
 
 def hurst_jones(tree: PacketTree) -> ScalingDescriptor:
@@ -226,12 +248,12 @@ def scaling_descriptor(method: str, tree: PacketTree, levels=None) -> ScalingDes
     ``levels`` restricts the spectrum regression for the dwt and wang
     methods and is ignored by jones, which always uses the whole basis.
     """
-    return next(_descriptors(method, [lv[None] for lv in tree.levels],
-                             tree.data_level, [levels]))
+    return next(_raising(_descriptors(
+        method, [lv[None] for lv in tree.levels], tree.data_level, [levels])))
 
 
 def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
-                        level_sets=None):
+                        level_sets=None, yield_errors: bool = False):
     """Yield ``scaling_descriptor(method, wpd_full(row, f, depth), levels)``
     for every row of the (R, N) matrix ``rows``, bit for bit, computed as
     one batch.
@@ -241,11 +263,13 @@ def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
     keeps one level's energies at a time, and jones keeps every level for
     the best-basis search and sorts all rows' selected coefficients in one
     call.  A failed row raises EstimationError when it is reached, after
-    the rows before it have been yielded.
+    the rows before it have been yielded; with ``yield_errors`` it yields
+    that EstimationError in its place and the rows after it follow.
     """
     rows = np.asarray(rows, dtype=float)
     if level_sets is None:
         level_sets = [None] * len(rows)
     cascade = packet_cascade(rows, f, depth, pyramid=method == "dwt")
-    yield from _descriptors(method, itertools.chain([rows[:, None, :]], cascade),
+    outcomes = _descriptors(method, itertools.chain([rows[:, None, :]], cascade),
                             rows.shape[1].bit_length() - 1, level_sets)
+    yield from outcomes if yield_errors else _raising(outcomes)

@@ -9,9 +9,10 @@ nonnegative (they are for fGn in practice); a dense Cholesky factorization
 of the covariance matrix serves as a fallback otherwise.  Cumulative
 summation turns a noise vector into a fractional Brownian motion path.
 
-The benchmark simulates paths over a grid of Hurst exponents, runs the
-configured estimators on every path, and reports the mean and standard
-deviation of the estimates per (H, method) cell.
+The benchmark simulates paths over a grid of Hurst exponents, a chunk of
+replicates at a time, runs the configured estimators on every path, and
+reports the mean and standard deviation of the estimates per (H, method)
+cell.
 """
 
 from __future__ import annotations
@@ -22,11 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError
-from .estimators import METHODS, scaling_descriptor
+from .estimators import METHODS, scaling_descriptors
 from .utils import format_float, map_ordered, resolve_threads
-from .wavelets import make_filter, wpd_full
+from .wavelets import make_filter
 
 _EIGENVALUE_FLOOR = -1e-9
+
+# Replicate rows drawn, transformed and estimated together: large enough
+# to amortise the per-call overhead, small enough to keep the symmlet4
+# packet tables of a chunk at a few megabytes at length 1024.
+_CHUNK = 32
 
 # Benchmark defaults: spectrum methods decompose with Haar to full depth,
 # the rank-size method with the 8-tap symmlet to one level less.
@@ -100,41 +106,39 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     return np.fft.fft(c).real
 
 
-def _sample_circulant(lam: np.ndarray, n: int, rng) -> np.ndarray:
-    lam = np.clip(lam, 0.0, None)
-    m = 2 * n
-    z = np.empty(m, dtype=complex)
-    z[0] = rng.standard_normal() * np.sqrt(2.0)
-    z[n] = rng.standard_normal() * np.sqrt(2.0)
-    v = rng.standard_normal((n - 1, 2))
-    z[1:n] = v[:, 0] + 1j * v[:, 1]
-    z[n + 1:] = np.conj(z[1:n][::-1])
-    return np.fft.fft(np.sqrt(lam / (2 * m)) * z).real[:n]
+def _fgn_rows(hurst: float, n: int, rngs, lam=None) -> np.ndarray:
+    """(len(rngs), n) fGn draws, row r from generator ``rngs[r]``.
 
-
-def _sample_cholesky(hurst: float, n: int, rng) -> np.ndarray:
-    gamma = fgn_autocovariance(hurst, np.arange(n))
-    cov = gamma[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
-    return np.linalg.cholesky(cov) @ rng.standard_normal(n)
-
-
-def _fgn_from_eigenvalues(lam: np.ndarray, hurst: float, n: int,
-                          rng) -> np.ndarray:
-    """One fGn draw given the embedding eigenvalues of (n, hurst)."""
+    ``lam`` are the embedding eigenvalues of (n, hurst), computed when not
+    given.  Each row takes its normals from its own generator in the same
+    order as a one-row call, and the rows share one FFT along axis 1, so a
+    row does not depend on the other rows of the batch.  An eigenvalue
+    below _EIGENVALUE_FLOOR switches every row to the dense Cholesky
+    factor of the covariance matrix.
+    """
+    if lam is None:
+        lam = _embedding_eigenvalues(n, hurst)
     if lam.min() < _EIGENVALUE_FLOOR:
-        return _sample_cholesky(hurst, n, rng)
-    return _sample_circulant(lam, n, rng)
-
-
-def _fgn(hurst: float, n: int, rng) -> np.ndarray:
-    return _fgn_from_eigenvalues(_embedding_eigenvalues(n, hurst), hurst, n,
-                                 rng)
+        gamma = fgn_autocovariance(hurst, np.arange(n))
+        chol = np.linalg.cholesky(
+            gamma[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])])
+        return np.array([chol @ rng.standard_normal(n) for rng in rngs])
+    m = 2 * n
+    z = np.empty((len(rngs), m), dtype=complex)
+    for row, rng in zip(z, rngs):
+        row[0] = rng.standard_normal() * np.sqrt(2.0)
+        row[n] = rng.standard_normal() * np.sqrt(2.0)
+        v = rng.standard_normal((n - 1, 2))
+        row[1:n] = v[:, 0] + 1j * v[:, 1]
+    z[:, n + 1:] = np.conj(z[:, n - 1:0:-1])
+    scale = np.sqrt(np.clip(lam, 0.0, None) / (2 * m))
+    return np.fft.fft(scale * z, axis=1).real[:, :n]
 
 
 def fgn_sample(spec: FbmSpec) -> np.ndarray:
     """Draw one fractional Gaussian noise vector, deterministic per seed."""
-    rng = np.random.default_rng(spec.seed)
-    return _fgn(spec.hurst, spec.length, rng)
+    return _fgn_rows(spec.hurst, spec.length,
+                     [np.random.default_rng(spec.seed)])[0]
 
 
 def fbm_from_fgn(fgn: np.ndarray) -> np.ndarray:
@@ -148,62 +152,75 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
     """Estimate H on simulated paths and aggregate per (H, method).
 
     For every H in ``h_grid``, ``n_reps`` independent paths of the given
-    dyadic length are simulated.  Each path is decomposed once per filter
-    family actually needed (Haar at full depth for the spectrum methods,
-    symmlet4 one level shallower for the rank-size method) and every
-    requested estimator runs on the same paths.  Spectrum regressions use
-    all decomposed levels.
+    dyadic length are simulated.  Every requested estimator runs on the
+    same paths: the spectrum methods on a Haar decomposition at full
+    depth, the rank-size method on a symmlet4 decomposition one level
+    shallower.  Spectrum regressions use all decomposed levels.
 
-    Per-replicate generator seeds derive from ``master_seed`` through
-    spawn keys, so results do not depend on execution order or thread
-    count.  Estimator failures are counted per cell and excluded from the
-    aggregates.
+    Replicates are processed in chunks of _CHUNK rows: one draw, one FFT
+    and one cumulative sum per chunk, then one batched estimator call per
+    method.  Per-replicate generator seeds derive from ``master_seed``
+    through spawn keys (ih, rep), so results do not depend on the chunk
+    size, execution order or thread count.  Estimator failures are counted
+    per cell and excluded from the aggregates.
     """
     h_grid = [float(h) for h in h_grid]
-    if n_reps < 1:
-        raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
+    if not h_grid:
+        raise ConfigurationError("empty H grid")
+    for h in h_grid:
+        FbmSpec(hurst=h, length=length, seed=0)  # validate before drawing
+    if n_reps < 2:
+        raise ConfigurationError(
+            f"n_reps must be >= 2 for a standard deviation, got {n_reps}")
     methods = tuple(methods)
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ConfigurationError(f"unknown methods: {sorted(unknown)}")
     if not methods:
         raise ConfigurationError("no methods requested")
-    FbmSpec(hurst=0.5, length=length, seed=0)  # validate length early
 
     threads = resolve_threads(threads)
     J = length.bit_length() - 1
     filters = {fam: make_filter(fam)
                for fam in {_METHOD_FAMILY[m] for m in methods}}
     depth = {"haar": J, "symmlet4": J - 1}
+    eigs = []
+    for h in h_grid:
+        lam = _embedding_eigenvalues(length, h)
+        if lam.min() < _EIGENVALUE_FLOOR and length > 4096:
+            raise EstimationError(
+                f"circulant embedding failed for H={h} at length {length}")
+        eigs.append(lam)
 
-    def one_replicate(args):
-        ih, rep, eigs = args
-        rng = np.random.default_rng(
-            np.random.SeedSequence(master_seed, spawn_key=(ih, rep)))
-        path = fbm_from_fgn(_fgn_from_eigenvalues(eigs, h_grid[ih], length,
-                                                  rng))
-        trees = {fam: wpd_full(path, f, depth[fam])
-                 for fam, f in filters.items()}
+    def one_chunk(task):
+        """Successful H estimates per method for replicates start..stop-1."""
+        ih, start, stop = task
+        rngs = [np.random.default_rng(
+                    np.random.SeedSequence(master_seed, spawn_key=(ih, rep)))
+                for rep in range(start, stop)]
+        paths = np.cumsum(_fgn_rows(h_grid[ih], length, rngs, eigs[ih]),
+                          axis=1)
         out = {}
         for m in methods:
-            try:
-                out[m] = scaling_descriptor(m, trees[_METHOD_FAMILY[m]]).hurst
-            except EstimationError:
-                out[m] = None
+            fam = _METHOD_FAMILY[m]
+            out[m] = [d.hurst for d in scaling_descriptors(
+                m, paths, filters[fam], depth[fam], yield_errors=True)
+                if not isinstance(d, EstimationError)]
         return out
+
+    tasks = [(ih, start, min(start + _CHUNK, n_reps))
+             for ih in range(len(h_grid))
+             for start in range(0, n_reps, _CHUNK)]
+    estimates = {(ih, m): [] for ih in range(len(h_grid)) for m in methods}
+    for (ih, _, _), out in zip(tasks, map_ordered(one_chunk, tasks,
+                                                  threads=threads)):
+        for m, vals in out.items():
+            estimates[ih, m].extend(vals)
 
     entries = []
     for ih, h in enumerate(h_grid):
-        eigs = _embedding_eigenvalues(length, h)
-        if eigs.min() < _EIGENVALUE_FLOOR and length > 4096:
-            raise EstimationError(
-                f"circulant embedding failed for H={h} at length {length}")
-        results = map_ordered(one_replicate,
-                              [(ih, r, eigs) for r in range(n_reps)],
-                              threads=threads)
         for m in methods:
-            vals = np.array([r[m] for r in results if r[m] is not None])
-            failures = n_reps - len(vals)
+            vals = np.array(estimates[ih, m])
             if len(vals) < 2:
                 raise EstimationError(
                     f"too few successful replicates for H={h}, method={m}")
@@ -211,5 +228,5 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
                 hurst=h, method=m,
                 mean=float(vals.mean()),
                 std=float(vals.std(ddof=1)),
-                n=len(vals), failures=failures))
+                n=len(vals), failures=n_reps - len(vals)))
     return BenchmarkReport(entries=tuple(entries))

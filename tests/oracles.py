@@ -432,3 +432,67 @@ def reference_evaluate(features, spec, p, split, apply_standardize=True,
         per_repeat.append((test_acc * 100.0, train_acc * 100.0))
         margin = min(margin, m)
     return per_repeat, margin
+
+
+# ------------------------------------------------ per-replicate simulate
+# The package's former estimator benchmark: one fGn draw, one circulant
+# FFT, one packet tree per filter family and one estimator call per
+# replicate.  It is the reference for the chunked replicate batches.
+
+def _reference_embedding_eigenvalues(n, hurst):
+    from wavescale import fgn_autocovariance
+
+    gamma = fgn_autocovariance(hurst, np.arange(n + 1))
+    return np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+
+
+def reference_fgn(hurst, n, rng, eigenvalue_floor=-1e-9):
+    """One fGn draw: circulant embedding, or the dense Cholesky factor when
+    an embedding eigenvalue lies below ``eigenvalue_floor``."""
+    from wavescale import fgn_autocovariance
+
+    lam = _reference_embedding_eigenvalues(n, hurst)
+    if lam.min() < eigenvalue_floor:
+        gamma = fgn_autocovariance(hurst, np.arange(n))
+        cov = gamma[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
+        return np.linalg.cholesky(cov) @ rng.standard_normal(n)
+    lam = np.clip(lam, 0.0, None)
+    m = 2 * n
+    z = np.empty(m, dtype=complex)
+    z[0] = rng.standard_normal() * np.sqrt(2.0)
+    z[n] = rng.standard_normal() * np.sqrt(2.0)
+    v = rng.standard_normal((n - 1, 2))
+    z[1:n] = v[:, 0] + 1j * v[:, 1]
+    z[n + 1:] = np.conj(z[1:n][::-1])
+    return np.fft.fft(np.sqrt(lam / (2 * m)) * z).real[:n]
+
+
+def reference_estimator_benchmark(h_grid, n_reps, length, methods,
+                                  master_seed, eigenvalue_floor=-1e-9):
+    """(H, method) -> (mean, std, n, failures), one replicate at a time."""
+    from wavescale import (EstimationError, make_filter, scaling_descriptor,
+                           wpd_full)
+
+    family = {"dwt": "haar", "wang": "haar", "jones": "symmlet4"}
+    J = length.bit_length() - 1
+    depth = {"haar": J, "symmlet4": J - 1}
+    cells = {}
+    for ih, h in enumerate(h_grid):
+        hurst = {m: [] for m in methods}
+        for rep in range(n_reps):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(master_seed, spawn_key=(ih, rep)))
+            path = np.cumsum(reference_fgn(h, length, rng, eigenvalue_floor))
+            trees = {fam: wpd_full(path, make_filter(fam), depth[fam])
+                     for fam in {family[m] for m in methods}}
+            for m in methods:
+                try:
+                    hurst[m].append(
+                        scaling_descriptor(m, trees[family[m]]).hurst)
+                except EstimationError:
+                    pass
+        for m in methods:
+            vals = np.array(hurst[m])
+            cells[h, m] = (float(vals.mean()), float(vals.std(ddof=1)),
+                           len(vals), n_reps - len(vals))
+    return cells

@@ -56,6 +56,45 @@ def test_simulate_zero_reps_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _no_draws(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr("wavescale.fbm._fgn_rows", fail)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--h", "0.5,1.2"], "got 1.2"),
+    (["--h", "0..1"], "got 0.0"),
+    (["--h", ""], "empty H grid"),
+    (["--h", "0.5", "--reps", "1"], "n_reps must be >= 2"),
+], ids=["h-above-1", "h-closed-range", "h-empty", "one-rep"])
+def test_simulate_bad_grid_or_reps_exit_2_before_drawing(
+        tmp_path, capsys, monkeypatch, flags, message):
+    _no_draws(monkeypatch)
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--n", "64", "--out", str(out)] + flags)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, message", [
+    ("missing/x.csv", "does not exist"),
+    ("", "is a directory"),
+], ids=["missing-dir", "is-dir"])
+def test_simulate_unwritable_out_exit_2_before_drawing(tmp_path, capsys,
+                                                       monkeypatch, where,
+                                                       message):
+    _no_draws(monkeypatch)
+    out = tmp_path / where
+    rc = main(["simulate", "--h", "0.5", "--reps", "4", "--n", "64",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and str(tmp_path) in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -170,6 +209,22 @@ def test_extract_rejects_bad_values_before_any_output(tmp_path, capsys,
     assert re.search(message, capsys.readouterr().err)
     assert not feats.exists()
     assert not (tmp_path / "f_windows.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--meta"])
+def test_extract_missing_out_dir_exit_2_before_ingest(tmp_path, capsys,
+                                                      monkeypatch, flag):
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr("wavescale.cli.load_dataset", no_ingest)
+    missing = tmp_path / "missing" / "f.csv"
+    rc = main(["extract", "--matrix", str(tmp_path / "m.csv"),
+               "--labels", str(tmp_path / "l.csv"), "--method", "dwt",
+               "--depth", "9", "--window-len", "512",
+               "--out", str(tmp_path / "f.csv"), flag, str(missing)])
+    assert rc == 2
+    assert str(missing.parent) in capsys.readouterr().err
 
 
 def test_extract_estimation_failure_exit_4(tmp_path):

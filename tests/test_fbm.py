@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import wavescale.estimators as estimators_mod
 import wavescale.fbm as fbm_mod
+from oracles import reference_fgn
 from wavescale import (
     ConfigurationError,
     EstimationError,
@@ -51,7 +53,7 @@ def test_sample_autocovariance_matches_closed_form(hurst):
     n = 64
     n_draws = 10_000
     rng = np.random.default_rng(2024)
-    draws = np.array([fbm_mod._fgn(hurst, n, rng) for _ in range(n_draws)])
+    draws = fbm_mod._fgn_rows(hurst, n, [rng] * n_draws)
     gamma = fgn_autocovariance(hurst, np.arange(6))
     for lag in range(6):
         prods = (draws[:, : n - lag] * draws[:, lag:]).mean(axis=1)
@@ -60,12 +62,12 @@ def test_sample_autocovariance_matches_closed_form(hurst):
         assert abs(m - gamma[lag]) < 3.0 * se, (lag, m, gamma[lag], se)
 
 
-def test_cholesky_fallback_matches_covariance():
+def test_cholesky_fallback_matches_covariance(monkeypatch):
+    monkeypatch.setattr(fbm_mod, "_EIGENVALUE_FLOOR", np.inf)
     rng = np.random.default_rng(7)
     n = 32
     hurst = 0.75
-    draws = np.array([fbm_mod._sample_cholesky(hurst, n, rng)
-                      for _ in range(6000)])
+    draws = fbm_mod._fgn_rows(hurst, n, [rng] * 6000)
     gamma = fgn_autocovariance(hurst, np.arange(3))
     for lag in range(3):
         prods = (draws[:, : n - lag] * draws[:, lag:]).mean(axis=1)
@@ -130,15 +132,15 @@ def test_benchmark_thread_count_does_not_change_results():
 
 def test_benchmark_counts_failures(monkeypatch):
     calls = {"n": 0}
-    real = fbm_mod.scaling_descriptor
+    real = estimators_mod.fit_slope
 
-    def flaky(method, tree, levels=None):
+    def flaky(points):
         calls["n"] += 1
         if calls["n"] % 3 == 0:
             raise EstimationError("synthetic failure")
-        return real(method, tree, levels)
+        return real(points)
 
-    monkeypatch.setattr(fbm_mod, "scaling_descriptor", flaky)
+    monkeypatch.setattr(estimators_mod, "fit_slope", flaky)
     report = run_estimator_benchmark([0.5], n_reps=12, length=64,
                                      methods=("dwt",), master_seed=1)
     cell = report.cell(0.5, "dwt")
@@ -153,6 +155,23 @@ def test_benchmark_rejects_bad_arguments():
         run_estimator_benchmark([0.5], n_reps=5, length=64, methods=("rs",))
     with pytest.raises(ConfigurationError):
         run_estimator_benchmark([0.5], n_reps=5, length=60)
+
+
+@pytest.mark.parametrize("h_grid, reps, text", [
+    ([], 5, "empty H grid"),
+    ([0.5, 1.2], 5, "got 1.2"),
+    ([0.0, 0.5], 5, "got 0.0"),
+    ([float("nan")], 5, "got nan"),
+    ([0.5], 1, "got 1"),
+])
+def test_benchmark_rejects_bad_grid_before_drawing(monkeypatch, h_grid, reps,
+                                                   text):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(fbm_mod, "_fgn_rows", no_draws)
+    with pytest.raises(ConfigurationError, match=text):
+        run_estimator_benchmark(h_grid, n_reps=reps, length=64)
 
 
 def test_benchmark_csv_bytes_deterministic(tmp_path):
@@ -180,11 +199,11 @@ def test_benchmark_computes_eigenvalues_once_per_h(monkeypatch):
     report = run_estimator_benchmark(h_grid, n_reps=6, length=64,
                                      methods=("dwt",), master_seed=4)
     assert calls == h_grid
-    # each replicate draws bitwise what a fresh _fgn call draws
+    # each replicate draws bitwise what the one-path reference draws
     f = make_filter("haar")
     for ih, h in enumerate(h_grid):
         vals = np.array([scaling_descriptor("dwt", wpd_full(fbm_from_fgn(
-            fbm_mod._fgn(h, 64, np.random.default_rng(np.random.SeedSequence(
+            reference_fgn(h, 64, np.random.default_rng(np.random.SeedSequence(
                 4, spawn_key=(ih, rep))))), f, 6)).hurst for rep in range(6)])
         cell = report.cell(h, "dwt")
         assert (cell.mean, cell.std) == (float(vals.mean()),

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (
     exact_rank_sum_p,
+    reference_fgn,
     reference_load_dataset,
     reference_read_feature_csv,
 )
@@ -326,8 +327,6 @@ def test_descending_mz_axis_rejected():
 
 
 def test_synthetic_paths_match_the_direct_generator_bitwise():
-    from wavescale.fbm import _fgn
-
     ds = two_class_fbm_dataset(n_per_class=2, hurst_control=0.3,
                                hurst_case=0.7, n_bins=300, seed=5)
     expected = []
@@ -335,7 +334,7 @@ def test_synthetic_paths_match_the_direct_generator_bitwise():
         for i in range(2):
             rng = np.random.default_rng(
                 np.random.SeedSequence(5, spawn_key=(label, i)))
-            expected.append(fbm_from_fgn(_fgn(hurst, 512, rng))[:300])
+            expected.append(fbm_from_fgn(reference_fgn(hurst, 512, rng))[:300])
     assert ds.intensities.tobytes() == np.vstack(expected).tobytes()
 
 
