@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import tempfile
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -166,26 +168,44 @@ def _parse_classifier_names(text: str):
     return specs
 
 
-def _check_out_path(path) -> None:
-    """Fail before any work when the output file ``path`` cannot be
-    written: its directory is missing, or it is itself a directory."""
-    path = Path(path)
-    if path.is_dir():
-        raise ConfigurationError(f"output path {str(path)!r} is a directory")
-    if not path.parent.is_dir():
-        raise ConfigurationError(
-            f"output directory {str(path.parent)!r} for {str(path)!r} does "
-            "not exist")
+@contextmanager
+def _output_set(paths):
+    """Stage the output files ``paths``; make them visible only together.
+
+    Checks every destination before the body runs (a missing directory or
+    a path that is a directory is a ConfigurationError) and yields one
+    staged path per destination.  Destinations that share a directory share
+    one staging directory created in it, so each ``os.replace`` stays on
+    one filesystem.  When the body returns, the staged files replace the
+    destinations; on any exception, an interrupt too, the staging
+    directories are removed and the destinations stay as they were.
+    """
+    paths = [Path(p) for p in paths]
+    for path in paths:
+        if path.is_dir():
+            raise ConfigurationError(f"output path {str(path)!r} is a directory")
+        if not path.parent.is_dir():
+            raise ConfigurationError(
+                f"output directory {str(path.parent)!r} for {str(path)!r} does "
+                "not exist")
+    with ExitStack() as stack:
+        stages = {parent: Path(stack.enter_context(tempfile.TemporaryDirectory(
+                      prefix=".wavescale-", dir=parent)))
+                  for parent in dict.fromkeys(p.parent for p in paths)}
+        staged = [stages[p.parent] / p.name for p in paths]
+        yield staged
+        for path, tmp in dict(zip(paths, staged)).items():  # each path once
+            tmp.replace(path)
 
 
 def cmd_simulate(args) -> int:
-    _check_out_path(args.out)
     h_grid = parse_float_range(args.h)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    report = run_estimator_benchmark(
-        h_grid, n_reps=args.reps, length=args.n, methods=methods,
-        master_seed=args.seed, threads=args.threads)
-    report.write_csv(args.out)
+    with _output_set([args.out]) as (out,):
+        report = run_estimator_benchmark(
+            h_grid, n_reps=args.reps, length=args.n, methods=methods,
+            master_seed=args.seed, threads=args.threads)
+        report.write_csv(out)
     print(f"wrote {args.out} ({len(report.entries)} cells)")
     return 0
 
@@ -202,27 +222,31 @@ def cmd_extract(args) -> int:
     method_config = _method_config_from_args(args)
     method_config.check(args.window_len)  # before minutes of ingest
     meta = args.meta or str(Path(args.out).with_suffix("")) + "_windows.csv"
-    _check_out_path(args.out)
-    _check_out_path(meta)
-    dataset = load_dataset(args.matrix, args.labels)
-    grid = make_windows(dataset.n_bins, args.window_len, args.stride)
-    features = extract_features(dataset, args.method, grid, method_config,
-                                threads=args.threads)
-    features.write_csv(args.out)
-    write_window_metadata_csv(grid, dataset.mz_values, meta)
+    with _output_set([args.out, meta]) as (out, staged_meta):
+        dataset = load_dataset(args.matrix, args.labels)
+        grid = make_windows(dataset.n_bins, args.window_len, args.stride)
+        features = extract_features(dataset, args.method, grid,
+                                    method_config, threads=args.threads)
+        features.write_csv(out)
+        write_window_metadata_csv(grid, dataset.mz_values, staged_meta)
     print(f"wrote {args.out} ({features.slopes.shape[0]} samples x "
           f"{features.n_windows} windows) and {meta}")
     return 0
 
 
+def _classify_outputs(classifiers, curve, per_repeat_log) -> list:
+    """Names of the files ``_classify_feature_matrix`` writes, in order."""
+    kinds = [spec.kind for spec in classifiers]
+    return ([f"per_repeat_{kind}.csv" for kind in kinds if per_repeat_log]
+            + ["accuracy.csv"]
+            + [f"accuracy_vs_features_{kind}.csv" for kind in kinds if curve]
+            + ["feature_correlation.csv", "selected_features.csv"])
+
+
 def _classify_feature_matrix(features: FeatureMatrix, classifiers, p,
                              split: SplitSpec, curve, curve_repeats,
                              standardize_flag, selection_mode, out_dir: Path,
-                             threads, per_repeat_log=False,
-                             written=None) -> list:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # caller may pass its own list to track partial outputs for cleanup
-    written = [] if written is None else written
+                             threads, per_repeat_log=False) -> None:
     reports = []
     for spec in classifiers:
         rep = evaluate(features, spec, p, split,
@@ -231,12 +255,8 @@ def _classify_feature_matrix(features: FeatureMatrix, classifiers, p,
                        keep_per_repeat=per_repeat_log, threads=threads)
         reports.append(rep)
         if per_repeat_log:
-            path = out_dir / f"per_repeat_{spec.kind}.csv"
-            write_per_repeat_csv(rep, path)
-            written.append(path)
-    path = out_dir / "accuracy.csv"
-    write_eval_csv(reports, path)
-    written.append(path)
+            write_per_repeat_csv(rep, out_dir / f"per_repeat_{spec.kind}.csv")
+    write_eval_csv(reports, out_dir / "accuracy.csv")
 
     if curve is not None:
         lo, hi = curve
@@ -248,20 +268,14 @@ def _classify_feature_matrix(features: FeatureMatrix, classifiers, p,
                 features, spec, range(lo, hi + 1), curve_split,
                 apply_standardize=standardize_flag,
                 selection_mode=selection_mode, threads=threads)
-            path = out_dir / f"accuracy_vs_features_{spec.kind}.csv"
-            write_eval_csv(curve_reports, path)
-            written.append(path)
+            write_eval_csv(curve_reports,
+                           out_dir / f"accuracy_vs_features_{spec.kind}.csv")
 
     selected = select_top(fisher_scores(features), p)
     corr = feature_correlation(features, selected)
-    path = out_dir / "feature_correlation.csv"
-    write_correlation_csv(corr, selected, path)
-    written.append(path)
-
-    sel_path = out_dir / "selected_features.csv"
-    _write_selected_features(features, selected, sel_path)
-    written.append(sel_path)
-    return written
+    write_correlation_csv(corr, selected, out_dir / "feature_correlation.csv")
+    _write_selected_features(features, selected,
+                             out_dir / "selected_features.csv")
 
 
 def _write_selected_features(features: FeatureMatrix, selected, path):
@@ -277,20 +291,26 @@ def _write_selected_features(features: FeatureMatrix, selected, path):
 
 
 def cmd_classify(args) -> int:
-    features = read_feature_csv(args.features)
-    if args.balance:
-        features = balance_feature_rows(features, args.seed)
-    split = SplitSpec(train_fraction=args.train_fraction,
-                      n_repeats=args.repeats, master_seed=args.seed)
+    classifiers = _parse_classifier_names(args.classifiers)
     curve = None
     if args.curve is not None:
         vals = parse_int_range(args.curve)
         curve = (min(vals), max(vals))
-    written = _classify_feature_matrix(
-        features, _parse_classifier_names(args.classifiers), args.p, split,
-        curve, args.curve_repeats, args.standardize, args.selection,
-        Path(args.out_dir), args.threads, per_repeat_log=args.per_repeat_log)
-    print("wrote " + ", ".join(str(p) for p in written))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [out_dir / name for name in
+               _classify_outputs(classifiers, curve, args.per_repeat_log)]
+    with _output_set(outputs) as staged:
+        features = read_feature_csv(args.features)
+        if args.balance:
+            features = balance_feature_rows(features, args.seed)
+        split = SplitSpec(train_fraction=args.train_fraction,
+                          n_repeats=args.repeats, master_seed=args.seed)
+        _classify_feature_matrix(
+            features, classifiers, args.p, split, curve, args.curve_repeats,
+            args.standardize, args.selection, staged[0].parent, args.threads,
+            per_repeat_log=args.per_repeat_log)
+    print("wrote " + ", ".join(str(p) for p in outputs))
     return 0
 
 
@@ -298,35 +318,26 @@ def cmd_pipeline(args) -> int:
     cfg: RunConfig = load_run_config(args.config)
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
+    outputs = [out_dir / name for name in
+               ["features.csv", "windows.csv", "rank_sum_screen.csv"]
+               + _classify_outputs(cfg.classifiers, cfg.curve,
+                                   cfg.per_repeat_log)]
+    with _output_set(outputs) as (features_csv, windows_csv, screen_csv, *_):
         dataset = load_dataset(cfg.matrix_path, cfg.labels_path)
         if cfg.balance:
             dataset = balance_classes(dataset, cfg.seed)
         grid = make_windows(dataset.n_bins, cfg.window_len, cfg.stride)
         features = extract_features(dataset, cfg.method, grid,
                                     cfg.method_config, threads=cfg.threads)
-        path = out_dir / "features.csv"
-        features.write_csv(path)
-        written.append(path)
-        path = out_dir / "windows.csv"
-        write_window_metadata_csv(grid, dataset.mz_values, path)
-        written.append(path)
-        path = out_dir / "rank_sum_screen.csv"
-        write_screen_csv(features, path)
-        written.append(path)
+        features.write_csv(features_csv)
+        write_window_metadata_csv(grid, dataset.mz_values, windows_csv)
+        write_screen_csv(features, screen_csv)
         _classify_feature_matrix(
             features, cfg.classifiers, cfg.p, cfg.split, cfg.curve,
-            cfg.curve_repeats, cfg.standardize, cfg.selection_mode, out_dir,
-            cfg.threads, per_repeat_log=cfg.per_repeat_log, written=written)
-    except BaseException:  # an interrupt too leaves no partial output set
-        for p in written:
-            try:
-                Path(p).unlink()
-            except OSError:
-                pass
-        raise
-    print("pipeline complete; wrote " + ", ".join(str(p) for p in written))
+            cfg.curve_repeats, cfg.standardize, cfg.selection_mode,
+            features_csv.parent, cfg.threads,
+            per_repeat_log=cfg.per_repeat_log)
+    print("pipeline complete; wrote " + ", ".join(str(p) for p in outputs))
     return 0
 
 
@@ -341,8 +352,8 @@ def main(argv=None) -> int:
         "pipeline": cmd_pipeline,
     }
     try:
-        if getattr(args, "threads", None) is not None:
-            resolve_threads(args.threads)  # validate early
+        if hasattr(args, "threads"):  # pipeline checks its config's count
+            args.threads = resolve_threads(args.threads)
         return handlers[args.command](args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from .classify import SELECTION_MODES, ClassifierSpec, SplitSpec
 from .errors import ConfigurationError
 from .estimators import METHODS
 from .pipeline import MethodConfig, default_method_config
+from .utils import resolve_threads
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,8 @@ def load_run_config(path) -> RunConfig:
 
     Besides key names and value types, the window length, stride,
     decomposition depth and wavelet family, the level plan's windows and
-    levels, ``features.p`` and ``features.curve`` are checked here, before
+    levels, ``features.p``, ``features.curve`` and the thread count (from
+    ``threads`` or the WAVESCALE_THREADS variable) are checked here, before
     any input is read.
     """
     path = Path(path)
@@ -247,7 +249,7 @@ def load_run_config(path) -> RunConfig:
         standardize=_get(raw, "standardize", "", bool, True),
         selection_mode=selection_mode,
         seed=seed,
-        threads=_get(raw, "threads", "", int),
+        threads=resolve_threads(_get(raw, "threads", "", int)),
         output_dir=Path(_get(raw, "output_dir", "", str, ".")),
         dataset_tag=dataset_tag,
         per_repeat_log=_get(raw, "per_repeat_log", "", bool, False),

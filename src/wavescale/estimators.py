@@ -187,15 +187,6 @@ _HURST = {"dwt": hurst_dwt, "wang": hurst_wang,
           "jones": lambda slope: abs(slope + 1.0)}
 
 
-def _outcomes(fit, args):
-    """fit(a) for each a, or the EstimationError that fit raised on it."""
-    for a in args:
-        try:
-            yield fit(a)
-        except EstimationError as exc:
-            yield exc
-
-
 def _descriptors(method: str, levels, data_level: int, level_sets):
     """One outcome per row of the (R, 2**d, m) level arrays ``levels``
     (d = 0, 1, ...), with ``level_sets[r]`` restricting row r's spectrum:
@@ -209,28 +200,21 @@ def _descriptors(method: str, levels, data_level: int, level_sets):
         coeffs = np.empty((len(levels[0]), levels[0].shape[2]))
         for lv, mask in zip(levels, selected):
             np.copyto(coeffs.reshape(lv.shape), lv, where=mask[:, :, None])
-        fits = _outcomes(_rank_size_sorted,
-                         np.sort(np.abs(coeffs), axis=1)[:, ::-1])
+        fit, args = _rank_size_sorted, np.sort(np.abs(coeffs), axis=1)[:, ::-1]
     else:
         energies = {data_level - d: _level_energies(method, lv)
                     for d, lv in enumerate(levels) if d > 0}
-        fits = _outcomes(fit_slope, (
+        fit, args = fit_slope, (
             _spectrum_points({j: e[r] for j, e in energies.items()}, lv_set)
-            for r, lv_set in enumerate(level_sets)))
-    for fit in fits:
-        if isinstance(fit, EstimationError):
-            yield fit
+            for r, lv_set in enumerate(level_sets))
+    for a in args:
+        try:
+            line = fit(a)
+        except EstimationError as exc:
+            yield exc
         else:
-            yield ScalingDescriptor(method, fit.slope,
-                                    _HURST[method](fit.slope), fit)
-
-
-def _raising(outcomes):
-    """The descriptors of ``outcomes``, raising at the first failed row."""
-    for d in outcomes:
-        if isinstance(d, EstimationError):
-            raise d
-        yield d
+            yield ScalingDescriptor(method, line.slope,
+                                    _HURST[method](line.slope), line)
 
 
 def hurst_jones(tree: PacketTree) -> ScalingDescriptor:
@@ -248,28 +232,28 @@ def scaling_descriptor(method: str, tree: PacketTree, levels=None) -> ScalingDes
     ``levels`` restricts the spectrum regression for the dwt and wang
     methods and is ignored by jones, which always uses the whole basis.
     """
-    return next(_raising(_descriptors(
-        method, [lv[None] for lv in tree.levels], tree.data_level, [levels])))
+    d = next(_descriptors(
+        method, [lv[None] for lv in tree.levels], tree.data_level, [levels]))
+    if isinstance(d, EstimationError):
+        raise d
+    return d
 
 
 def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
-                        level_sets=None, yield_errors: bool = False):
+                        level_sets=None):
     """Yield ``scaling_descriptor(method, wpd_full(row, f, depth), levels)``
     for every row of the (R, N) matrix ``rows``, bit for bit, computed as
-    one batch.
+    one batch; a row whose fit fails yields its EstimationError instead.
 
     ``level_sets[r]`` restricts row r's spectrum (default: all levels).
     Only what a method needs is kept: dwt runs the pyramid alone, wang
     keeps one level's energies at a time, and jones keeps every level for
     the best-basis search and sorts all rows' selected coefficients in one
-    call.  A failed row raises EstimationError when it is reached, after
-    the rows before it have been yielded; with ``yield_errors`` it yields
-    that EstimationError in its place and the rows after it follow.
+    call.
     """
     rows = np.asarray(rows, dtype=float)
     if level_sets is None:
         level_sets = [None] * len(rows)
     cascade = packet_cascade(rows, f, depth, pyramid=method == "dwt")
-    outcomes = _descriptors(method, itertools.chain([rows[:, None, :]], cascade),
+    yield from _descriptors(method, itertools.chain([rows[:, None, :]], cascade),
                             rows.shape[1].bit_length() - 1, level_sets)
-    yield from outcomes if yield_errors else _raising(outcomes)

@@ -204,7 +204,7 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
         for m in methods:
             fam = _METHOD_FAMILY[m]
             out[m] = [d.hurst for d in scaling_descriptors(
-                m, paths, filters[fam], depth[fam], yield_errors=True)
+                m, paths, filters[fam], depth[fam])
                 if not isinstance(d, EstimationError)]
         return out
 

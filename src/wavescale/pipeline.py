@@ -357,13 +357,11 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
                                           method_config.depth, level_sets)
         slopes = np.empty(grid.count)
         hurst = np.empty(grid.count)
-        for w in range(grid.count):
-            try:
-                d = next(descriptors)
-            except EstimationError as exc:
+        for w, d in enumerate(descriptors):
+            if isinstance(d, EstimationError):
                 raise EstimationError(
                     f"estimate failed for sample {dataset.sample_ids[s]!r}, "
-                    f"window {w + 1}: {exc}") from exc
+                    f"window {w + 1}: {d}") from d
             slopes[w] = d.slope
             hurst[w] = d.hurst
         return slopes, hurst

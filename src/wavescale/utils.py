@@ -12,12 +12,16 @@ THREADS_ENV_VAR = "WAVESCALE_THREADS"
 
 def resolve_threads(threads=None) -> int:
     """Thread count from an explicit value or the WAVESCALE_THREADS variable."""
+    source = "thread count"
     if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR)
-        threads = int(raw) if raw else 1
-    threads = int(threads)
+        source, threads = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR) or 1
+    try:
+        threads = int(threads)
+    except ValueError:
+        raise ConfigurationError(
+            f"{source} must be an integer, got {threads!r}") from None
     if threads < 1:
-        raise ConfigurationError(f"thread count must be >= 1, got {threads}")
+        raise ConfigurationError(f"{source} must be >= 1, got {threads}")
     return threads
 
 

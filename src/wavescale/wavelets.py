@@ -96,11 +96,6 @@ class PacketTree:
             raise ConfigurationError("the data level has no detail nodes")
         return self.levels[d][1::2]
 
-    @property
-    def decomposed_levels(self) -> range:
-        """Levels holding decomposition output, finest first."""
-        return range(self.data_level - 1, self.data_level - self.depth - 1, -1)
-
 
 @dataclass(frozen=True)
 class DwtDecomposition:

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavescale import ConfigurationError, two_class_fbm_dataset
+from wavescale import (BenchmarkReport, ConfigurationError, EstimationError,
+                       FeatureMatrix, cli, two_class_fbm_dataset)
 from wavescale.cli import main, parse_float_range, parse_int_range
 from wavescale.config import load_run_config
 from wavescale.utils import resolve_threads
@@ -315,12 +316,22 @@ def test_pipeline_interrupt_removes_partial_outputs(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, matrix, labels, out_dir)
 
     def interrupt(*args, **kwargs):
-        assert (out_dir / "features.csv").exists()
+        assert any(out_dir.rglob("features.csv"))
         raise KeyboardInterrupt
 
     monkeypatch.setattr("wavescale.cli.write_window_metadata_csv", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["pipeline", str(cfg)])
+    assert list(out_dir.iterdir()) == []
+
+
+def test_pipeline_rank_sum_failure_leaves_no_screen(tmp_path, capsys):
+    # 3 vs 3 samples: the rank-sum screen fails after writing its header
+    matrix, labels = _write_dataset(tmp_path, n_per_class=3)
+    out_dir = tmp_path / "out"
+    cfg = _write_config(tmp_path, matrix, labels, out_dir)
+    assert main(["pipeline", str(cfg)]) == 4
+    assert "rank-sum test needs at least 5" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
 
 
@@ -436,8 +447,10 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "features.curve must satisfy 1 <= lo <= hi, got [3, 1]"),
     ("  curve: [1, 3]", "  curve: [0, 3]",
      "features.curve must satisfy 1 <= lo <= hi, got [0, 3]"),
+    ("method: wang", "method: wang\nthreads: 0",
+     "thread count must be >= 1, got 0"),
 ], ids=["stride", "plan-windows-order", "plan-windows-zero", "plan-level-high",
-        "plan-level-low", "p", "curve-order", "curve-zero"])
+        "plan-level-low", "p", "curve-order", "curve-zero", "threads"])
 def test_pipeline_config_rejects_bad_values_before_ingest(tmp_path, capsys,
                                                           old, new, message):
     _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
@@ -456,3 +469,113 @@ def test_config_example_keys_are_all_accepted(tmp_path):
     cfg.write_text(text + "extra: 1\n", encoding="utf-8")
     with pytest.raises(ConfigurationError, match="unknown key"):
         load_run_config(cfg)
+
+
+# ------------------------------------------------------------ thread count
+
+@pytest.mark.parametrize("value, message", [
+    ("0", "WAVESCALE_THREADS must be >= 1, got 0"),
+    ("abc", "WAVESCALE_THREADS must be an integer, got 'abc'"),
+], ids=["zero", "not-an-integer"])
+@pytest.mark.parametrize("command",
+                         ["simulate", "extract", "classify", "pipeline"])
+def test_threads_env_checked_before_ingest(tmp_path, capsys, monkeypatch,
+                                           command, value, message):
+    def no_input(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("load_dataset", "read_feature_csv", "run_estimator_benchmark"):
+        monkeypatch.setattr(f"wavescale.cli.{name}", no_input)
+    monkeypatch.setenv("WAVESCALE_THREADS", value)
+    matrix, labels = tmp_path / "m.csv", tmp_path / "l.csv"
+    for path in (matrix, labels):
+        path.write_text("not read\n", encoding="utf-8")
+    argv = {
+        "simulate": ["simulate", "--h", "0.5", "--reps", "4", "--n", "64",
+                     "--out", str(tmp_path / "s.csv")],
+        "extract": ["extract", "--matrix", str(matrix), "--labels",
+                    str(labels), "--method", "dwt", "--depth", "9",
+                    "--window-len", "512", "--out", str(tmp_path / "f.csv")],
+        "classify": ["classify", "--features", str(matrix),
+                     "--out-dir", str(tmp_path / "out")],
+        "pipeline": ["pipeline", str(_write_config(
+            tmp_path, matrix, labels, tmp_path / "out"))],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+# ------------------------------------------------------------ output sets
+
+# (owner, name) of every function that writes an output file; the path is
+# always its last argument
+_WRITERS = [(BenchmarkReport, "write_csv"), (FeatureMatrix, "write_csv")] + [
+    (cli, name) for name in (
+        "write_window_metadata_csv", "write_screen_csv", "write_per_repeat_csv",
+        "write_eval_csv", "write_correlation_csv", "_write_selected_features")]
+
+
+def _output_set_argv(tmp_path, command, out_dir):
+    """A small successful ``command`` run that writes into ``out_dir``."""
+    if command == "simulate":
+        return ["simulate", "--h", "0.5", "--reps", "4", "--n", "64",
+                "--methods", "dwt", "--out", str(out_dir / "sim.csv")]
+    matrix, labels = _write_dataset(tmp_path, n_per_class=5)
+    if command == "pipeline":
+        return ["pipeline", str(_write_config(tmp_path, matrix, labels,
+                                              out_dir))]
+    extract = ["extract", "--matrix", str(matrix), "--labels", str(labels),
+               "--method", "wang", "--depth", "9", "--window-len", "512",
+               "--stride", "512", "--out"]
+    if command == "extract":
+        return extract + [str(out_dir / "f.csv")]
+    assert main(extract + [str(tmp_path / "f.csv")]) == 0
+    return ["classify", "--features", str(tmp_path / "f.csv"), "--p", "2",
+            "--repeats", "10", "--curve", "1..2", "--curve-repeats", "5",
+            "--per-repeat-log", "--out-dir", str(out_dir)]
+
+
+def _listing(out_dir):
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) if p.is_file()
+            else "not a file" for p in out_dir.iterdir()}
+
+
+@pytest.mark.parametrize("fault", ["error", "interrupt"])
+@pytest.mark.parametrize("command",
+                         ["simulate", "extract", "classify", "pipeline"])
+def test_failed_run_leaves_previous_outputs_untouched(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      fault):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = _output_set_argv(tmp_path, command, out_dir)
+    assert main(argv) == 0
+    before = _listing(out_dir)
+    # "error": the second write (simulate's only one) stops partway with an
+    # exception; "interrupt": KeyboardInterrupt right after the first write
+    fail_at = 1 if command == "simulate" else 2
+    calls = []
+
+    def faulty(original):
+        def writer(*args):
+            calls.append(args[-1])
+            if fault == "error" and len(calls) == fail_at:
+                Path(args[-1]).write_text("partial\n", encoding="utf-8")
+                raise EstimationError("writer failed")
+            original(*args)
+            if fault == "interrupt":
+                raise KeyboardInterrupt
+        return writer
+
+    for owner, name in _WRITERS:
+        monkeypatch.setattr(owner, name, faulty(getattr(owner, name)))
+    capsys.readouterr()
+    if fault == "error":
+        assert main(argv) == 4
+        assert "writer failed" in capsys.readouterr().err
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert _listing(out_dir) == before
