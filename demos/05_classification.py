@@ -12,6 +12,7 @@ from wavescale import (
     SplitSpec,
     accuracy_vs_feature_count,
     evaluate,
+    evaluate_classifiers,
     extract_features,
     feature_correlation,
     fisher_scores,
@@ -26,8 +27,10 @@ features = extract_features(dataset, "dwt", grid)
 split = SplitSpec(train_fraction=0.67, n_repeats=300, master_seed=17)
 
 print("classifier          p   test acc %   train acc %")
-for spec in (ClassifierSpec(kind="logistic"), ClassifierSpec(kind="knn")):
-    rep = evaluate(features, spec, p=4, split=split)
+# one pass: both classifiers score the same splits, rankings and scalings
+for (rep,) in evaluate_classifiers(
+        features, [ClassifierSpec(kind="logistic"), ClassifierSpec(kind="knn")],
+        ps=[4], split=split):
     print(f"{rep.classifier:18s} {rep.p:3d}   {rep.mean_test_accuracy:7.2f}"
           f"      {rep.mean_train_accuracy:7.2f}")
 

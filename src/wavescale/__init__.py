@@ -16,6 +16,7 @@ from .classify import (
     StandardizeTransform,
     accuracy_vs_feature_count,
     evaluate,
+    evaluate_classifiers,
     feature_correlation,
     knn_predict,
     logistic_gradient,
@@ -83,7 +84,8 @@ __all__ = [
     "basis_coefficients", "best_basis", "BasisSelection", "BenchmarkEntry",
     "BenchmarkReport", "ClassifierSpec", "ConfigurationError",
     "default_method_config", "dwt_forward", "DwtDecomposition",
-    "EstimationError", "EvalReport", "evaluate", "extract_features",
+    "EstimationError", "EvalReport", "evaluate", "evaluate_classifiers",
+    "extract_features",
     "FbmSpec", "FeatureMatrix", "feature_correlation", "fgn_autocovariance",
     "fgn_sample", "fbm_from_fgn", "FilterPair", "fisher_scores", "fit_slope",
     "hurst_dwt", "hurst_jones", "hurst_wang", "IngestionError",

@@ -3,10 +3,12 @@
 Two classifiers are implemented from first principles: an L2-regularized
 logistic regression fitted by damped Newton steps (iteratively
 reweighted least squares with a backtracking line search), and a
-majority-vote k-nearest-neighbors rule.  One evaluation core draws seeded
-train/test splits, ranks windows by Fisher score on the training rows
-only (unless the global compatibility mode is requested), standardizes
-with training statistics, and scores every requested feature count.
+majority-vote k-nearest-neighbors rule.  One evaluation core,
+``evaluate_classifiers``, draws seeded train/test splits, ranks windows
+by Fisher score on the training rows only (unless the global
+compatibility mode is requested), standardizes with training statistics,
+and scores every requested feature count with every requested
+classifier on those same columns.
 
 The core works on chunks of splits at once.  Its kernels take a leading
 axis of splits and compute each split on its own, with no reduction
@@ -382,48 +384,78 @@ def _split_features(slopes, labels, perms, n_train, ps,
     return [(first if p == 1 else top)[:, :, :p] for p in ps], order
 
 
-def _score_splits(features, y, n_train, spec: ClassifierSpec):
-    """Test and train accuracies, each (len(features), c), of classifying
-    each (c, n, p) array of ``features`` with row labels y (c, n)."""
+def _score_splits(features, y, n_train, classifiers):
+    """Test and train accuracies, each (len(classifiers), len(features), c),
+    of classifying each (c, n, p) array of ``features`` with row labels
+    y (c, n) by every spec of ``classifiers``."""
     y_train, y_test = y[:, :n_train], y[:, n_train:]
-    test_acc = np.empty((len(features), len(y)))
+    test_acc = np.empty((len(classifiers), len(features), len(y)))
     train_acc = np.empty_like(test_acc)
-    for i, z in enumerate(features):
-        if spec.kind == "logistic":
-            x_train = np.ascontiguousarray(z[:, :n_train])
-            x_test = np.ascontiguousarray(z[:, n_train:])
-            w, b, _, _ = _fit_logistic(x_train, y_train.astype(float),
-                                       spec.l2_c, spec.max_iters, spec.tol)
-            pred_train, _ = _predict(x_train, w, b)
-            pred_test, _ = _predict(x_test, w, b)
-        else:
-            rows = np.ascontiguousarray(z)
-            pred = _knn_votes(rows[:, :n_train], y_train, rows, spec.k)
-            pred_train, pred_test = pred[:, :n_train], pred[:, n_train:]
-        test_acc[i] = np.mean(pred_test == y_test, axis=-1)
-        train_acc[i] = np.mean(pred_train == y_train, axis=-1)
+    for s, spec in enumerate(classifiers):
+        for i, z in enumerate(features):
+            if spec.kind == "logistic":
+                x_train = np.ascontiguousarray(z[:, :n_train])
+                x_test = np.ascontiguousarray(z[:, n_train:])
+                w, b, _, _ = _fit_logistic(x_train, y_train.astype(float),
+                                           spec.l2_c, spec.max_iters,
+                                           spec.tol)
+                pred_train, _ = _predict(x_train, w, b)
+                pred_test, _ = _predict(x_test, w, b)
+            else:
+                rows = np.ascontiguousarray(z)
+                pred = _knn_votes(rows[:, :n_train], y_train, rows, spec.k)
+                pred_train, pred_test = pred[:, :n_train], pred[:, n_train:]
+            test_acc[s, i] = np.mean(pred_test == y_test, axis=-1)
+            train_acc[s, i] = np.mean(pred_train == y_train, axis=-1)
     return test_acc, train_acc
 
 
-def _evaluate(features: FeatureMatrix, spec: ClassifierSpec, ps,
-              split: SplitSpec, apply_standardize: bool, selection_mode: str,
-              keep_per_repeat: bool, threads) -> list:
-    """One EvalReport per p in ``ps``, all from the same splits."""
+def _training_rows(n_samples: int, split: SplitSpec) -> int:
+    """Training rows of each of ``split``'s splits of ``n_samples`` rows."""
+    n_train = int(round(split.train_fraction * n_samples))
+    return min(max(n_train, 1), n_samples - 1)
+
+
+def check_evaluation(classifiers, ps, n_windows: int, n_samples: int,
+                     split: SplitSpec) -> None:
+    """Raise ConfigurationError unless every p in ``ps`` is in
+    1..n_windows and every kNN spec's k fits the training rows.
+
+    ``evaluate_classifiers`` runs this before its first draw; a pipeline
+    can run it as soon as it knows the window and sample counts.
+    """
+    for p in ps:
+        if not 1 <= p <= n_windows:
+            raise ConfigurationError(f"p must be in 1..{n_windows}, got {p}")
+    n_train = _training_rows(n_samples, split)
+    for spec in classifiers:
+        if spec.kind == "knn" and spec.k > n_train:
+            raise ConfigurationError(
+                f"k={spec.k} exceeds {n_train} training rows")
+
+
+def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
+                         split: SplitSpec, apply_standardize: bool = True,
+                         selection_mode: str = "per-split",
+                         keep_per_repeat: bool = False, threads=None) -> list:
+    """One list of EvalReports per spec of ``classifiers``, one report
+    per p in ``ps``, all from the same splits.
+
+    Each chunk of splits is drawn, Fisher-ranked and standardized once,
+    and every classifier scores the same columns, so each list equals
+    the one-spec call for that classifier.  See ``evaluate`` for the
+    split, the selection modes and ``threads``.
+    """
     if selection_mode not in SELECTION_MODES:
         raise ConfigurationError(
             f"selection_mode must be one of {SELECTION_MODES}")
+    classifiers = list(classifiers)
     ps = [int(p) for p in ps]
-    for p in ps:
-        if not 1 <= p <= features.n_windows:
-            raise ConfigurationError(
-                f"p must be in 1..{features.n_windows}, got {p}")
-    if not ps:
-        return []
     n = len(features.labels)
-    n_train = int(round(split.train_fraction * n))
-    n_train = min(max(n_train, 1), n - 1)
-    if spec.kind == "knn" and spec.k > n_train:
-        raise ConfigurationError(f"k={spec.k} exceeds {n_train} training rows")
+    check_evaluation(classifiers, ps, features.n_windows, n, split)
+    if not ps:
+        return [[] for _ in classifiers]
+    n_train = _training_rows(n, split)
     labels = features.labels.astype(np.int8)
     order = None
     if selection_mode == "global":
@@ -434,17 +466,17 @@ def _evaluate(features: FeatureMatrix, spec: ClassifierSpec, ps,
                                       reps)
         columns, _ = _split_features(features.slopes, labels, perms, n_train,
                                      ps, apply_standardize, order)
-        return (*_score_splits(columns, labels[perms], n_train, spec),
+        return (*_score_splits(columns, labels[perms], n_train, classifiers),
                 redraws)
 
     chunks = [range(lo, min(lo + _CHUNK, split.n_repeats))
               for lo in range(0, split.n_repeats, _CHUNK)]
     rows = map_ordered(one_chunk, chunks, threads=resolve_threads(threads))
-    test_acc = np.concatenate([r[0] for r in rows], axis=1) * 100.0
-    train_acc = np.concatenate([r[1] for r in rows], axis=1) * 100.0
+    test_acc = np.concatenate([r[0] for r in rows], axis=-1) * 100.0
+    train_acc = np.concatenate([r[1] for r in rows], axis=-1) * 100.0
     redraws = int(sum(r[2].sum() for r in rows))
     many = split.n_repeats > 1
-    return [EvalReport(
+    return [[EvalReport(
         classifier=spec.describe(),
         p=p,
         n_repeats=split.n_repeats,
@@ -455,7 +487,9 @@ def _evaluate(features: FeatureMatrix, spec: ClassifierSpec, ps,
         redraws=redraws,
         selection_mode=selection_mode,
         per_repeat=tuple(zip(te, tr)) if keep_per_repeat else None,
-    ) for p, te, tr in zip(ps, test_acc, train_acc)]
+    ) for p, te, tr in zip(ps, spec_test, spec_train)]
+        for spec, spec_test, spec_train in zip(classifiers, test_acc,
+                                               train_acc)]
 
 
 def evaluate(features: FeatureMatrix, classifier_spec: ClassifierSpec,
@@ -477,9 +511,9 @@ def evaluate(features: FeatureMatrix, classifier_spec: ClassifierSpec,
     is computed on its own, so reports are identical for any thread
     count.  ``threads`` maps over chunks of splits.
     """
-    return _evaluate(features, classifier_spec, [p], split,
-                     apply_standardize, selection_mode, keep_per_repeat,
-                     threads)[0]
+    return evaluate_classifiers(features, [classifier_spec], [p], split,
+                                apply_standardize, selection_mode,
+                                keep_per_repeat, threads)[0][0]
 
 
 def accuracy_vs_feature_count(features: FeatureMatrix,
@@ -499,8 +533,9 @@ def accuracy_vs_feature_count(features: FeatureMatrix,
         p_range = range(1, features.n_windows + 1)
     if split is None:
         split = SplitSpec(n_repeats=1000)
-    return _evaluate(features, classifier_spec, p_range, split,
-                     apply_standardize, selection_mode, False, threads)
+    return evaluate_classifiers(features, [classifier_spec], p_range, split,
+                                apply_standardize, selection_mode, False,
+                                threads)[0]
 
 
 def feature_correlation(features: FeatureMatrix, selected=None) -> np.ndarray:

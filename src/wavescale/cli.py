@@ -19,9 +19,10 @@ import numpy as np
 
 from . import __version__
 from .classify import (
+    ClassifierSpec,
     SplitSpec,
-    accuracy_vs_feature_count,
-    evaluate,
+    check_evaluation,
+    evaluate_classifiers,
     feature_correlation,
     write_correlation_csv,
     write_eval_csv,
@@ -36,6 +37,7 @@ from .pipeline import (
     MethodConfig,
     balance_classes,
     balance_feature_rows,
+    check_rank_sum_sizes,
     default_method_config,
     extract_features,
     fisher_scores,
@@ -137,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--classifiers", default="logistic,knn")
     cls.add_argument("--train-fraction", type=float, default=0.67)
     cls.add_argument("--curve", default=None,
-                     help="feature-count sweep, e.g. 1..29")
+                     help="feature counts to sweep, e.g. 1..29 or 1,5,10")
     cls.add_argument("--curve-repeats", type=int, default=1000)
     cls.add_argument("--balance", action="store_true",
                      help="subsample the larger class first")
@@ -156,16 +158,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_classifier_names(text: str):
-    from .classify import ClassifierSpec
-    specs = []
-    for name in text.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        specs.append(ClassifierSpec(kind=name))
-    if not specs:
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
         raise ConfigurationError("no classifiers requested")
-    return specs
+    for i, name in enumerate(names):
+        if name in names[:i]:  # each kind writes its own files
+            raise ConfigurationError(
+                f"--classifiers: repeated classifier kind {name!r}")
+    return [ClassifierSpec(kind=name) for name in names]
+
+
+def _make_out_dir(out_dir) -> Path:
+    """``out_dir``, created with its parents unless it exists."""
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise ConfigurationError(
+            f"output directory {str(out_dir)!r} is an existing file") from None
+    except NotADirectoryError:
+        raise ConfigurationError(
+            f"output directory {str(out_dir)!r} lies under a file") from None
+    return out_dir
 
 
 @contextmanager
@@ -247,27 +261,27 @@ def _classify_feature_matrix(features: FeatureMatrix, classifiers, p,
                              split: SplitSpec, curve, curve_repeats,
                              standardize_flag, selection_mode, out_dir: Path,
                              threads, per_repeat_log=False) -> None:
-    reports = []
-    for spec in classifiers:
-        rep = evaluate(features, spec, p, split,
-                       apply_standardize=standardize_flag,
-                       selection_mode=selection_mode,
-                       keep_per_repeat=per_repeat_log, threads=threads)
-        reports.append(rep)
-        if per_repeat_log:
+    """Evaluate every classifier at ``p`` and, unless ``curve`` is None,
+    at each feature count it lists; write the files of
+    ``_classify_outputs`` into ``out_dir``."""
+    reports = [r[0] for r in evaluate_classifiers(
+        features, classifiers, [p], split,
+        apply_standardize=standardize_flag, selection_mode=selection_mode,
+        keep_per_repeat=per_repeat_log, threads=threads)]
+    if per_repeat_log:
+        for spec, rep in zip(classifiers, reports):
             write_per_repeat_csv(rep, out_dir / f"per_repeat_{spec.kind}.csv")
     write_eval_csv(reports, out_dir / "accuracy.csv")
 
     if curve is not None:
-        lo, hi = curve
         curve_split = SplitSpec(train_fraction=split.train_fraction,
                                 n_repeats=curve_repeats,
                                 master_seed=split.master_seed)
-        for spec in classifiers:
-            curve_reports = accuracy_vs_feature_count(
-                features, spec, range(lo, hi + 1), curve_split,
-                apply_standardize=standardize_flag,
-                selection_mode=selection_mode, threads=threads)
+        curves = evaluate_classifiers(
+            features, classifiers, curve, curve_split,
+            apply_standardize=standardize_flag,
+            selection_mode=selection_mode, threads=threads)
+        for spec, curve_reports in zip(classifiers, curves):
             write_eval_csv(curve_reports,
                            out_dir / f"accuracy_vs_features_{spec.kind}.csv")
 
@@ -294,10 +308,10 @@ def cmd_classify(args) -> int:
     classifiers = _parse_classifier_names(args.classifiers)
     curve = None
     if args.curve is not None:
-        vals = parse_int_range(args.curve)
-        curve = (min(vals), max(vals))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        curve = parse_int_range(args.curve)
+        if not curve:
+            raise ConfigurationError(f"--curve: no values in {args.curve!r}")
+    out_dir = _make_out_dir(args.out_dir)
     outputs = [out_dir / name for name in
                _classify_outputs(classifiers, curve, args.per_repeat_log)]
     with _output_set(outputs) as staged:
@@ -316,24 +330,29 @@ def cmd_classify(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg: RunConfig = load_run_config(args.config)
-    out_dir = cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(cfg.output_dir)
+    curve = None if cfg.curve is None else range(cfg.curve[0], cfg.curve[1] + 1)
     outputs = [out_dir / name for name in
                ["features.csv", "windows.csv", "rank_sum_screen.csv"]
-               + _classify_outputs(cfg.classifiers, cfg.curve,
-                                   cfg.per_repeat_log)]
+               + _classify_outputs(cfg.classifiers, curve, cfg.per_repeat_log)]
     with _output_set(outputs) as (features_csv, windows_csv, screen_csv, *_):
         dataset = load_dataset(cfg.matrix_path, cfg.labels_path)
         if cfg.balance:
             dataset = balance_classes(dataset, cfg.seed)
         grid = make_windows(dataset.n_bins, cfg.window_len, cfg.stride)
+        # the checks of the screen and of the evaluation core, made before
+        # extraction, in the order their writers would make them
+        check_rank_sum_sizes(int(np.sum(dataset.labels == 1)),
+                             int(np.sum(dataset.labels == 0)))
+        check_evaluation(cfg.classifiers, [cfg.p, *(curve or ())],
+                         grid.count, dataset.n_samples, cfg.split)
         features = extract_features(dataset, cfg.method, grid,
                                     cfg.method_config, threads=cfg.threads)
         features.write_csv(features_csv)
         write_window_metadata_csv(grid, dataset.mz_values, windows_csv)
         write_screen_csv(features, screen_csv)
         _classify_feature_matrix(
-            features, cfg.classifiers, cfg.p, cfg.split, cfg.curve,
+            features, cfg.classifiers, cfg.p, cfg.split, curve,
             cfg.curve_repeats, cfg.standardize, cfg.selection_mode,
             features_csv.parent, cfg.threads,
             per_repeat_log=cfg.per_repeat_log)

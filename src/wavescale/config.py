@@ -136,6 +136,9 @@ def _parse_classifiers(raw) -> tuple:
             raise ConfigurationError(f"{where}: missing required key 'kind'")
         if kind not in _CLASSIFIER_KEYS:
             raise ConfigurationError(f"{where}: unknown kind {kind!r}")
+        # each kind writes its own per-repeat log and curve file
+        if any(spec.kind == kind for spec in specs):
+            raise ConfigurationError(f"{where}: repeated classifier kind {kind!r}")
         _known(entry, where, _CLASSIFIER_KEYS[kind])
         if kind == "logistic":
             specs.append(ClassifierSpec(

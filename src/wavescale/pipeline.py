@@ -461,15 +461,21 @@ def _normal_rank_sum(a: np.ndarray, b: np.ndarray):
     return w_stat, min(1.0, p)
 
 
+def check_rank_sum_sizes(n_a: int, n_b: int) -> None:
+    """Raise EstimationError unless both samples have the 5 observations
+    the normal approximation of ``rank_sum_test`` needs."""
+    if n_a < 5 or n_b < 5:
+        raise EstimationError(
+            "rank-sum test needs at least 5 observations per sample")
+
+
 def rank_sum_test(a, b):
     """Wilcoxon rank-sum test, two-sided normal approximation.
 
     Returns (rank-sum statistic of ``a``, p-value).  Requires at least 5
     observations per sample for the approximation to be trustworthy.
     """
-    if len(a) < 5 or len(b) < 5:
-        raise EstimationError(
-            "rank-sum test needs at least 5 observations per sample")
+    check_rank_sum_sizes(len(a), len(b))
     return _normal_rank_sum(a, b)
 
 

@@ -299,7 +299,7 @@ def test_pipeline_end_to_end_and_idempotent(tmp_path):
 def test_pipeline_failure_removes_partial_outputs(tmp_path):
     matrix, labels = _write_dataset(tmp_path, n_per_class=5)
     out_dir = tmp_path / "out"
-    # p larger than the window count fails after features.csv is written
+    # p larger than the window count fails before extraction
     cfg = _write_config(tmp_path, matrix, labels, out_dir,
                         extra="").read_text()
     cfg = cfg.replace("p: 2", "p: 25")
@@ -449,8 +449,11 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "features.curve must satisfy 1 <= lo <= hi, got [0, 3]"),
     ("method: wang", "method: wang\nthreads: 0",
      "thread count must be >= 1, got 0"),
+    ("  - kind: knn\n    k: 5", "  - kind: logistic",
+     "classifiers[1]: repeated classifier kind 'logistic'"),
 ], ids=["stride", "plan-windows-order", "plan-windows-zero", "plan-level-high",
-        "plan-level-low", "p", "curve-order", "curve-zero", "threads"])
+        "plan-level-low", "p", "curve-order", "curve-zero", "threads",
+        "repeated-kind"])
 def test_pipeline_config_rejects_bad_values_before_ingest(tmp_path, capsys,
                                                           old, new, message):
     _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
@@ -579,3 +582,101 @@ def test_failed_run_leaves_previous_outputs_untouched(tmp_path, capsys,
         with pytest.raises(KeyboardInterrupt):
             main(argv)
     assert _listing(out_dir) == before
+
+
+# ----------------------------------------------- classifier list and curve
+
+def _no_input(monkeypatch):
+    def no_input(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("load_dataset", "read_feature_csv"):
+        monkeypatch.setattr(f"wavescale.cli.{name}", no_input)
+
+
+def test_classify_rejects_repeated_kind_before_reading(tmp_path, capsys,
+                                                       monkeypatch):
+    _no_input(monkeypatch)
+    out_dir = tmp_path / "out"
+    argv = ["classify", "--features", str(tmp_path / "f.csv"),
+            "--classifiers", "knn,logistic,knn", "--per-repeat-log",
+            "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert ("--classifiers: repeated classifier kind 'knn'"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+def test_classify_curve_writes_exactly_the_listed_p(tmp_path):
+    matrix, labels = _write_dataset(tmp_path, n_per_class=5)
+    feats = tmp_path / "f.csv"
+    assert main(["extract", "--matrix", str(matrix), "--labels", str(labels),
+                 "--method", "wang", "--depth", "8", "--window-len", "256",
+                 "--stride", "256", "--out", str(feats)]) == 0
+
+    def curve_rows(spec, name):
+        out_dir = tmp_path / name
+        assert main(["classify", "--features", str(feats), "--p", "2",
+                     "--repeats", "10", "--curve", spec, "--curve-repeats",
+                     "8", "--out-dir", str(out_dir)]) == 0
+        return {kind: (out_dir / f"accuracy_vs_features_{kind}.csv")
+                .read_text().splitlines()[1:] for kind in ("logistic", "knn")}
+
+    listed = curve_rows("1,3", "listed")
+    full = curve_rows("1..3", "full")
+    for kind in ("logistic", "knn"):
+        assert [row.split(",")[1] for row in listed[kind]] == ["1", "3"]
+        assert listed[kind] == [full[kind][0], full[kind][2]]
+
+
+# ------------------------------------------------------- output directory
+
+@pytest.mark.parametrize("where", ["file", "under-file"])
+@pytest.mark.parametrize("command", ["classify", "pipeline"])
+def test_out_dir_that_is_or_lies_under_a_file_exits_2(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      where):
+    _no_input(monkeypatch)
+    afile = tmp_path / "afile"
+    afile.write_text("a file\n", encoding="utf-8")
+    out_dir = afile if where == "file" else afile / "sub" / "dir"
+    if command == "classify":
+        argv = ["classify", "--features", str(tmp_path / "f.csv"),
+                "--out-dir", str(out_dir)]
+    else:
+        matrix, labels = _write_dataset(tmp_path, n_per_class=2)
+        argv = ["pipeline", str(_write_config(tmp_path, matrix, labels,
+                                              out_dir))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"output directory {str(out_dir)!r}" in err
+    assert ("is an existing file" if where == "file"
+            else "lies under a file") in err
+    assert afile.read_text(encoding="utf-8") == "a file\n"
+
+
+# ----------------------------------------- pipeline checks before extraction
+
+@pytest.mark.parametrize("n_per_class,old,new,code,message", [
+    (5, "  p: 2", "  p: 25", 2, "p must be in 1..3, got 25"),
+    (5, "  curve: [1, 3]", "  curve: [1, 9]", 2, "p must be in 1..3, got 4"),
+    (5, "    k: 5", "    k: 8", 2, "k=8 exceeds 7 training rows"),
+    (3, "  p: 2", "  p: 2", 4,
+     "rank-sum test needs at least 5 observations per sample"),
+], ids=["p", "curve", "knn-k", "rank-sum"])
+def test_pipeline_fails_before_extraction(tmp_path, capsys, monkeypatch,
+                                          n_per_class, old, new, code,
+                                          message):
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("extraction was reached")
+
+    monkeypatch.setattr("wavescale.cli.extract_features", no_extraction)
+    matrix, labels = _write_dataset(tmp_path, n_per_class=n_per_class)
+    out_dir = tmp_path / "out"
+    cfg = _write_config(tmp_path, matrix, labels, out_dir)
+    text = cfg.read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main(["pipeline", str(cfg)]) == code
+    assert message in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []

@@ -1,6 +1,7 @@
 """The batched evaluation core against the former per-split path kept in
 ``oracles``: per-repeat accuracies, curve cells, thread counts, chunk
-boundaries, and the one-split calls of the batched kernels."""
+boundaries, the one-split calls of the batched kernels, and one shared
+pass for several classifiers against one-classifier calls."""
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ import wavescale.classify as classify
 from oracles import reference_fisher, reference_evaluate
 from wavescale import (
     ClassifierSpec,
+    ConfigurationError,
     FeatureMatrix,
     MethodConfig,
     SplitSpec,
     accuracy_vs_feature_count,
     evaluate,
+    evaluate_classifiers,
     extract_features,
     fisher_scores,
     knn_predict,
@@ -156,6 +159,82 @@ def test_threads_and_chunk_boundaries_do_not_change_results(
     monkeypatch.setattr(classify, "_KNN_BLOCK", 1)  # one split per block
     assert run(1) == base
     assert run(3) == base
+
+
+def _skewed(seed, n=30, n_ones=6, n_features=6):
+    # few positives: with a 0.3 training fraction, draws often lack two
+    # of them and are redrawn
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation([1] * n_ones + [0] * (n - n_ones))
+    slopes = rng.standard_normal((n, n_features)) + 0.8 * labels[:, None]
+    return _features_from(slopes, labels)
+
+
+_SPECS = [ClassifierSpec(kind="logistic"), ClassifierSpec(kind="knn", k=3)]
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("mode", ["per-split", "global"])
+@pytest.mark.parametrize("fixture", ["fbm", "skewed"])
+def test_shared_pass_equals_one_classifier_calls(fbm_slopes, monkeypatch,
+                                                 fixture, mode, standardize):
+    fm = fbm_slopes if fixture == "fbm" else _skewed(3)
+    split = SplitSpec(train_fraction=0.3 if fixture == "skewed" else 0.67,
+                      n_repeats=30, master_seed=13)
+    ps = range(1, 6)
+    kwargs = dict(apply_standardize=standardize, selection_mode=mode)
+    single = [evaluate(fm, spec, 4, split, keep_per_repeat=True, **kwargs)
+              for spec in _SPECS]
+    curves = [accuracy_vs_feature_count(fm, spec, ps, split, **kwargs)
+              for spec in _SPECS]
+    if fixture == "skewed":
+        assert single[0].redraws > 0
+    monkeypatch.setattr(classify, "_CHUNK", 7)  # 7 + 7 + 7 + 7 + 2 splits
+    for threads in (1, 3):
+        shared = evaluate_classifiers(fm, _SPECS, [4], split,
+                                      keep_per_repeat=True, threads=threads,
+                                      **kwargs)
+        assert shared == [[report] for report in single]
+        assert evaluate_classifiers(fm, _SPECS, ps, split, threads=threads,
+                                    **kwargs) == curves
+
+
+@pytest.mark.parametrize("n_specs", [1, 2, 3])
+def test_one_draw_and_ranking_per_chunk_for_any_classifier_count(
+        fbm_slopes, monkeypatch, n_specs):
+    specs = [*_SPECS, ClassifierSpec(kind="logistic", l2_c=0.1)][:n_specs]
+    calls = {"_draw_splits": 0, "_split_features": 0}
+
+    def counted(name):
+        original = getattr(classify, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(classify, name, counted(name))
+    monkeypatch.setattr(classify, "_CHUNK", 7)
+    reports = evaluate_classifiers(fbm_slopes, specs, range(1, 4),
+                                   SplitSpec(n_repeats=30, master_seed=2))
+    assert [len(r) for r in reports] == [3] * n_specs
+    assert calls == {"_draw_splits": 5, "_split_features": 5}
+
+
+def test_every_classifier_is_checked_before_the_first_draw(fbm_slopes,
+                                                           monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a split was drawn")
+
+    monkeypatch.setattr(classify, "_draw_splits", no_draw)
+    split = SplitSpec(n_repeats=5)
+    with pytest.raises(ConfigurationError, match="k=30 exceeds 19 training"):
+        evaluate_classifiers(fbm_slopes, [_SPECS[0], ClassifierSpec(
+            kind="knn", k=30)], [1], split)
+    with pytest.raises(ConfigurationError, match="p must be in"):
+        evaluate_classifiers(fbm_slopes, _SPECS,
+                             [1, fbm_slopes.n_windows + 1], split)
 
 
 def _batch(seed, c=9, n=24, p=4):
