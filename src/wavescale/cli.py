@@ -18,37 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import (
-    ClassifierSpec,
-    SplitSpec,
-    check_evaluation,
-    evaluate_classifiers,
-    feature_correlation,
-    write_correlation_csv,
-    write_eval_csv,
-    write_per_repeat_csv,
-)
-from .config import RunConfig, load_run_config
 from .errors import ConfigurationError, EstimationError, IngestionError, ShapeError
 from .estimators import METHODS
-from .fbm import run_estimator_benchmark
-from .pipeline import (
-    FeatureMatrix,
-    MethodConfig,
-    balance_classes,
-    balance_feature_rows,
-    check_rank_sum_sizes,
-    default_method_config,
-    extract_features,
-    fisher_scores,
-    load_dataset,
-    make_windows,
-    read_feature_csv,
-    select_top,
-    write_screen_csv,
-    write_window_metadata_csv,
-)
 from .utils import format_float, resolve_threads
+
+# Each cmd_* imports the modules it runs, so a subcommand loads only those.
 
 
 def parse_float_range(text: str, default_step: float = 0.1):
@@ -158,6 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_classifier_names(text: str):
+    from .classify import ClassifierSpec
+
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
         raise ConfigurationError("no classifiers requested")
@@ -213,6 +189,8 @@ def _output_set(paths):
 
 
 def cmd_simulate(args) -> int:
+    from .fbm import run_estimator_benchmark
+
     h_grid = parse_float_range(args.h)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     with _output_set([args.out]) as (out,):
@@ -224,7 +202,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _method_config_from_args(args) -> MethodConfig:
+def _method_config_from_args(args):
+    from .pipeline import MethodConfig, default_method_config
+
     base = default_method_config(args.method, args.dataset_tag)
     return MethodConfig(
         family=args.wavelet or base.family,
@@ -233,6 +213,9 @@ def _method_config_from_args(args) -> MethodConfig:
 
 
 def cmd_extract(args) -> int:
+    from .pipeline import (extract_features, load_dataset, make_windows,
+                           write_window_metadata_csv)
+
     method_config = _method_config_from_args(args)
     method_config.check(args.window_len)  # before minutes of ingest
     meta = args.meta or str(Path(args.out).with_suffix("")) + "_windows.csv"
@@ -257,13 +240,18 @@ def _classify_outputs(classifiers, curve, per_repeat_log) -> list:
             + ["feature_correlation.csv", "selected_features.csv"])
 
 
-def _classify_feature_matrix(features: FeatureMatrix, classifiers, p,
-                             split: SplitSpec, curve, curve_repeats,
-                             standardize_flag, selection_mode, out_dir: Path,
-                             threads, per_repeat_log=False) -> None:
-    """Evaluate every classifier at ``p`` and, unless ``curve`` is None,
-    at each feature count it lists; write the files of
-    ``_classify_outputs`` into ``out_dir``."""
+def _classify_feature_matrix(features, classifiers, p, split, curve,
+                             curve_repeats, standardize_flag, selection_mode,
+                             out_dir: Path, threads,
+                             per_repeat_log=False) -> None:
+    """Evaluate every classifier on the FeatureMatrix ``features`` at ``p``
+    and, unless ``curve`` is None, at each feature count it lists; write
+    the files of ``_classify_outputs`` into ``out_dir``."""
+    from .classify import (SplitSpec, evaluate_classifiers,
+                           feature_correlation, write_correlation_csv,
+                           write_eval_csv, write_per_repeat_csv)
+    from .pipeline import fisher_scores, select_top
+
     reports = [r[0] for r in evaluate_classifiers(
         features, classifiers, [p], split,
         apply_standardize=standardize_flag, selection_mode=selection_mode,
@@ -292,7 +280,7 @@ def _classify_feature_matrix(features: FeatureMatrix, classifiers, p,
                              out_dir / "selected_features.csv")
 
 
-def _write_selected_features(features: FeatureMatrix, selected, path):
+def _write_selected_features(features, selected, path):
     """Top-p slope columns for external classifiers."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -305,6 +293,9 @@ def _write_selected_features(features: FeatureMatrix, selected, path):
 
 
 def cmd_classify(args) -> int:
+    from .classify import SplitSpec
+    from .pipeline import balance_feature_rows, read_feature_csv
+
     classifiers = _parse_classifier_names(args.classifiers)
     curve = None
     if args.curve is not None:
@@ -329,7 +320,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg: RunConfig = load_run_config(args.config)
+    from .classify import check_evaluation
+    from .config import load_run_config
+    from .pipeline import (balance_classes, check_rank_sum_sizes,
+                           extract_features, load_dataset, make_windows,
+                           write_screen_csv, write_window_metadata_csv)
+
+    cfg = load_run_config(args.config)
     out_dir = _make_out_dir(cfg.output_dir)
     curve = None if cfg.curve is None else range(cfg.curve[0], cfg.curve[1] + 1)
     outputs = [out_dir / name for name in

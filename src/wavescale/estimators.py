@@ -67,34 +67,52 @@ def _level_energies(method: str, level: np.ndarray) -> np.ndarray:
     return np.mean(np.mean(det * det, axis=2), axis=1)
 
 
-def _spectrum_points(energies: dict, levels) -> list:
-    """Spectrum points from a level -> energy map, zero energies dropped."""
-    if levels is None:
-        levels = energies
-    levels = sorted(set(int(j) for j in levels))
+def _energy_table(method: str, levels, data_level: int):
+    """Level -> column map, the (R, n_levels) level energies of the
+    (R, 2**d, m) level arrays ``levels`` (d = 0, 1, ...), and their log2."""
+    energies = {data_level - d: _level_energies(method, lv)
+                for d, lv in enumerate(levels) if d > 0}
+    table = np.array(list(energies.values())).T
+    with np.errstate(divide="ignore"):  # zero energies are dropped later
+        log_table = np.log2(table)
+    return {j: c for c, j in enumerate(energies)}, table, log_table
+
+
+def _row_spectrum(request, columns: dict, energies: np.ndarray,
+                  log_energies: np.ndarray):
+    """Levels (as floats) and log2 energies of one row's spectrum.
+
+    ``request`` lists the levels to keep (None: every level of
+    ``columns``, which maps a level to its column of the row's
+    ``energies``); zero-energy levels are dropped with a warning.
+    """
+    levels = sorted(columns if request is None
+                    else set(int(j) for j in request))
     if not levels:
         raise ConfigurationError("no spectrum levels requested")
     for j in levels:
-        if j not in energies:
+        if j not in columns:
             raise ConfigurationError(
                 f"level {j} not present (decomposed levels: "
-                f"{sorted(energies)})")
-    pts = []
+                f"{sorted(columns)})")
+    row, kept = energies.tolist(), []
     for j in levels:
-        e = float(energies[j])
-        if e <= 0.0:
+        if row[columns[j]] <= 0.0:
             warnings.warn(
                 f"level {j} has zero energy; point dropped", RuntimeWarning,
                 stacklevel=4)
-            continue
-        pts.append(SpectrumPoint(level=j, log_energy=float(np.log2(e))))
-    return pts
+        else:
+            kept.append(j)
+    return (np.array(kept, dtype=float),
+            log_energies[[columns[j] for j in kept]])
 
 
 def _tree_spectrum(method: str, tree: PacketTree, levels) -> list:
-    energies = {tree.data_level - d: _level_energies(method, lv[None])[0]
-                for d, lv in enumerate(tree.levels) if d > 0}
-    return _spectrum_points(energies, levels)
+    columns, energies, log_energies = _energy_table(
+        method, [lv[None] for lv in tree.levels], tree.data_level)
+    xs, ys = _row_spectrum(levels, columns, energies[0], log_energies[0])
+    return [SpectrumPoint(level=int(j), log_energy=y)
+            for j, y in zip(xs, ys.tolist())]
 
 
 def spectrum_dwt(tree: PacketTree, levels=None) -> list:
@@ -147,6 +165,16 @@ def _ols(xs: np.ndarray, ys: np.ndarray) -> SlopeFit:
         r2 = 1.0
     return SlopeFit(slope=slope, intercept=intercept,
                     n_points=len(xs), r_squared=r2)
+
+
+def _level_fit(spectrum) -> SlopeFit:
+    """Line through one row's (levels, log energies) from _row_spectrum,
+    whose levels are distinct; needs at least two of them."""
+    xs, ys = spectrum
+    if len(xs) < 2:
+        raise EstimationError(
+            f"slope fit needs at least 2 spectrum points, got {len(xs)}")
+    return _ols(xs, ys)
 
 
 def hurst_dwt(slope: float) -> float:
@@ -202,10 +230,10 @@ def _descriptors(method: str, levels, data_level: int, level_sets):
             np.copyto(coeffs.reshape(lv.shape), lv, where=mask[:, :, None])
         fit, args = _rank_size_sorted, np.sort(np.abs(coeffs), axis=1)[:, ::-1]
     else:
-        energies = {data_level - d: _level_energies(method, lv)
-                    for d, lv in enumerate(levels) if d > 0}
-        fit, args = fit_slope, (
-            _spectrum_points({j: e[r] for j, e in energies.items()}, lv_set)
+        columns, energies, log_energies = _energy_table(method, levels,
+                                                        data_level)
+        fit, args = _level_fit, (
+            _row_spectrum(lv_set, columns, energies[r], log_energies[r])
             for r, lv_set in enumerate(level_sets))
     for a in args:
         try:

@@ -178,6 +178,9 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
         raise ConfigurationError(f"unknown methods: {sorted(unknown)}")
     if not methods:
         raise ConfigurationError("no methods requested")
+    for i, m in enumerate(methods):
+        if m in methods[:i]:  # one cell per (H, method)
+            raise ConfigurationError(f"repeated method {m!r}")
 
     threads = resolve_threads(threads)
     J = length.bit_length() - 1

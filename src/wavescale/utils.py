@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ConfigurationError
 
@@ -34,6 +33,8 @@ def map_ordered(fn, items, threads=1) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor  # only when pooling
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -165,20 +165,22 @@ def _analysis_rows(rows: np.ndarray, f: FilterPair):
     """One analysis step applied to every row of a matrix.
 
     Row r maps to approx[r, k] = sum_i h[i] * rows[r, (2k+i) mod n] and the
-    analogous high-pass output; both halves have n/2 columns.  Taps
-    accumulate in index order so results are bit-identical regardless of
-    how many rows are processed together.
+    analogous high-pass output; both halves have n/2 columns.  The rows are
+    extended periodically by L - 2 columns, so tap i reads the strided view
+    ``ext[:, i:i + n - 1:2]``.  Taps accumulate in index order so results
+    are bit-identical regardless of how many rows are processed together.
     """
     n = rows.shape[1]
     if n % 2:
         raise ShapeError(f"analysis step needs an even length, got {n}")
-    base = 2 * np.arange(n // 2)
+    ext = np.concatenate((rows, rows[:, np.arange(f.length - 2) % n]), axis=1)
     approx = np.zeros((rows.shape[0], n // 2))
     detail = np.zeros_like(approx)
+    term = np.empty_like(approx)
     for i in range(f.length):
-        cols = rows[:, (base + i) % n]
-        approx += f.low[i] * cols
-        detail += f.high[i] * cols
+        cols = ext[:, i:i + n - 1:2]
+        approx += np.multiply(f.low[i], cols, out=term)
+        detail += np.multiply(f.high[i], cols, out=term)
     return approx, detail
 
 

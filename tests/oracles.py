@@ -185,19 +185,27 @@ def reference_read_feature_csv(path):
 # the best-basis search, and one estimator call per window.  It is the
 # reference for the row-batched kernels.
 
+def reference_analysis_rows(rows, f):
+    """One analysis step on every row, gathering columns (2k + i) mod n for
+    each tap i and accumulating the taps in index order."""
+    n = rows.shape[1]
+    base = 2 * np.arange(n // 2)
+    approx = np.zeros((rows.shape[0], n // 2))
+    detail = np.zeros_like(approx)
+    for i in range(f.length):
+        cols = rows[:, (base + i) % n]
+        approx += f.low[i] * cols
+        detail += f.high[i] * cols
+    return approx, detail
+
+
 def reference_wpd_levels(x, f, depth):
     """Level matrices 0..depth of the packet table of one signal."""
     levels = [np.asarray(x, dtype=float)[None, :].copy()]
     for _ in range(depth):
         rows = levels[-1]
         n = rows.shape[1]
-        base = 2 * np.arange(n // 2)
-        approx = np.zeros((rows.shape[0], n // 2))
-        detail = np.zeros_like(approx)
-        for i in range(f.length):
-            cols = rows[:, (base + i) % n]
-            approx += f.low[i] * cols
-            detail += f.high[i] * cols
+        approx, detail = reference_analysis_rows(rows, f)
         nxt = np.empty((2 * rows.shape[0], n // 2))
         nxt[0::2] = approx
         nxt[1::2] = detail

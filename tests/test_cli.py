@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wavescale.classify as classify
+import wavescale.pipeline as pipeline
 from wavescale import (BenchmarkReport, ConfigurationError, EstimationError,
                        FeatureMatrix, cli, two_class_fbm_dataset)
 from wavescale.cli import main, parse_float_range, parse_int_range
@@ -69,7 +71,9 @@ def _no_draws(monkeypatch):
     (["--h", "0..1"], "got 0.0"),
     (["--h", ""], "empty H grid"),
     (["--h", "0.5", "--reps", "1"], "n_reps must be >= 2"),
-], ids=["h-above-1", "h-closed-range", "h-empty", "one-rep"])
+    (["--h", "0.5", "--methods", "dwt,wang,dwt"], "repeated method 'dwt'"),
+], ids=["h-above-1", "h-closed-range", "h-empty", "one-rep",
+        "repeated-method"])
 def test_simulate_bad_grid_or_reps_exit_2_before_drawing(
         tmp_path, capsys, monkeypatch, flags, message):
     _no_draws(monkeypatch)
@@ -218,7 +222,7 @@ def test_extract_missing_out_dir_exit_2_before_ingest(tmp_path, capsys,
     def no_ingest(*args, **kwargs):
         raise AssertionError("the dataset was read")
 
-    monkeypatch.setattr("wavescale.cli.load_dataset", no_ingest)
+    monkeypatch.setattr("wavescale.pipeline.load_dataset", no_ingest)
     missing = tmp_path / "missing" / "f.csv"
     rc = main(["extract", "--matrix", str(tmp_path / "m.csv"),
                "--labels", str(tmp_path / "l.csv"), "--method", "dwt",
@@ -319,7 +323,8 @@ def test_pipeline_interrupt_removes_partial_outputs(tmp_path, monkeypatch):
         assert any(out_dir.rglob("features.csv"))
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("wavescale.cli.write_window_metadata_csv", interrupt)
+    monkeypatch.setattr("wavescale.pipeline.write_window_metadata_csv",
+                        interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["pipeline", str(cfg)])
     assert list(out_dir.iterdir()) == []
@@ -487,8 +492,9 @@ def test_threads_env_checked_before_ingest(tmp_path, capsys, monkeypatch,
     def no_input(*args, **kwargs):
         raise AssertionError("an input was read")
 
-    for name in ("load_dataset", "read_feature_csv", "run_estimator_benchmark"):
-        monkeypatch.setattr(f"wavescale.cli.{name}", no_input)
+    for name in ("pipeline.load_dataset", "pipeline.read_feature_csv",
+                 "fbm.run_estimator_benchmark"):
+        monkeypatch.setattr(f"wavescale.{name}", no_input)
     monkeypatch.setenv("WAVESCALE_THREADS", value)
     matrix, labels = tmp_path / "m.csv", tmp_path / "l.csv"
     for path in (matrix, labels):
@@ -514,10 +520,12 @@ def test_threads_env_checked_before_ingest(tmp_path, capsys, monkeypatch,
 
 # (owner, name) of every function that writes an output file; the path is
 # always its last argument
-_WRITERS = [(BenchmarkReport, "write_csv"), (FeatureMatrix, "write_csv")] + [
-    (cli, name) for name in (
-        "write_window_metadata_csv", "write_screen_csv", "write_per_repeat_csv",
-        "write_eval_csv", "write_correlation_csv", "_write_selected_features")]
+_WRITERS = [(BenchmarkReport, "write_csv"), (FeatureMatrix, "write_csv"),
+            (pipeline, "write_window_metadata_csv"),
+            (pipeline, "write_screen_csv"),
+            (classify, "write_per_repeat_csv"), (classify, "write_eval_csv"),
+            (classify, "write_correlation_csv"),
+            (cli, "_write_selected_features")]
 
 
 def _output_set_argv(tmp_path, command, out_dir):
@@ -591,7 +599,7 @@ def _no_input(monkeypatch):
         raise AssertionError("an input was read")
 
     for name in ("load_dataset", "read_feature_csv"):
-        monkeypatch.setattr(f"wavescale.cli.{name}", no_input)
+        monkeypatch.setattr(f"wavescale.pipeline.{name}", no_input)
 
 
 def test_classify_rejects_repeated_kind_before_reading(tmp_path, capsys,
@@ -670,7 +678,7 @@ def test_pipeline_fails_before_extraction(tmp_path, capsys, monkeypatch,
     def no_extraction(*args, **kwargs):
         raise AssertionError("extraction was reached")
 
-    monkeypatch.setattr("wavescale.cli.extract_features", no_extraction)
+    monkeypatch.setattr("wavescale.pipeline.extract_features", no_extraction)
     matrix, labels = _write_dataset(tmp_path, n_per_class=n_per_class)
     out_dir = tmp_path / "out"
     cfg = _write_config(tmp_path, matrix, labels, out_dir)

@@ -132,15 +132,15 @@ def test_benchmark_thread_count_does_not_change_results():
 
 def test_benchmark_counts_failures(monkeypatch):
     calls = {"n": 0}
-    real = estimators_mod.fit_slope
+    real = estimators_mod._level_fit
 
-    def flaky(points):
+    def flaky(spectrum):
         calls["n"] += 1
         if calls["n"] % 3 == 0:
             raise EstimationError("synthetic failure")
-        return real(points)
+        return real(spectrum)
 
-    monkeypatch.setattr(estimators_mod, "fit_slope", flaky)
+    monkeypatch.setattr(estimators_mod, "_level_fit", flaky)
     report = run_estimator_benchmark([0.5], n_reps=12, length=64,
                                      methods=("dwt",), master_seed=1)
     cell = report.cell(0.5, "dwt")
@@ -172,6 +172,20 @@ def test_benchmark_rejects_bad_grid_before_drawing(monkeypatch, h_grid, reps,
     monkeypatch.setattr(fbm_mod, "_fgn_rows", no_draws)
     with pytest.raises(ConfigurationError, match=text):
         run_estimator_benchmark(h_grid, n_reps=reps, length=64)
+
+
+@pytest.mark.parametrize("methods", [("dwt", "dwt"),
+                                     ("jones", "wang", "jones")])
+def test_benchmark_rejects_repeated_method_before_drawing(monkeypatch,
+                                                          methods):
+    # a repeated method would compute and report the same cells twice
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(fbm_mod, "_fgn_rows", no_draws)
+    with pytest.raises(ConfigurationError,
+                       match=f"repeated method '{methods[0]}'"):
+        run_estimator_benchmark([0.5], n_reps=4, length=64, methods=methods)
 
 
 def test_benchmark_csv_bytes_deterministic(tmp_path):
