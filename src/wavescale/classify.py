@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationError
 from .pipeline import FeatureMatrix, fisher_ratio, fisher_scores
-from .utils import format_float, map_ordered, resolve_threads
+from .utils import format_float, map_ordered
 
 SELECTION_MODES = ("per-split", "global")
 
@@ -437,7 +437,8 @@ def check_evaluation(classifiers, ps, n_windows: int, n_samples: int,
 def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
                          split: SplitSpec, apply_standardize: bool = True,
                          selection_mode: str = "per-split",
-                         keep_per_repeat: bool = False, threads=None) -> list:
+                         keep_per_repeat: bool = False,
+                         threads: int = 1) -> list:
     """One list of EvalReports per spec of ``classifiers``, one report
     per p in ``ps``, all from the same splits.
 
@@ -471,7 +472,7 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
 
     chunks = [range(lo, min(lo + _CHUNK, split.n_repeats))
               for lo in range(0, split.n_repeats, _CHUNK)]
-    rows = map_ordered(one_chunk, chunks, threads=resolve_threads(threads))
+    rows = map_ordered(one_chunk, chunks, threads=threads)
     test_acc = np.concatenate([r[0] for r in rows], axis=-1) * 100.0
     train_acc = np.concatenate([r[1] for r in rows], axis=-1) * 100.0
     redraws = int(sum(r[2].sum() for r in rows))
@@ -495,7 +496,7 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
 def evaluate(features: FeatureMatrix, classifier_spec: ClassifierSpec,
              p: int, split: SplitSpec, apply_standardize: bool = True,
              selection_mode: str = "per-split", keep_per_repeat: bool = False,
-             threads=None) -> EvalReport:
+             threads: int = 1) -> EvalReport:
     """Mean test accuracy over seeded repeated holdout splits.
 
     Each repeat draws a uniform train subset of round(train_fraction * n)
@@ -521,7 +522,7 @@ def accuracy_vs_feature_count(features: FeatureMatrix,
                               p_range=None, split: SplitSpec = None,
                               apply_standardize: bool = True,
                               selection_mode: str = "per-split",
-                              threads=None) -> list:
+                              threads: int = 1) -> list:
     """Evaluate across feature counts; returns one EvalReport per p.
 
     ``p_range`` defaults to 1..W and ``split`` to 1,000 repeats, giving

@@ -13,6 +13,7 @@ import csv
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, EstimationError, IngestionError, ShapeError
 from .estimators import METHODS
-from .utils import format_float, resolve_threads
+from .utils import check_threads, format_float
 
 # Each cmd_* imports the modules it runs, so a subcommand loads only those.
 
@@ -66,8 +67,8 @@ def parse_int_range(text: str):
 
 
 def _add_threads(p: argparse.ArgumentParser):
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: WAVESCALE_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads (default 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--methods", default="dwt,wang,jones")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", default="hurst_benchmark.csv")
-    _add_threads(sim)
 
     ext = sub.add_parser("extract", help="rolling-window feature extraction")
     ext.add_argument("--matrix", required=True,
@@ -162,29 +162,34 @@ def _make_out_dir(out_dir) -> Path:
 def _output_set(paths):
     """Stage the output files ``paths``; make them visible only together.
 
-    Checks every destination before the body runs (a missing directory or
-    a path that is a directory is a ConfigurationError) and yields one
-    staged path per destination.  Destinations that share a directory share
-    one staging directory created in it, so each ``os.replace`` stays on
-    one filesystem.  When the body returns, the staged files replace the
+    Checks every destination before the body runs (a missing directory, a
+    path that is a directory or two paths naming one file is a
+    ConfigurationError) and yields one staged path per destination.
+    Destinations that share a directory share one staging directory
+    created in it, so each ``os.replace`` stays on one filesystem.  When the body returns, the staged files replace the
     destinations; on any exception, an interrupt too, the staging
     directories are removed and the destinations stay as they were.
     """
     paths = [Path(p) for p in paths]
-    for path in paths:
+    resolved = [p.resolve() for p in paths]
+    for i, path in enumerate(paths):
         if path.is_dir():
             raise ConfigurationError(f"output path {str(path)!r} is a directory")
         if not path.parent.is_dir():
             raise ConfigurationError(
                 f"output directory {str(path.parent)!r} for {str(path)!r} does "
                 "not exist")
+        if resolved[i] in resolved[:i]:
+            first = paths[resolved.index(resolved[i])]
+            raise ConfigurationError(f"output paths {str(first)!r} and "
+                                     f"{str(path)!r} name the same file")
     with ExitStack() as stack:
         stages = {parent: Path(stack.enter_context(tempfile.TemporaryDirectory(
                       prefix=".wavescale-", dir=parent)))
                   for parent in dict.fromkeys(p.parent for p in paths)}
         staged = [stages[p.parent] / p.name for p in paths]
         yield staged
-        for path, tmp in dict(zip(paths, staged)).items():  # each path once
+        for path, tmp in zip(paths, staged):
             tmp.replace(path)
 
 
@@ -196,7 +201,7 @@ def cmd_simulate(args) -> int:
     with _output_set([args.out]) as (out,):
         report = run_estimator_benchmark(
             h_grid, n_reps=args.reps, length=args.n, methods=methods,
-            master_seed=args.seed, threads=args.threads)
+            master_seed=args.seed)
         report.write_csv(out)
     print(f"wrote {args.out} ({len(report.entries)} cells)")
     return 0
@@ -218,6 +223,8 @@ def cmd_extract(args) -> int:
 
     method_config = _method_config_from_args(args)
     method_config.check(args.window_len)  # before minutes of ingest
+    if args.stride < 1:
+        raise ConfigurationError(f"--stride must be >= 1, got {args.stride}")
     meta = args.meta or str(Path(args.out).with_suffix("")) + "_windows.csv"
     with _output_set([args.out, meta]) as (out, staged_meta):
         dataset = load_dataset(args.matrix, args.labels)
@@ -241,15 +248,16 @@ def _classify_outputs(classifiers, curve, per_repeat_log) -> list:
 
 
 def _classify_feature_matrix(features, classifiers, p, split, curve,
-                             curve_repeats, standardize_flag, selection_mode,
+                             curve_split, standardize_flag, selection_mode,
                              out_dir: Path, threads,
                              per_repeat_log=False) -> None:
     """Evaluate every classifier on the FeatureMatrix ``features`` at ``p``
-    and, unless ``curve`` is None, at each feature count it lists; write
-    the files of ``_classify_outputs`` into ``out_dir``."""
-    from .classify import (SplitSpec, evaluate_classifiers,
-                           feature_correlation, write_correlation_csv,
-                           write_eval_csv, write_per_repeat_csv)
+    on ``split`` and, unless ``curve`` is None, at each feature count it
+    lists on ``curve_split``; write the files of ``_classify_outputs`` into
+    ``out_dir``.  The callers have run ``check_evaluation`` on every p."""
+    from .classify import (evaluate_classifiers, feature_correlation,
+                           write_correlation_csv, write_eval_csv,
+                           write_per_repeat_csv)
     from .pipeline import fisher_scores, select_top
 
     reports = [r[0] for r in evaluate_classifiers(
@@ -262,9 +270,6 @@ def _classify_feature_matrix(features, classifiers, p, split, curve,
     write_eval_csv(reports, out_dir / "accuracy.csv")
 
     if curve is not None:
-        curve_split = SplitSpec(train_fraction=split.train_fraction,
-                                n_repeats=curve_repeats,
-                                master_seed=split.master_seed)
         curves = evaluate_classifiers(
             features, classifiers, curve, curve_split,
             apply_standardize=standardize_flag,
@@ -293,7 +298,7 @@ def _write_selected_features(features, selected, path):
 
 
 def cmd_classify(args) -> int:
-    from .classify import SplitSpec
+    from .classify import SplitSpec, check_evaluation
     from .pipeline import balance_feature_rows, read_feature_csv
 
     classifiers = _parse_classifier_names(args.classifiers)
@@ -302,6 +307,9 @@ def cmd_classify(args) -> int:
         curve = parse_int_range(args.curve)
         if not curve:
             raise ConfigurationError(f"--curve: no values in {args.curve!r}")
+    split = SplitSpec(train_fraction=args.train_fraction,
+                      n_repeats=args.repeats, master_seed=args.seed)
+    curve_split = replace(split, n_repeats=args.curve_repeats)
     out_dir = _make_out_dir(args.out_dir)
     outputs = [out_dir / name for name in
                _classify_outputs(classifiers, curve, args.per_repeat_log)]
@@ -309,10 +317,10 @@ def cmd_classify(args) -> int:
         features = read_feature_csv(args.features)
         if args.balance:
             features = balance_feature_rows(features, args.seed)
-        split = SplitSpec(train_fraction=args.train_fraction,
-                          n_repeats=args.repeats, master_seed=args.seed)
+        check_evaluation(classifiers, [args.p, *(curve or ())],
+                         features.n_windows, len(features.labels), split)
         _classify_feature_matrix(
-            features, classifiers, args.p, split, curve, args.curve_repeats,
+            features, classifiers, args.p, split, curve, curve_split,
             args.standardize, args.selection, staged[0].parent, args.threads,
             per_repeat_log=args.per_repeat_log)
     print("wrote " + ", ".join(str(p) for p in outputs))
@@ -350,7 +358,7 @@ def cmd_pipeline(args) -> int:
         write_screen_csv(features, screen_csv)
         _classify_feature_matrix(
             features, cfg.classifiers, cfg.p, cfg.split, curve,
-            cfg.curve_repeats, cfg.standardize, cfg.selection_mode,
+            replace(cfg.split, n_repeats=cfg.curve_repeats), cfg.standardize, cfg.selection_mode,
             features_csv.parent, cfg.threads,
             per_repeat_log=cfg.per_repeat_log)
     print("pipeline complete; wrote " + ", ".join(str(p) for p in outputs))
@@ -369,7 +377,7 @@ def main(argv=None) -> int:
     }
     try:
         if hasattr(args, "threads"):  # pipeline checks its config's count
-            args.threads = resolve_threads(args.threads)
+            check_threads(args.threads)
         return handlers[args.command](args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

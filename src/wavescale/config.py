@@ -19,7 +19,7 @@ from .classify import SELECTION_MODES, ClassifierSpec, SplitSpec
 from .errors import ConfigurationError
 from .estimators import METHODS
 from .pipeline import MethodConfig, default_method_config
-from .utils import resolve_threads
+from .utils import check_threads
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,13 @@ class RunConfig:
     seed: int
     threads: int
     output_dir: Path
-    dataset_tag: str = None
     per_repeat_log: bool = False
 
 
 _TOP_KEYS = ("dataset method wavelet depth levels window balance classifiers "
              "split features standardize selection seed threads output_dir "
              "per_repeat_log")
-_CLASSIFIER_KEYS = {"logistic": "kind C l2_c max_iters tol", "knn": "kind k"}
+_CLASSIFIER_KEYS = {"logistic": "kind C max_iters tol", "knn": "kind k"}
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -143,8 +142,7 @@ def _parse_classifiers(raw) -> tuple:
         if kind == "logistic":
             specs.append(ClassifierSpec(
                 kind="logistic",
-                l2_c=_get(entry, "C", where, float,
-                          _get(entry, "l2_c", where, float, 1.0)),
+                l2_c=_get(entry, "C", where, float, 1.0),
                 max_iters=_get(entry, "max_iters", where, int, 500),
                 tol=_get(entry, "tol", where, float, 1e-6)))
         else:
@@ -160,9 +158,8 @@ def load_run_config(path) -> RunConfig:
 
     Besides key names and value types, the window length, stride,
     decomposition depth and wavelet family, the level plan's windows and
-    levels, ``features.p``, ``features.curve`` and the thread count (from
-    ``threads`` or the WAVESCALE_THREADS variable) are checked here, before
-    any input is read.
+    levels, ``features.p``, ``features.curve``, ``features.curve_repeats``
+    and ``threads`` are checked here, before any input is read.
     """
     path = Path(path)
     try:
@@ -182,14 +179,13 @@ def load_run_config(path) -> RunConfig:
     for p in (matrix_path, labels_path):
         if not p.exists():
             raise ConfigurationError(f"referenced path does not exist: {p}")
-    dataset_tag = _get(dataset, "tag", "dataset", str)
 
     method = _require(raw, "method", str(path))
     if method not in METHODS:
         raise ConfigurationError(
             f"method must be one of {METHODS}, got {method!r}")
 
-    base = default_method_config(method, dataset_tag)
+    base = default_method_config(method, _get(dataset, "tag", "dataset", str))
     plan = (_parse_level_plan(_get(raw, "levels", "", list))
             if "levels" in raw else base.level_plan)
     method_config = MethodConfig(
@@ -227,6 +223,9 @@ def load_run_config(path) -> RunConfig:
                 f"features.curve must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")
         curve = (lo, hi)
     curve_repeats = _get(features, "curve_repeats", "features", int, 1000)
+    if curve_repeats < 1:
+        raise ConfigurationError(
+            f"features.curve_repeats must be >= 1, got {curve_repeats}")
 
     classifiers = _parse_classifiers(_get(
         raw, "classifiers", "", list, [{"kind": "logistic"}, {"kind": "knn"}]))
@@ -252,8 +251,7 @@ def load_run_config(path) -> RunConfig:
         standardize=_get(raw, "standardize", "", bool, True),
         selection_mode=selection_mode,
         seed=seed,
-        threads=resolve_threads(_get(raw, "threads", "", int)),
+        threads=check_threads(_get(raw, "threads", "", int, 1)),
         output_dir=Path(_get(raw, "output_dir", "", str, ".")),
-        dataset_tag=dataset_tag,
         per_repeat_log=_get(raw, "per_repeat_log", "", bool, False),
     )

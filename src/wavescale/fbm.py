@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationError
 from .estimators import METHODS, scaling_descriptors
-from .utils import format_float, map_ordered, resolve_threads
+from .utils import format_float, map_ordered
 from .wavelets import make_filter
 
 _EIGENVALUE_FLOOR = -1e-9
@@ -148,7 +148,7 @@ def fbm_from_fgn(fgn: np.ndarray) -> np.ndarray:
 
 def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
                             methods=METHODS, master_seed: int = 0,
-                            threads=None) -> BenchmarkReport:
+                            threads: int = 1) -> BenchmarkReport:
     """Estimate H on simulated paths and aggregate per (H, method).
 
     For every H in ``h_grid``, ``n_reps`` independent paths of the given
@@ -182,7 +182,6 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
         if m in methods[:i]:  # one cell per (H, method)
             raise ConfigurationError(f"repeated method {m!r}")
 
-    threads = resolve_threads(threads)
     J = length.bit_length() - 1
     filters = {fam: make_filter(fam)
                for fam in {_METHOD_FAMILY[m] for m in methods}}

@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EstimationError, IngestionError
 from .estimators import METHODS, scaling_descriptors
-from .utils import format_float, map_ordered, resolve_threads
+from .utils import format_float, map_ordered
 from .wavelets import make_filter
 
 LABEL_ALIASES = {"case": 1, "control": 0, "1": 1, "0": 0}
@@ -332,7 +332,7 @@ def make_windows(n_bins: int, window_len: int = 1024, stride: int = 500) -> Wind
 
 def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
                      method_config: MethodConfig = None,
-                     threads=None) -> FeatureMatrix:
+                     threads: int = 1) -> FeatureMatrix:
     """Estimate one scaling descriptor per (sample, window).
 
     The window length must be a power of two compatible with the
@@ -347,7 +347,6 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
     wl = grid.window_len
     method_config.check(wl)
     f = make_filter(method_config.family)
-    threads = resolve_threads(threads)
     level_sets = [method_config.levels_for(w + 1) for w in range(grid.count)]
 
     def one_sample(s):

@@ -2,36 +2,25 @@
 
 from __future__ import annotations
 
-import os
-
 from .errors import ConfigurationError
 
-THREADS_ENV_VAR = "WAVESCALE_THREADS"
 
-
-def resolve_threads(threads=None) -> int:
-    """Thread count from an explicit value or the WAVESCALE_THREADS variable."""
-    source = "thread count"
-    if threads is None:
-        source, threads = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR) or 1
-    try:
-        threads = int(threads)
-    except ValueError:
-        raise ConfigurationError(
-            f"{source} must be an integer, got {threads!r}") from None
+def check_threads(threads: int) -> int:
+    """``threads``, checked to be a usable thread count."""
     if threads < 1:
-        raise ConfigurationError(f"{source} must be >= 1, got {threads}")
+        raise ConfigurationError(f"thread count must be >= 1, got {threads}")
     return threads
 
 
-def map_ordered(fn, items, threads=1) -> list:
+def map_ordered(fn, items, threads: int = 1) -> list:
     """Apply ``fn`` to items, optionally on a thread pool.
 
     Results come back in input order, so output is identical for any
     thread count as long as ``fn`` is deterministic per item.
     """
+    check_threads(threads)
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    if threads == 1 or len(items) <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ThreadPoolExecutor  # only when pooling
 

@@ -227,6 +227,13 @@ def test_evaluate_deterministic_and_thread_invariant():
     assert r1 == r2
 
 
+def test_evaluate_rejects_a_thread_count_below_1():
+    with pytest.raises(ConfigurationError,
+                       match="thread count must be >= 1, got 0"):
+        evaluate(_gaussian_blobs(), ClassifierSpec(kind="knn"), p=3,
+                 split=SplitSpec(n_repeats=4), threads=0)
+
+
 def test_evaluate_affine_rescaling_invariance():
     fm = _gaussian_blobs(seed=10)
     rng = np.random.default_rng(11)

@@ -10,7 +10,6 @@ from wavescale import (BenchmarkReport, ConfigurationError, EstimationError,
                        FeatureMatrix, cli, two_class_fbm_dataset)
 from wavescale.cli import main, parse_float_range, parse_int_range
 from wavescale.config import load_run_config
-from wavescale.utils import resolve_threads
 
 
 # ----------------------------------------------------------- flag parsing
@@ -27,14 +26,6 @@ def test_parse_int_range():
     assert parse_int_range("1..5") == [1, 2, 3, 4, 5]
     assert parse_int_range("3,9") == [3, 9]
     assert parse_int_range("7") == [7]
-
-
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("WAVESCALE_THREADS", "3")
-    assert resolve_threads(None) == 3
-    monkeypatch.delenv("WAVESCALE_THREADS")
-    assert resolve_threads(None) == 1
-    assert resolve_threads(5) == 5
 
 
 # --------------------------------------------------------------- simulate
@@ -98,6 +89,17 @@ def test_simulate_unwritable_out_exit_2_before_drawing(tmp_path, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert message in err and str(tmp_path) in err
+
+
+def test_simulate_has_no_threads_flag(tmp_path, capsys, monkeypatch):
+    _no_draws(monkeypatch)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--h", "0.5", "--reps", "4", "--n", "64",
+              "--threads", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_2():
@@ -214,6 +216,26 @@ def test_extract_rejects_bad_values_before_any_output(tmp_path, capsys,
     assert re.search(message, capsys.readouterr().err)
     assert not feats.exists()
     assert not (tmp_path / "f_windows.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--stride", "0"], "--stride must be >= 1, got 0"),
+    (["--meta", "{out}"], "name the same file"),
+    (["--meta", "{tmp}/sub/../f.csv"], "name the same file"),
+], ids=["stride", "meta-is-out", "meta-resolves-to-out"])
+def test_extract_bad_flags_exit_2_before_ingest(tmp_path, capsys, monkeypatch,
+                                                flags, message):
+    _no_input(monkeypatch)
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "f.csv"
+    flags = [f.format(out=out, tmp=tmp_path) for f in flags]
+    rc = main(["extract", "--matrix", str(tmp_path / "m.csv"),
+               "--labels", str(tmp_path / "l.csv"), "--method", "dwt",
+               "--depth", "9", "--window-len", "512", "--out", str(out)]
+              + flags)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
 @pytest.mark.parametrize("flag", ["--out", "--meta"])
@@ -364,7 +386,9 @@ def test_pipeline_config_missing_path_exit_2(tmp_path, capsys):
     ("  stride: 512", "  strides: 512", "window: unknown key(s) 'strides'"),
     ("  labels:", "  tags: x\n  labels:", "dataset: unknown key(s) 'tags'"),
     ("seed: 11", "seed: 11\nselection: globl", "'globl'"),
-], ids=["split", "top-level", "classifier", "window", "dataset", "selection"])
+    ("    C: 1.0", "    l2_c: 1.0", "classifiers[0]: unknown key(s) 'l2_c'"),
+], ids=["split", "top-level", "classifier", "window", "dataset", "selection",
+        "l2_c"])
 def test_pipeline_config_rejects_unknown_keys_before_ingest(tmp_path, capsys,
                                                             old, new,
                                                             message):
@@ -452,13 +476,15 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "features.curve must satisfy 1 <= lo <= hi, got [3, 1]"),
     ("  curve: [1, 3]", "  curve: [0, 3]",
      "features.curve must satisfy 1 <= lo <= hi, got [0, 3]"),
+    ("  curve_repeats: 10", "  curve_repeats: 0",
+     "features.curve_repeats must be >= 1, got 0"),
     ("method: wang", "method: wang\nthreads: 0",
      "thread count must be >= 1, got 0"),
     ("  - kind: knn\n    k: 5", "  - kind: logistic",
      "classifiers[1]: repeated classifier kind 'logistic'"),
 ], ids=["stride", "plan-windows-order", "plan-windows-zero", "plan-level-high",
-        "plan-level-low", "p", "curve-order", "curve-zero", "threads",
-        "repeated-kind"])
+        "plan-level-low", "p", "curve-order", "curve-zero", "curve-repeats",
+        "threads", "repeated-kind"])
 def test_pipeline_config_rejects_bad_values_before_ingest(tmp_path, capsys,
                                                           old, new, message):
     _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
@@ -481,38 +507,40 @@ def test_config_example_keys_are_all_accepted(tmp_path):
 
 # ------------------------------------------------------------ thread count
 
-@pytest.mark.parametrize("value, message", [
-    ("0", "WAVESCALE_THREADS must be >= 1, got 0"),
-    ("abc", "WAVESCALE_THREADS must be an integer, got 'abc'"),
-], ids=["zero", "not-an-integer"])
-@pytest.mark.parametrize("command",
-                         ["simulate", "extract", "classify", "pipeline"])
+@pytest.mark.parametrize("value", ["0", "abc"], ids=["zero", "not-an-integer"])
+@pytest.mark.parametrize("command", ["extract", "classify", "pipeline"])
 def test_threads_env_checked_before_ingest(tmp_path, capsys, monkeypatch,
-                                           command, value, message):
-    def no_input(*args, **kwargs):
-        raise AssertionError("an input was read")
-
-    for name in ("pipeline.load_dataset", "pipeline.read_feature_csv",
-                 "fbm.run_estimator_benchmark"):
-        monkeypatch.setattr(f"wavescale.{name}", no_input)
-    monkeypatch.setenv("WAVESCALE_THREADS", value)
+                                           command, value):
+    """The thread count, from ``--threads`` for extract and classify and
+    from the config's ``threads`` key for pipeline, is checked before any
+    input is read."""
+    _no_input(monkeypatch)
     matrix, labels = tmp_path / "m.csv", tmp_path / "l.csv"
     for path in (matrix, labels):
         path.write_text("not read\n", encoding="utf-8")
+    threads = ["--threads", value]
     argv = {
-        "simulate": ["simulate", "--h", "0.5", "--reps", "4", "--n", "64",
-                     "--out", str(tmp_path / "s.csv")],
         "extract": ["extract", "--matrix", str(matrix), "--labels",
                     str(labels), "--method", "dwt", "--depth", "9",
-                    "--window-len", "512", "--out", str(tmp_path / "f.csv")],
+                    "--window-len", "512", "--out", str(tmp_path / "f.csv"),
+                    *threads],
         "classify": ["classify", "--features", str(matrix),
-                     "--out-dir", str(tmp_path / "out")],
+                     "--out-dir", str(tmp_path / "out"), *threads],
         "pipeline": ["pipeline", str(_write_config(
-            tmp_path, matrix, labels, tmp_path / "out"))],
+            tmp_path, matrix, labels, tmp_path / "out",
+            extra=f"threads: {value}\n"))],
     }[command]
+    message = {"0": "thread count must be >= 1, got 0",
+               "abc": ("threads: expected an integer, got 'abc'"
+                       if command == "pipeline"
+                       else "argument --threads: invalid int value: 'abc'")}
     before = sorted(tmp_path.iterdir())
-    assert main(argv) == 2
-    assert message in capsys.readouterr().err
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a non-integer flag value
+        code = exc.code
+    assert code == 2
+    assert message[value] in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -635,6 +663,32 @@ def test_classify_curve_writes_exactly_the_listed_p(tmp_path):
     for kind in ("logistic", "knn"):
         assert [row.split(",")[1] for row in listed[kind]] == ["1", "3"]
         assert listed[kind] == [full[kind][0], full[kind][2]]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--curve", "1..7"], "p must be in 1..6, got 7"),
+    (["--curve", "1..3", "--curve-repeats", "0"],
+     "n_repeats must be >= 1, got 0"),
+], ids=["curve", "curve-repeats"])
+def test_classify_checks_the_curve_before_evaluating(tmp_path, capsys,
+                                                     monkeypatch, flags,
+                                                     message):
+    matrix, labels = _write_dataset(tmp_path, n_per_class=5)
+    feats = tmp_path / "f.csv"
+    assert main(["extract", "--matrix", str(matrix), "--labels", str(labels),
+                 "--method", "wang", "--depth", "8", "--window-len", "256",
+                 "--stride", "256", "--out", str(feats)]) == 0
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("an evaluation ran")
+
+    monkeypatch.setattr("wavescale.classify.evaluate_classifiers",
+                        no_evaluation)
+    out_dir = tmp_path / "out"
+    assert main(["classify", "--features", str(feats), "--p", "2",
+                 "--repeats", "10", "--out-dir", str(out_dir)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 # ------------------------------------------------------- output directory
