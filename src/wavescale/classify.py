@@ -41,12 +41,24 @@ class SplitSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigurationError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.n_repeats < 1:
-            raise ConfigurationError(
-                f"n_repeats must be >= 1, got {self.n_repeats}")
+        check_train_fraction(self.train_fraction, "SplitSpec")
+        check_repeats(self.n_repeats, "SplitSpec")
+
+
+def check_train_fraction(train_fraction: float, source: str) -> float:
+    """``train_fraction`` if in (0, 1); the error names its ``source``."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigurationError(f"{source}: train_fraction must be in "
+                                 f"(0, 1), got {train_fraction}")
+    return train_fraction
+
+
+def check_repeats(n_repeats: int, source: str) -> int:
+    """``n_repeats`` if at least 1; the error names its ``source``."""
+    if n_repeats < 1:
+        raise ConfigurationError(
+            f"{source}: n_repeats must be >= 1, got {n_repeats}")
+    return n_repeats
 
 
 @dataclass(frozen=True)
@@ -438,20 +450,26 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
                          split: SplitSpec, apply_standardize: bool = True,
                          selection_mode: str = "per-split",
                          keep_per_repeat: bool = False,
-                         threads: int = 1) -> list:
+                         threads: int = 1, repeats=None) -> list:
     """One list of EvalReports per spec of ``classifiers``, one report
-    per p in ``ps``, all from the same splits.
+    per p in ``ps``, all from one seeded sequence of splits.
 
-    Each chunk of splits is drawn, Fisher-ranked and standardized once,
-    and every classifier scores the same columns, so each list equals
-    the one-spec call for that classifier.  See ``evaluate`` for the
-    split, the selection modes and ``threads``.
+    ``ps[i]`` is scored on the first ``repeats[i]`` splits (default
+    ``split.n_repeats``).  Chunks of splits end at multiples of _CHUNK and
+    at each count; each is drawn, Fisher-ranked and standardized once, and
+    every classifier scores the columns of each p whose count reaches it,
+    so each report equals the one-spec, one-count call.  See ``evaluate``
+    for the split, the selection modes and ``threads``.
     """
     if selection_mode not in SELECTION_MODES:
         raise ConfigurationError(
             f"selection_mode must be one of {SELECTION_MODES}")
     classifiers = list(classifiers)
     ps = [int(p) for p in ps]
+    counts = [split.n_repeats] * len(ps) if repeats is None else [
+        check_repeats(int(r), "repeats") for r in repeats]
+    if len(counts) != len(ps):
+        raise ConfigurationError(f"{len(counts)} repeats for {len(ps)} ps")
     n = len(features.labels)
     check_evaluation(classifiers, ps, features.n_windows, n, split)
     if not ps:
@@ -463,32 +481,39 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
         order = np.argsort(-fisher_scores(features), kind="stable")
 
     def one_chunk(reps):
+        live = [i for i, count in enumerate(counts) if count > reps.start]
         perms, redraws = _draw_splits(labels, n_train, split.master_seed,
                                       reps)
         columns, _ = _split_features(features.slopes, labels, perms, n_train,
-                                     ps, apply_standardize, order)
-        return (*_score_splits(columns, labels[perms], n_train, classifiers),
-                redraws)
+                                     [ps[i] for i in live], apply_standardize,
+                                     order)
+        return (live, *_score_splits(columns, labels[perms], n_train,
+                                     classifiers), redraws)
 
-    chunks = [range(lo, min(lo + _CHUNK, split.n_repeats))
-              for lo in range(0, split.n_repeats, _CHUNK)]
-    rows = map_ordered(one_chunk, chunks, threads=threads)
-    test_acc = np.concatenate([r[0] for r in rows], axis=-1) * 100.0
-    train_acc = np.concatenate([r[1] for r in rows], axis=-1) * 100.0
-    redraws = int(sum(r[2].sum() for r in rows))
-    many = split.n_repeats > 1
+    bounds = sorted({*range(0, max(counts), _CHUNK), *counts})
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    # cells past a p's own count are never set and never read
+    test_acc = np.empty((len(classifiers), len(ps), bounds[-1]))
+    train_acc = np.empty_like(test_acc)
+    redraws = np.empty(bounds[-1], dtype=int)
+    for reps, (live, test, train, redrawn) in zip(
+            chunks, map_ordered(one_chunk, chunks, threads=threads)):
+        test_acc[:, live, reps.start:reps.stop] = test * 100.0
+        train_acc[:, live, reps.start:reps.stop] = train * 100.0
+        redraws[reps.start:reps.stop] = redrawn
     return [[EvalReport(
         classifier=spec.describe(),
         p=p,
-        n_repeats=split.n_repeats,
-        mean_test_accuracy=float(te.mean()),
-        std_test_accuracy=float(te.std(ddof=1)) if many else 0.0,
-        mean_train_accuracy=float(tr.mean()),
-        std_train_accuracy=float(tr.std(ddof=1)) if many else 0.0,
-        redraws=redraws,
+        n_repeats=count,
+        mean_test_accuracy=float(te[:count].mean()),
+        std_test_accuracy=float(te[:count].std(ddof=1)) if count > 1 else 0.0,
+        mean_train_accuracy=float(tr[:count].mean()),
+        std_train_accuracy=float(tr[:count].std(ddof=1)) if count > 1 else 0.0,
+        redraws=int(redraws[:count].sum()),
         selection_mode=selection_mode,
-        per_repeat=tuple(zip(te, tr)) if keep_per_repeat else None,
-    ) for p, te, tr in zip(ps, spec_test, spec_train)]
+        per_repeat=(tuple(zip(te[:count], tr[:count])) if keep_per_repeat
+                    else None),
+    ) for p, count, te, tr in zip(ps, counts, spec_test, spec_train)]
         for spec, spec_test, spec_train in zip(classifiers, test_acc,
                                                train_acc)]
 

@@ -13,7 +13,6 @@ import csv
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -248,34 +247,34 @@ def _classify_outputs(classifiers, curve, per_repeat_log) -> list:
 
 
 def _classify_feature_matrix(features, classifiers, p, split, curve,
-                             curve_split, standardize_flag, selection_mode,
+                             curve_repeats, standardize_flag, selection_mode,
                              out_dir: Path, threads,
                              per_repeat_log=False) -> None:
     """Evaluate every classifier on the FeatureMatrix ``features`` at ``p``
     on ``split`` and, unless ``curve`` is None, at each feature count it
-    lists on ``curve_split``; write the files of ``_classify_outputs`` into
+    lists on the first ``curve_repeats`` of those splits, in one pass of
+    the evaluation core; write the files of ``_classify_outputs`` into
     ``out_dir``.  The callers have run ``check_evaluation`` on every p."""
     from .classify import (evaluate_classifiers, feature_correlation,
                            write_correlation_csv, write_eval_csv,
                            write_per_repeat_csv)
     from .pipeline import fisher_scores, select_top
 
-    reports = [r[0] for r in evaluate_classifiers(
-        features, classifiers, [p], split,
+    curve = curve or []
+    results = evaluate_classifiers(
+        features, classifiers, [p, *curve], split,
         apply_standardize=standardize_flag, selection_mode=selection_mode,
-        keep_per_repeat=per_repeat_log, threads=threads)]
+        keep_per_repeat=per_repeat_log, threads=threads,
+        repeats=[split.n_repeats] + [curve_repeats] * len(curve))
+    reports = [r[0] for r in results]
     if per_repeat_log:
         for spec, rep in zip(classifiers, reports):
             write_per_repeat_csv(rep, out_dir / f"per_repeat_{spec.kind}.csv")
     write_eval_csv(reports, out_dir / "accuracy.csv")
 
-    if curve is not None:
-        curves = evaluate_classifiers(
-            features, classifiers, curve, curve_split,
-            apply_standardize=standardize_flag,
-            selection_mode=selection_mode, threads=threads)
-        for spec, curve_reports in zip(classifiers, curves):
-            write_eval_csv(curve_reports,
+    if curve:
+        for spec, spec_reports in zip(classifiers, results):
+            write_eval_csv(spec_reports[1:],
                            out_dir / f"accuracy_vs_features_{spec.kind}.csv")
 
     selected = select_top(fisher_scores(features), p)
@@ -298,7 +297,8 @@ def _write_selected_features(features, selected, path):
 
 
 def cmd_classify(args) -> int:
-    from .classify import SplitSpec, check_evaluation
+    from .classify import (SplitSpec, check_evaluation, check_repeats,
+                           check_train_fraction)
     from .pipeline import balance_feature_rows, read_feature_csv
 
     classifiers = _parse_classifier_names(args.classifiers)
@@ -307,9 +307,12 @@ def cmd_classify(args) -> int:
         curve = parse_int_range(args.curve)
         if not curve:
             raise ConfigurationError(f"--curve: no values in {args.curve!r}")
-    split = SplitSpec(train_fraction=args.train_fraction,
-                      n_repeats=args.repeats, master_seed=args.seed)
-    curve_split = replace(split, n_repeats=args.curve_repeats)
+    split = SplitSpec(
+        train_fraction=check_train_fraction(args.train_fraction,
+                                            "--train-fraction"),
+        n_repeats=check_repeats(args.repeats, "--repeats"),
+        master_seed=args.seed)
+    check_repeats(args.curve_repeats, "--curve-repeats")
     out_dir = _make_out_dir(args.out_dir)
     outputs = [out_dir / name for name in
                _classify_outputs(classifiers, curve, args.per_repeat_log)]
@@ -320,7 +323,7 @@ def cmd_classify(args) -> int:
         check_evaluation(classifiers, [args.p, *(curve or ())],
                          features.n_windows, len(features.labels), split)
         _classify_feature_matrix(
-            features, classifiers, args.p, split, curve, curve_split,
+            features, classifiers, args.p, split, curve, args.curve_repeats,
             args.standardize, args.selection, staged[0].parent, args.threads,
             per_repeat_log=args.per_repeat_log)
     print("wrote " + ", ".join(str(p) for p in outputs))
@@ -358,7 +361,7 @@ def cmd_pipeline(args) -> int:
         write_screen_csv(features, screen_csv)
         _classify_feature_matrix(
             features, cfg.classifiers, cfg.p, cfg.split, curve,
-            replace(cfg.split, n_repeats=cfg.curve_repeats), cfg.standardize, cfg.selection_mode,
+            cfg.curve_repeats, cfg.standardize, cfg.selection_mode,
             features_csv.parent, cfg.threads,
             per_repeat_log=cfg.per_repeat_log)
     print("pipeline complete; wrote " + ", ".join(str(p) for p in outputs))

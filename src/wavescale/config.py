@@ -15,7 +15,8 @@ from pathlib import Path
 
 import yaml
 
-from .classify import SELECTION_MODES, ClassifierSpec, SplitSpec
+from .classify import (SELECTION_MODES, ClassifierSpec, SplitSpec,
+                       check_repeats, check_train_fraction)
 from .errors import ConfigurationError
 from .estimators import METHODS
 from .pipeline import MethodConfig, default_method_config
@@ -203,8 +204,11 @@ def load_run_config(path) -> RunConfig:
     seed = _get(raw, "seed", "", int, 0)
     split_raw = _known(raw.get("split", {}), "split", "train_fraction repeats")
     split = SplitSpec(
-        train_fraction=_get(split_raw, "train_fraction", "split", float, 0.67),
-        n_repeats=_get(split_raw, "repeats", "split", int, 10_000),
+        train_fraction=check_train_fraction(_get(
+            split_raw, "train_fraction", "split", float, 0.67),
+            "split.train_fraction"),
+        n_repeats=check_repeats(_get(split_raw, "repeats", "split", int,
+                                     10_000), "split.repeats"),
         master_seed=seed)
 
     features = _known(raw.get("features", {}), "features", "p curve curve_repeats")

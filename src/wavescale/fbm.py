@@ -5,9 +5,10 @@ Sampling uses circulant embedding of the fGn autocovariance
     gamma(k) = 0.5 * (|k+1|**2H - 2|k|**2H + |k-1|**2H),
 
 which is exact in distribution when the embedding eigenvalues are
-nonnegative (they are for fGn in practice); a dense Cholesky factorization
-of the covariance matrix serves as a fallback otherwise.  Cumulative
-summation turns a noise vector into a fractional Brownian motion path.
+nonnegative, as they are for fGn at every H up to 0.999 and power-of-two
+length up to 65536; an eigenvalue below _EIGENVALUE_FLOOR (from rounding,
+within about 1e-4 of H = 1) is an EstimationError.  Cumulative summation
+turns a noise vector into a fractional Brownian motion path.
 
 The benchmark simulates paths over a grid of Hurst exponents, a chunk of
 replicates at a time, runs the configured estimators on every path, and
@@ -102,8 +103,11 @@ def fgn_autocovariance(hurst: float, lags: np.ndarray) -> np.ndarray:
 
 def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     gamma = fgn_autocovariance(hurst, np.arange(n + 1))
-    c = np.concatenate([gamma, gamma[-2:0:-1]])
-    return np.fft.fft(c).real
+    lam = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    if lam.min() < _EIGENVALUE_FLOOR:
+        raise EstimationError(
+            f"circulant embedding failed for H={hurst} at length {n}")
+    return lam
 
 
 def _fgn_rows(hurst: float, n: int, rngs, lam=None) -> np.ndarray:
@@ -112,17 +116,10 @@ def _fgn_rows(hurst: float, n: int, rngs, lam=None) -> np.ndarray:
     ``lam`` are the embedding eigenvalues of (n, hurst), computed when not
     given.  Each row takes its normals from its own generator in the same
     order as a one-row call, and the rows share one FFT along axis 1, so a
-    row does not depend on the other rows of the batch.  An eigenvalue
-    below _EIGENVALUE_FLOOR switches every row to the dense Cholesky
-    factor of the covariance matrix.
+    row does not depend on the other rows of the batch.
     """
     if lam is None:
         lam = _embedding_eigenvalues(n, hurst)
-    if lam.min() < _EIGENVALUE_FLOOR:
-        gamma = fgn_autocovariance(hurst, np.arange(n))
-        chol = np.linalg.cholesky(
-            gamma[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])])
-        return np.array([chol @ rng.standard_normal(n) for rng in rngs])
     m = 2 * n
     z = np.empty((len(rngs), m), dtype=complex)
     for row, rng in zip(z, rngs):
@@ -186,13 +183,7 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
     filters = {fam: make_filter(fam)
                for fam in {_METHOD_FAMILY[m] for m in methods}}
     depth = {"haar": J, "symmlet4": J - 1}
-    eigs = []
-    for h in h_grid:
-        lam = _embedding_eigenvalues(length, h)
-        if lam.min() < _EIGENVALUE_FLOOR and length > 4096:
-            raise EstimationError(
-                f"circulant embedding failed for H={h} at length {length}")
-        eigs.append(lam)
+    eigs = [_embedding_eigenvalues(length, h) for h in h_grid]
 
     def one_chunk(task):
         """Successful H estimates per method for replicates start..stop-1."""

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
 
+import wavescale.classify as classify
 from oracles import finite_difference_gradient, knn_predict_bruteforce
 from wavescale import (
     ClassifierSpec,
@@ -11,6 +14,7 @@ from wavescale import (
     SplitSpec,
     accuracy_vs_feature_count,
     evaluate,
+    evaluate_classifiers,
     feature_correlation,
     knn_predict,
     logistic_gradient,
@@ -308,6 +312,45 @@ def test_accuracy_vs_feature_count_shape():
     single = evaluate(fm, ClassifierSpec(kind="knn"), p=5,
                       split=SplitSpec(n_repeats=12, master_seed=8))
     assert reports[-1] == single
+
+
+@pytest.mark.parametrize("mode", ["per-split", "global"])
+@pytest.mark.parametrize("curve_repeats", [5, 9, 23])
+def test_per_p_repeat_counts_equal_separate_calls(monkeypatch, mode,
+                                                  curve_repeats):
+    # p = 3 on 9 splits and a curve on curve_repeats splits: one call gives
+    # what a call per repeat count gives, per-repeat records and redraws too
+    rng = np.random.default_rng(21)
+    labels = rng.permutation([1] * 6 + [0] * 24)  # some draws are redrawn
+    fm = _features_from(rng.standard_normal((30, 5)) + 0.8 * labels[:, None],
+                        labels)
+    specs = [ClassifierSpec(kind="logistic"), ClassifierSpec(kind="knn", k=3)]
+    split = SplitSpec(train_fraction=0.3, n_repeats=9, master_seed=13)
+    curve = [1, 3, 5, 3]
+    kwargs = dict(selection_mode=mode, keep_per_repeat=True)
+    single = evaluate_classifiers(fm, specs, [3], split, **kwargs)
+    curves = evaluate_classifiers(
+        fm, specs, curve, replace(split, n_repeats=curve_repeats), **kwargs)
+    assert all(r.redraws > 0 for r in curves[0])
+    monkeypatch.setattr(classify, "_CHUNK", 4)  # and chunks end at each count
+    for threads in (1, 3):
+        shared = evaluate_classifiers(
+            fm, specs, [3, *curve], split, threads=threads,
+            repeats=[9] + [curve_repeats] * len(curve), **kwargs)
+        assert shared == [a + b for a, b in zip(single, curves)]
+
+
+def test_repeat_counts_are_checked():
+    fm = _gaussian_blobs()
+    split = SplitSpec(n_repeats=2)
+    with pytest.raises(ConfigurationError,
+                       match="repeats: n_repeats must be >= 1, got 0"):
+        evaluate_classifiers(fm, [ClassifierSpec()], [1, 2], split,
+                             repeats=[2, 0])
+    with pytest.raises(ConfigurationError,
+                       match="1 repeats for 2 ps"):
+        evaluate_classifiers(fm, [ClassifierSpec()], [1, 2], split,
+                             repeats=[2])
 
 
 # ------------------------------------------------------------ correlation

@@ -478,13 +478,17 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "features.curve must satisfy 1 <= lo <= hi, got [0, 3]"),
     ("  curve_repeats: 10", "  curve_repeats: 0",
      "features.curve_repeats must be >= 1, got 0"),
+    ("  repeats: 20", "  repeats: 0",
+     "split.repeats: n_repeats must be >= 1, got 0"),
+    ("  repeats: 20", "  repeats: 20\n  train_fraction: 1.5",
+     "split.train_fraction: train_fraction must be in (0, 1), got 1.5"),
     ("method: wang", "method: wang\nthreads: 0",
      "thread count must be >= 1, got 0"),
     ("  - kind: knn\n    k: 5", "  - kind: logistic",
      "classifiers[1]: repeated classifier kind 'logistic'"),
 ], ids=["stride", "plan-windows-order", "plan-windows-zero", "plan-level-high",
         "plan-level-low", "p", "curve-order", "curve-zero", "curve-repeats",
-        "threads", "repeated-kind"])
+        "split-repeats", "split-train-fraction", "threads", "repeated-kind"])
 def test_pipeline_config_rejects_bad_values_before_ingest(tmp_path, capsys,
                                                           old, new, message):
     _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
@@ -643,12 +647,17 @@ def test_classify_rejects_repeated_kind_before_reading(tmp_path, capsys,
     assert not out_dir.exists()
 
 
-def test_classify_curve_writes_exactly_the_listed_p(tmp_path):
+def _extracted_features(tmp_path):
     matrix, labels = _write_dataset(tmp_path, n_per_class=5)
     feats = tmp_path / "f.csv"
     assert main(["extract", "--matrix", str(matrix), "--labels", str(labels),
                  "--method", "wang", "--depth", "8", "--window-len", "256",
                  "--stride", "256", "--out", str(feats)]) == 0
+    return feats
+
+
+def test_classify_curve_writes_exactly_the_listed_p(tmp_path):
+    feats = _extracted_features(tmp_path)
 
     def curve_rows(spec, name):
         out_dir = tmp_path / name
@@ -665,25 +674,78 @@ def test_classify_curve_writes_exactly_the_listed_p(tmp_path):
         assert listed[kind] == [full[kind][0], full[kind][2]]
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--curve", "1..7"], "p must be in 1..6, got 7"),
+@pytest.mark.parametrize("repeats, curve_repeats", [(10, 4), (4, 10)],
+                         ids=["curve-fewer", "curve-more"])
+def test_classify_draws_each_split_once_for_p_and_the_curve(
+        tmp_path, monkeypatch, repeats, curve_repeats):
+    feats = _extracted_features(tmp_path)
+    drawn = []
+    real = classify._draw_splits
+
+    def recording(labels, n_train, master_seed, reps):
+        drawn.extend(reps)
+        return real(labels, n_train, master_seed, reps)
+
+    monkeypatch.setattr(classify, "_draw_splits", recording)
+    monkeypatch.setattr(classify, "_CHUNK", 3)
+    assert main(["classify", "--features", str(feats), "--p", "2",
+                 "--repeats", str(repeats), "--curve", "1..3",
+                 "--curve-repeats", str(curve_repeats),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert sorted(drawn) == list(range(max(repeats, curve_repeats)))
+
+
+def test_classify_curve_is_the_first_curve_repeats_splits(tmp_path):
+    # overlapping classes, so the per-repeat accuracies differ
+    rng = np.random.default_rng(5)
+    labels = rng.permutation([0] * 15 + [1] * 15)
+    slopes = rng.standard_normal((30, 6)) + 0.5 * labels[:, None]
+    feats = tmp_path / "f.csv"
+    feats.write_text("sample_id,label," + ",".join(
+        f"w{j + 1}" for j in range(6)) + "\n" + "".join(
+        f"s{i},{lab}," + ",".join(repr(float(v)) for v in row) + "\n"
+        for i, (lab, row) in enumerate(zip(labels, slopes))), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["classify", "--features", str(feats), "--p", "2",
+                 "--repeats", "12", "--curve", "1..3", "--curve-repeats", "5",
+                 "--per-repeat-log", "--out-dir", str(out_dir)]) == 0
+    for kind in ("logistic", "knn"):
+        per_repeat = (out_dir / f"per_repeat_{kind}.csv").read_text()
+        test_acc = [float(line.split(",")[1])
+                    for line in per_repeat.splitlines()[1:]]
+        assert len(test_acc) == 12 and len(set(test_acc[:5])) > 1
+        curve = (out_dir / f"accuracy_vs_features_{kind}.csv").read_text()
+        header, *rows = [line.split(",") for line in curve.splitlines()]
+        at_p = dict(zip(header, next(row for row in rows if row[1] == "2")))
+        assert at_p["n_repeats"] == "5"
+        assert float(at_p["mean_test_accuracy"]) == float(
+            np.mean(test_acc[:5]))
+
+
+@pytest.mark.parametrize("flags, message, reads_features", [
+    (["--curve", "1..7"], "p must be in 1..6, got 7", True),
     (["--curve", "1..3", "--curve-repeats", "0"],
-     "n_repeats must be >= 1, got 0"),
-], ids=["curve", "curve-repeats"])
+     "n_repeats must be >= 1, got 0", False),
+    (["--curve", "1..3", "--curve-repeats", "0", "--repeats", "5"],
+     "--curve-repeats: n_repeats must be >= 1, got 0", False),
+    (["--curve", "1..3", "--curve-repeats", "5", "--repeats", "0"],
+     "--repeats: n_repeats must be >= 1, got 0", False),
+    (["--train-fraction", "1.5"],
+     "--train-fraction: train_fraction must be in (0, 1), got 1.5", False),
+], ids=["curve", "curve-repeats", "curve-repeats-named", "repeats-named",
+        "train-fraction-named"])
 def test_classify_checks_the_curve_before_evaluating(tmp_path, capsys,
                                                      monkeypatch, flags,
-                                                     message):
-    matrix, labels = _write_dataset(tmp_path, n_per_class=5)
-    feats = tmp_path / "f.csv"
-    assert main(["extract", "--matrix", str(matrix), "--labels", str(labels),
-                 "--method", "wang", "--depth", "8", "--window-len", "256",
-                 "--stride", "256", "--out", str(feats)]) == 0
+                                                     message, reads_features):
+    feats = _extracted_features(tmp_path)
 
     def no_evaluation(*args, **kwargs):
         raise AssertionError("an evaluation ran")
 
     monkeypatch.setattr("wavescale.classify.evaluate_classifiers",
                         no_evaluation)
+    if not reads_features:  # a bad count is caught before the file is read
+        _no_input(monkeypatch)
     out_dir = tmp_path / "out"
     assert main(["classify", "--features", str(feats), "--p", "2",
                  "--repeats", "10", "--out-dir", str(out_dir)] + flags) == 2

@@ -62,17 +62,26 @@ def test_sample_autocovariance_matches_closed_form(hurst):
         assert abs(m - gamma[lag]) < 3.0 * se, (lag, m, gamma[lag], se)
 
 
-def test_cholesky_fallback_matches_covariance(monkeypatch):
+def test_embedding_eigenvalues_are_positive():
+    # the evidence that fGn needs no sampler other than circulant embedding
+    hursts = np.round(np.arange(1, 100) * 0.01, 2)
+    for k in range(3, 15):
+        for hurst in hursts:
+            assert fbm_mod._embedding_eigenvalues(2 ** k, hurst).min() > 0.0
+
+
+def test_eigenvalue_below_the_floor_fails_before_drawing(monkeypatch):
     monkeypatch.setattr(fbm_mod, "_EIGENVALUE_FLOOR", np.inf)
-    rng = np.random.default_rng(7)
-    n = 32
-    hurst = 0.75
-    draws = fbm_mod._fgn_rows(hurst, n, [rng] * 6000)
-    gamma = fgn_autocovariance(hurst, np.arange(3))
-    for lag in range(3):
-        prods = (draws[:, : n - lag] * draws[:, lag:]).mean(axis=1)
-        se = prods.std(ddof=1) / np.sqrt(len(prods))
-        assert abs(prods.mean() - gamma[lag]) < 3.5 * se
+    message = "circulant embedding failed for H=0.3 at length 64"
+    with pytest.raises(EstimationError, match=message):
+        fgn_sample(FbmSpec(hurst=0.3, length=64, seed=1))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(fbm_mod, "_fgn_rows", no_draw)
+    with pytest.raises(EstimationError, match=message):
+        run_estimator_benchmark([0.3], n_reps=4, length=64)
 
 
 # ------------------------------------------------------------------- fbm

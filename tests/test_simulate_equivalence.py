@@ -48,20 +48,6 @@ def test_partial_last_chunk(monkeypatch, threads):
         h_grid, 12, 128, METHODS, 3)
 
 
-def test_forced_cholesky_fallback(monkeypatch):
-    monkeypatch.setattr(fbm, "_EIGENVALUE_FLOOR", np.inf)
-    monkeypatch.setattr(fbm, "_CHUNK", 4)
-    h_grid = [0.3, 0.7]
-    report = run_estimator_benchmark(h_grid, n_reps=10, length=64,
-                                     methods=METHODS, master_seed=5)
-    expected = reference_estimator_benchmark(h_grid, 10, 64, METHODS, 5,
-                                             eigenvalue_floor=np.inf)
-    assert _cells(report) == expected
-    # the fallback really ran: the circulant draws give other paths
-    assert expected != reference_estimator_benchmark(h_grid, 10, 64, METHODS,
-                                                     5)
-
-
 def test_zero_energy_warnings_and_failures_match(monkeypatch):
     # zero every level energy below a threshold, so some rows drop points
     # and some fall under two points and fail; both paths use the same
