@@ -110,18 +110,6 @@ def _parse_level_plan(raw) -> tuple:
     return tuple(plan)
 
 
-def _check_plan_levels(plan, window_len: int, depth: int) -> None:
-    """Every plan level must be one the decomposition produces."""
-    J = window_len.bit_length() - 1
-    for i, (_, _, levels) in enumerate(plan):
-        outside = [j for j in levels if not J - depth <= j <= J - 1]
-        if outside:
-            raise ConfigurationError(
-                f"levels entry {i}: level(s) {outside} outside the "
-                f"decomposed levels {J - depth}..{J - 1} (window length "
-                f"{window_len}, depth {depth})")
-
-
 def _parse_classifiers(raw) -> tuple:
     specs = []
     for i, entry in enumerate(raw):
@@ -199,7 +187,6 @@ def load_run_config(path) -> RunConfig:
     method_config.check(window_len)
     if stride < 1:
         raise ConfigurationError(f"window.stride must be >= 1, got {stride}")
-    _check_plan_levels(plan, window_len, method_config.depth)
 
     seed = _get(raw, "seed", "", int, 0)
     split_raw = _known(raw.get("split", {}), "split", "train_fraction repeats")

@@ -62,9 +62,13 @@ class ScalingDescriptor:
 
 def _level_energies(method: str, level: np.ndarray) -> np.ndarray:
     """(R,) level energies from an (R, 2**d, m) level array: node 1 for
-    dwt, the mean over the odd (detail) nodes for wang."""
+    dwt, the mean over the odd (detail) nodes for wang.  Each mean is a
+    sum and then a true division by the count, np.mean's own order, so the
+    result is bitwise np.mean(np.mean(det * det, axis=2), axis=1)."""
     det = level[:, 1:2] if method == "dwt" else level[:, 1::2]
-    return np.mean(np.mean(det * det, axis=2), axis=1)
+    _, nodes, m = det.shape
+    per_node = (det * det).sum(axis=2) / m
+    return per_node.sum(axis=1) / nodes
 
 
 def _energy_table(method: str, levels, data_level: int):
@@ -277,11 +281,20 @@ def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
     Only what a method needs is kept: dwt runs the pyramid alone, wang
     keeps one level's energies at a time, and jones keeps every level for
     the best-basis search and sorts all rows' selected coefficients in one
-    call.
+    call.  When every row of a dwt or wang run has a level set and each
+    requested level is one of the ``depth`` decomposed levels, the cascade
+    stops at the deepest requested level: a level's energy does not depend
+    on the levels below it, so the outcomes and the zero-energy warnings
+    are those of the full ``depth``.
     """
     rows = np.asarray(rows, dtype=float)
+    J = rows.shape[1].bit_length() - 1
     if level_sets is None:
         level_sets = [None] * len(rows)
+    elif method != "jones" and None not in level_sets and depth <= J:
+        wanted = {int(j) for s in level_sets for j in s}
+        if wanted and wanted <= set(range(J - depth, J)):
+            depth = J - min(wanted)
     cascade = packet_cascade(rows, f, depth, pyramid=method == "dwt")
     yield from _descriptors(method, itertools.chain([rows[:, None, :]], cascade),
-                            rows.shape[1].bit_length() - 1, level_sets)
+                            J, level_sets)

@@ -14,7 +14,6 @@ import csv
 import math
 import re
 import warnings
-from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,8 +93,10 @@ class MethodConfig:
 
     def check(self, window_len: int) -> None:
         """Raise ConfigurationError naming the bad value unless the family
-        is known, ``window_len`` is a power of two and 1 <= depth <=
-        log2(window_len)."""
+        is known, ``window_len`` is a power of two, 1 <= depth <=
+        log2(window_len) and every level of the plan is one the
+        decomposition produces.  ``extract`` and ``pipeline`` call it
+        before any input is read."""
         make_filter(self.family)
         if window_len < 2 or window_len & (window_len - 1):
             raise ConfigurationError(
@@ -105,6 +106,13 @@ class MethodConfig:
             raise ConfigurationError(
                 f"depth {self.depth} does not fit window length "
                 f"{window_len}: it must be in 1..{J}")
+        for i, (_, _, levels) in enumerate(self.level_plan):
+            outside = [j for j in levels if not J - self.depth <= j <= J - 1]
+            if outside:
+                raise ConfigurationError(
+                    f"levels entry {i}: level(s) {outside} outside the "
+                    f"decomposed levels {J - self.depth}..{J - 1} (window "
+                    f"length {window_len}, depth {self.depth})")
 
     def levels_for(self, window_number: int):
         for lo, hi, levels in self.level_plan:
@@ -178,6 +186,24 @@ class FeatureMatrix:
                            + [format_float(v) for v in self.slopes[i]])
 
 
+def _is_header(line: str) -> bool:
+    """Whether ``line`` opens a file as a header: its first field is not a
+    number."""
+    try:
+        float(line.split(",", 1)[0].strip())
+    except ValueError:
+        return True
+    return False
+
+
+def _read_text(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
+
+
 _BAD_NUMBER = re.compile(r"string '(.*)' to \w+ at row (\d+), column (\d+)")
 
 
@@ -189,15 +215,10 @@ def _read_csv(path, header=(), n_text=0, width=None):
     the header's.  Fields split at each comma, with no quoting.  Errors name
     the file, the 1-based row and, for a bad number, the column, read from
     np.loadtxt's message, which counts data rows from 0."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines() or [""]
-    except (OSError, UnicodeError) as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
+    lines = _read_text(path).splitlines() or [""]
     head = [c.strip() for c in lines[0].split(",")]
     if header is None:
-        with suppress(ValueError):
-            float(head[0])
+        if not _is_header(lines[0]):
             head = None
     elif [c.lower() for c in head[:len(header)]] != list(header):
         raise IngestionError(f"{path}: row 1: expected a header starting "
@@ -265,17 +286,79 @@ def _load_matrix_file(matrix_path):
     return ids, where, values[:, 0].copy(), values[:, 1:].T.copy()
 
 
+def _loadtxt_text(path):
+    """The text of ``path`` when np.loadtxt, reading the file itself, sees
+    the lines and fields _read_csv sees, else None: the text holds no line
+    break other than the newline (str.splitlines also breaks at these) and
+    no NUL (a bytes field drops a trailing one)."""
+    text = _read_text(path)
+    if any(c in text for c in "\0\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+        return None
+    return text
+
+
+def _grid_text(path, has_header: bool):
+    """The m/z fields of the first sample file ``path``, which _read_csv
+    has accepted, as bytes one wider than the longest field, so that a
+    longer field of a later file cannot compare equal once cut to that
+    width; None when np.loadtxt could see other fields than _read_csv."""
+    if _loadtxt_text(path) is None:
+        return None
+    try:
+        fields = np.loadtxt(path, dtype=bytes, usecols=0, delimiter=",",
+                            comments=None, skiprows=int(has_header),
+                            encoding="utf-8", ndmin=1)
+    except ValueError:  # a field that is not latin-1 text
+        return None
+    return fields.astype(f"S{fields.dtype.itemsize + 1}")
+
+
+def _same_grid_intensities(path, has_header: bool, mz_text):
+    """The intensities of sample file ``path``, parsed in one np.loadtxt
+    call on the file, when it has no blank line, the first file's header
+    presence and line count, and m/z fields byte for byte equal to
+    ``mz_text``: then they are the values _read_csv and the m/z tolerance
+    check would accept.  None otherwise."""
+    text = _loadtxt_text(path)
+    if text is None:
+        return None
+    first = text.split("\n", 1)[0]
+    # np.loadtxt skips blank lines, which _read_csv rejects
+    if (text.startswith("\n") or "\n\n" in text
+            or text.count("\n") + (not text.endswith("\n"))
+            != len(mz_text) + has_header
+            or _is_header(first) != has_header
+            or has_header and first.count(",") != 1):
+        return None
+    try:
+        values = np.loadtxt(path, dtype=[("mz", mz_text.dtype), ("v", float)],
+                            delimiter=",", comments=None,
+                            skiprows=int(has_header), encoding="utf-8",
+                            ndmin=1)
+    except ValueError:
+        return None
+    return values["v"] if values["mz"].tobytes() == mz_text.tobytes() else None
+
+
 def _load_sample_dir(dir_path):
     manifest = Path(dir_path) / "manifest.csv"
     _, text, _ = _read_csv(manifest, ("sample_id", "filename"), 2, 2)
     ids = [sid for sid, _ in text]
     where = [f"{manifest}: row {line}" for line in range(2, len(ids) + 2)]
-    mz = intens = None
+    mz = intens = mz_text = None
     for s, (sid, name) in enumerate(text):
         fp = manifest.parent / name
+        if mz_text is not None:
+            values = _same_grid_intensities(fp, has_header, mz_text)
+            if values is not None:
+                intens[s] = values
+                continue
+            mz_text = None  # the grids differ in text: read the rest in full
         head, _, values = _read_csv(fp, header=None, width=2)
         if mz is None:
             mz, intens = values[:, 0].copy(), np.empty((len(ids), len(values)))
+            has_header = head is not None
+            mz_text = _grid_text(fp, has_header)
         n = min(len(mz), len(values))
         off = ~(abs(values[:n, 0] - mz[:n]) <= 1e-9 * np.maximum(1.0, abs(mz[:n])))
         if off.any() or len(values) != len(mz):
@@ -295,6 +378,12 @@ def load_dataset(matrix_path, labels_path) -> SpectraDataset:
     directory of two-column (m/z, intensity) CSVs listed by a
     ``manifest.csv`` with columns sample_id,filename.  ``labels_path`` is
     a CSV mapping sample_id to case/control (or 1/0).
+
+    A directory's m/z grid is parsed once, from its first file: a later
+    file whose m/z fields repeat the first file's byte for byte is read
+    by one np.loadtxt call that parses only its intensities.  The first
+    file whose m/z text differs, and every file after it, go through the
+    full reader and the m/z tolerance check, with the same result.
 
     IngestionError names the file and row of the offending record.
     """
@@ -338,7 +427,10 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
     The window length must be a power of two compatible with the
     configured decomposition depth.  A failed estimate aborts the run
     (naming the sample and window) rather than leaving holes in the
-    matrix.
+    matrix.  When the level plan gives every window of a dwt or wang run
+    a level set, the decomposition stops at the deepest level the plan
+    reads (see scaling_descriptors), with the descriptors and zero-energy
+    warnings of the full ``method_config.depth``.
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}")

@@ -454,17 +454,9 @@ def _reference_embedding_eigenvalues(n, hurst):
     return np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
 
 
-def reference_fgn(hurst, n, rng, eigenvalue_floor=-1e-9):
-    """One fGn draw: circulant embedding, or the dense Cholesky factor when
-    an embedding eigenvalue lies below ``eigenvalue_floor``."""
-    from wavescale import fgn_autocovariance
-
-    lam = _reference_embedding_eigenvalues(n, hurst)
-    if lam.min() < eigenvalue_floor:
-        gamma = fgn_autocovariance(hurst, np.arange(n))
-        cov = gamma[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
-        return np.linalg.cholesky(cov) @ rng.standard_normal(n)
-    lam = np.clip(lam, 0.0, None)
+def reference_fgn(hurst, n, rng):
+    """One fGn draw by circulant embedding."""
+    lam = np.clip(_reference_embedding_eigenvalues(n, hurst), 0.0, None)
     m = 2 * n
     z = np.empty(m, dtype=complex)
     z[0] = rng.standard_normal() * np.sqrt(2.0)
@@ -476,7 +468,7 @@ def reference_fgn(hurst, n, rng, eigenvalue_floor=-1e-9):
 
 
 def reference_estimator_benchmark(h_grid, n_reps, length, methods,
-                                  master_seed, eigenvalue_floor=-1e-9):
+                                  master_seed):
     """(H, method) -> (mean, std, n, failures), one replicate at a time."""
     from wavescale import (EstimationError, make_filter, scaling_descriptor,
                            wpd_full)
@@ -490,7 +482,7 @@ def reference_estimator_benchmark(h_grid, n_reps, length, methods,
         for rep in range(n_reps):
             rng = np.random.default_rng(
                 np.random.SeedSequence(master_seed, spawn_key=(ih, rep)))
-            path = np.cumsum(reference_fgn(h, length, rng, eigenvalue_floor))
+            path = np.cumsum(reference_fgn(h, length, rng))
             trees = {fam: wpd_full(path, make_filter(fam), depth[fam])
                      for fam in {family[m] for m in methods}}
             for m in methods:

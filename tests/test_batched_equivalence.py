@@ -13,13 +13,16 @@ from oracles import (
     reference_wpd_levels,
 )
 from wavescale import (
+    ConfigurationError,
     EstimationError,
     MethodConfig,
     SpectraDataset,
     best_basis,
+    default_method_config,
     extract_features,
     make_filter,
     make_windows,
+    scaling_descriptor,
     two_class_fbm_dataset,
     wpd_full,
 )
@@ -113,6 +116,85 @@ def test_failed_window_error_matches_per_window_path(name, bad):
     else:
         np.testing.assert_allclose(got.slopes, want, rtol=0, atol=1e-12)
     assert len(got_warned) == len(want_warned)
+
+
+@pytest.mark.parametrize("tag", ["ovarian-4-3-02", "ovarian-8-7-02"])
+@pytest.mark.parametrize("method", ["dwt", "wang"])
+def test_stored_plans_match_full_depth_extraction(monkeypatch, method, tag):
+    """A stored plan reads levels 5..9 of 1024-point windows, so the
+    cascade stops at depth 10 - 5; slopes and zero-energy warnings are
+    those of the full depth-10 decomposition."""
+    import wavescale.estimators as estimators
+
+    ds = two_class_fbm_dataset(n_per_class=2, n_bins=1024 + 28 * 64, seed=6)
+    x = ds.intensities.copy()
+    x[1] = np.repeat(x[1, ::2], 2)  # pairwise constant: level 9 is zero
+    ds = SpectraDataset(intensities=x, labels=ds.labels,
+                        sample_ids=ds.sample_ids)
+    grid = make_windows(ds.n_bins, 1024, 64)
+    assert grid.count == 29  # every window of both plan groups
+    cfg = default_method_config(method, tag)
+    assert cfg.depth == 10
+    depths, cascade = [], estimators.packet_cascade
+
+    def spy(rows, f, depth, **kwargs):
+        depths.append(depth)
+        return cascade(rows, f, depth, **kwargs)
+
+    monkeypatch.setattr(estimators, "packet_cascade", spy)
+    got, got_warned = _run(lambda: extract_features(ds, method, grid, cfg)
+                           .slopes)
+    want, want_warned = _run(
+        lambda: reference_extract_slopes(ds, method, grid, cfg))
+    assert set(depths) == {10 - min(j for _, _, lv in cfg.level_plan
+                                    for j in lv)}
+    assert got.tobytes() == want.tobytes()
+    assert got_warned == want_warned and got_warned
+
+
+def _spy_cascade_depths(monkeypatch):
+    import wavescale.estimators as estimators
+
+    depths, cascade = [], estimators.packet_cascade
+
+    def spy(rows, f, depth, **kwargs):
+        depths.append(depth)
+        return cascade(rows, f, depth, **kwargs)
+
+    monkeypatch.setattr(estimators, "packet_cascade", spy)
+    return estimators.scaling_descriptors, depths
+
+
+@pytest.mark.parametrize("method, sets, cascade_depth", [
+    ("wang", [(7, 9), (8, 9)], 3),
+    ("dwt", [(9, 8), (8, 9)], 2),
+    ("wang", [(7, 9), None], 4),  # a row without a set reads every level
+    ("jones", [(8, 9), (8, 9)], 4),  # the best basis reads every level
+])
+def test_scaling_descriptors_stop_at_the_deepest_requested_level(
+        monkeypatch, method, sets, cascade_depth):
+    scaling_descriptors, depths = _spy_cascade_depths(monkeypatch)
+    rows = np.random.default_rng(3).standard_normal((2, 1024)).cumsum(axis=1)
+    f = make_filter("haar")
+    got = [(d.slope, d.hurst)
+           for d in scaling_descriptors(method, rows, f, 4, sets)]
+    want = [(d.slope, d.hurst) for d in (
+        scaling_descriptor(method, wpd_full(r, f, 4), s)
+        for r, s in zip(rows, sets))]
+    assert depths == [cascade_depth]
+    assert got == want
+
+
+def test_scaling_descriptors_keep_full_depth_for_a_missing_level(monkeypatch):
+    """A requested level outside the decomposed ones is reported against
+    every level ``depth`` produces."""
+    scaling_descriptors, depths = _spy_cascade_depths(monkeypatch)
+    rows = np.ones((2, 1024))
+    with pytest.raises(ConfigurationError, match=r"^level 5 not present "
+                       r"\(decomposed levels: \[6, 7, 8, 9\]\)$"):
+        list(scaling_descriptors("dwt", rows, make_filter("haar"), 4,
+                                 [(5, 9), (8,)]))
+    assert depths == [4]
 
 
 def _trees_with_zero_subtrees():

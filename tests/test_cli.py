@@ -494,6 +494,27 @@ def test_pipeline_config_rejects_bad_values_before_ingest(tmp_path, capsys,
     _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
 
 
+def test_extract_checks_the_stored_plan_before_ingest(tmp_path, capsys,
+                                                     monkeypatch):
+    """``extract`` shares the plan-level check of ``MethodConfig.check``
+    with ``pipeline``: a depth too shallow for the stored plan exits 2
+    without reading any input."""
+    import wavescale.pipeline as pipeline
+
+    read = []
+    monkeypatch.setattr(pipeline, "load_dataset",
+                        lambda *args: read.append(args))
+    matrix, labels = _write_dataset(tmp_path, n_per_class=2)
+    out_dir = tmp_path / "out"
+    assert main(["extract", "--matrix", str(matrix), "--labels", str(labels),
+                 "--method", "wang", "--dataset-tag", "ovarian-8-7-02",
+                 "--depth", "3", "--window-len", "1024",
+                 "--out", str(out_dir / "f.csv")]) == 2
+    assert ("levels entry 1: level(s) [5, 6] outside the decomposed levels "
+            "7..9 (window length 1024, depth 3)") in capsys.readouterr().err
+    assert read == [] and not out_dir.exists()
+
+
 def test_config_example_keys_are_all_accepted(tmp_path):
     matrix, labels = _write_dataset(tmp_path, n_per_class=2)
     example = Path(__file__).resolve().parents[1] / "config.example.yaml"

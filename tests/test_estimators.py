@@ -104,6 +104,20 @@ def test_wang_equals_dwt_on_first_decomposition_level():
     assert w.log_energy == pytest.approx(d.log_energy, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(1, 2, 512), (3, 6, 7), (5, 12, 3),
+                                   (2, 10, 1), (4, 24, 100), (2, 3, 1000)])
+@pytest.mark.parametrize("method", ["dwt", "wang"])
+def test_level_energies_bitwise_equal_to_nested_mean(method, shape):
+    """Sum-then-divide per axis is np.mean's own order, also for node
+    counts and lengths that are not powers of two."""
+    from wavescale.estimators import _level_energies
+
+    level = np.random.default_rng(7).standard_normal(shape) * 1e3
+    det = level[:, 1:2] if method == "dwt" else level[:, 1::2]
+    want = np.mean(np.mean(det * det, axis=2), axis=1)
+    assert _level_energies(method, level).tobytes() == want.tobytes()
+
+
 def test_empty_level_set_rejected():
     f = make_filter("haar")
     tree = wpd_full(np.ones(8), f, 3)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,114 @@ def test_feature_csv_reader_matches_csv_reference_bitwise(tmp_path):
     assert back.slopes.tobytes() == ref.tobytes() == slopes.tobytes()
 
 
+def _write_sample_dir(tmp_path, bodies):
+    """A per-sample directory with one file per ``bodies`` entry, in order,
+    and its labels file; (directory, labels path)."""
+    path = tmp_path / "d"
+    path.mkdir()
+    (path / "manifest.csv").write_text("sample_id,filename\n" + "".join(
+        f"{sid},{sid}.csv\n" for sid in bodies), encoding="utf-8")
+    for sid, body in bodies.items():
+        (path / f"{sid}.csv").write_bytes(body.encode())
+    return path, _write_labels(tmp_path, {sid: s % 2
+                                          for s, sid in enumerate(bodies)})
+
+
+_GRID = ["700.0", "700.25", "701.125"]
+
+
+def _sample_text(mz, values, header="mz,intensity", newline="\n"):
+    lines = [header] if header else []
+    lines += [f"{m},{v}" for m, v in zip(mz, values)]
+    return newline.join(lines) + newline
+
+
+@pytest.mark.parametrize("later", [
+    _sample_text(_GRID, [4.0, 5.5, -6.25]),
+    _sample_text(["700.00", "700.250", "701.1250000000001"], [4.0, 5.5, -6.25]),
+    _sample_text(["7.0e2", "700.25", "701.125000000000"], [4.0, 5.5, -6.25]),
+    _sample_text(_GRID, [4.0, 5.5, -6.25], header=None),
+    _sample_text(_GRID, [4.0, 5.5, -6.25], header="M/Z , Intensity"),
+    _sample_text(_GRID, [4.0, 5.5, -6.25], newline="\r\n"),
+    _sample_text(_GRID, [4.0, 5.5, -6.25]).rstrip("\n"),
+], ids=["same-text", "within-tolerance", "longer-field", "no-header",
+        "other-header", "crlf", "no-final-newline"])
+@pytest.mark.parametrize("first_header", ["mz,intensity", None],
+                         ids=["first-header", "first-bare"])
+def test_sample_dir_matches_csv_reference_bitwise(tmp_path, later,
+                                                  first_header):
+    """A later file is read by one np.loadtxt call when its m/z text
+    repeats the first file's, and by the full reader otherwise; either
+    way the arrays are the reference's, bit for bit."""
+    path, labels = _write_sample_dir(tmp_path, {
+        "a": _sample_text(_GRID, [1.5, 2.5, 3.5], header=first_header),
+        "b": later, "c": _sample_text(_GRID, [0.1, 1e-300, 7.0])})
+    ds = load_dataset(path, labels)
+    ids, ref_labels, mz, intens = reference_load_dataset(path, labels)
+    assert ds.sample_ids == tuple(ids)
+    assert ds.labels.tobytes() == ref_labels.tobytes()
+    assert ds.mz_values.tobytes() == mz.tobytes()
+    assert ds.intensities.tobytes() == intens.tobytes()
+
+
+def _spy_readers(monkeypatch):
+    """Lists that collect the file names the full reader and the repeated
+    grid reader are called with."""
+    import wavescale.pipeline as pipeline
+
+    calls = {"_read_csv": [], "_same_grid_intensities": []}
+    for name, names in calls.items():
+        def spy(path, *args, _real=getattr(pipeline, name), _names=names,
+                **kwargs):
+            _names.append(path.name)
+            return _real(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, spy)
+    return calls["_read_csv"], calls["_same_grid_intensities"]
+
+
+def test_sample_dir_parses_a_repeated_grid_once(tmp_path, monkeypatch):
+    """Only the first sample file goes through the reader that parses m/z
+    values when every later file repeats its m/z text."""
+    full, repeated = _spy_readers(monkeypatch)
+    path, labels = _write_sample_dir(tmp_path, {
+        sid: _sample_text(_GRID, [s, 2.0 * s, -1.0])
+        for s, sid in enumerate("abcd")})
+    load_dataset(path, labels)
+    assert full == ["manifest.csv", "a.csv", "labels.csv"]
+    assert repeated == ["b.csv", "c.csv", "d.csv"]
+
+
+def test_sample_dir_reads_the_rest_in_full_after_a_grid_miss(tmp_path,
+                                                            monkeypatch):
+    """Once a later file's m/z text differs from the first file's, the
+    files after it go straight to the full reader."""
+    full, repeated = _spy_readers(monkeypatch)
+    bodies = {sid: _sample_text(_GRID, [s, 2.0 * s, -1.0])
+              for s, sid in enumerate("abcde")}
+    bodies["c"] = _sample_text(["700.00", "700.25", "701.125"], [1, 2, 3])
+    path, labels = _write_sample_dir(tmp_path, bodies)
+    ds = load_dataset(path, labels)
+    assert full == ["manifest.csv", "a.csv", "c.csv", "d.csv", "e.csv",
+                    "labels.csv"]
+    assert repeated == ["b.csv", "c.csv"]
+    assert ds.intensities.tobytes() == reference_load_dataset(
+        path, labels)[3].tobytes()
+
+
+@pytest.mark.parametrize("later, message", [
+    ("mz,intensity\n\n\n", r"b\.csv: row 2 is blank$"),
+    ("mz,intensity\n", r"b\.csv: no data rows after row 1$"),
+], ids=["blank-body", "header-only"])
+def test_later_file_without_data_warns_nothing(tmp_path, later, message):
+    path, labels = _write_sample_dir(tmp_path, {
+        "a": _sample_text(_GRID[:2], [1.0, 2.0]), "b": later})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IngestionError, match=message):
+            load_dataset(path, labels)
+
+
 _LABELS = "sample_id,label\na,1\nb,0\n"
 _SAMPLE = "mz,intensity\n1.0,5.0\n2.0,6.0\n"
 
@@ -272,6 +382,41 @@ _REJECTIONS = [
      "m.csv", r"labels\.csv: row 3: sample 'b' has unknown label 'sick'"),
     ("labels header", {"labels.csv": "id,label\na,1\nb,0\n"}, "m.csv",
      r"labels\.csv: row 1: expected a header starting sample_id,label"),
+    # faults in a later sample file, whose m/z text repeats the first's
+    ("later blank line", {"d/b.csv": "mz,intensity\n1.0,5.0\n\n2.0,6.0\n"},
+     "d", r"b\.csv: row 3 is blank$"),
+    ("later trailing blank line", {"d/b.csv": _SAMPLE + "\n"}, "d",
+     r"b\.csv: row 4 is blank$"),
+    ("later whitespace line",
+     {"d/b.csv": "mz,intensity\n1.0,5.0\n  \n2.0,6.0\n"}, "d",
+     r"b\.csv: row 3 is blank$"),
+    ("later header only", {"d/b.csv": "mz,intensity\n"}, "d",
+     r"b\.csv: no data rows after row 1$"),
+    ("later 3-field row",
+     {"d/b.csv": "mz,intensity\n1.0,5.0,7.0\n2.0,6.0\n"}, "d",
+     r"b\.csv: row 2 has 3 columns, expected 2$"),
+    ("later data row for a header",
+     {"d/b.csv": "0.5,4.0\n1.0,5.0\n2.0,6.0\n"}, "d",
+     r"b\.csv: row 1: m/z grid .*\(3 bins, expected 2\)$"),
+    ("later 3-field header",
+     {"d/b.csv": "mz,intensity,x\n1.0,5.0\n2.0,6.0\n"}, "d",
+     r"b\.csv: row 1 has 3 columns, expected 2$"),
+    ("later bad intensity", {"d/b.csv": "mz,intensity\n1.0,5.0\n2.0,x\n"},
+     "d", r"b\.csv: row 3 column 2: non-numeric value 'x'$"),
+    ("later NUL in m/z", {"d/b.csv": "mz,intensity\n1.0,5.0\n2.0\0,6.0\n"},
+     "d", r"b\.csv: row 3 column 1: non-numeric value '2\.0\\\\x00'$"),
+    ("later form feed", {"d/b.csv": "mz,intensity\n1.0,5.0\x0c\n2.0,6.0\n"},
+     "d", r"b\.csv: row 3 is blank$"),
+    # np.loadtxt sees one line where the reader sees two, so the first
+    # file's m/z text would hold one field and b.csv would match it
+    ("first form feed", {"d/a.csv": "mz,intensity\n1.0,5.0\x0c2.0,6.0\n",
+                         "d/b.csv": "mz,intensity\n1.0,7.0\n"}, "d",
+     r"b\.csv: row 3: m/z grid .*\(1 bins, expected 2\)$"),
+    # "2.000001" cut to the width of the first file's longest field, 3,
+    # would read "2.0"
+    ("later longer m/z field",
+     {"d/b.csv": "mz,intensity\n1.0,5.0\n2.000001,6.0\n"}, "d",
+     r"b\.csv: row 3: m/z grid does not match the first sample's"),
 ]
 
 
