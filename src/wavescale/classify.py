@@ -19,7 +19,6 @@ the one-split calls of the same kernels.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationError
 from .pipeline import FeatureMatrix, fisher_ratio, fisher_scores
-from .utils import format_float, map_ordered
+from .utils import map_ordered, write_csv
 
 SELECTION_MODES = ("per-split", "global")
 
@@ -591,36 +590,26 @@ def feature_correlation(features: FeatureMatrix, selected=None) -> np.ndarray:
 
 def write_eval_csv(reports, path) -> None:
     """One row per (classifier, p): accuracy aggregates in percent."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["classifier", "p", "n_repeats", "selection_mode",
-                    "mean_test_accuracy", "std_test_accuracy",
-                    "mean_train_accuracy", "std_train_accuracy", "redraws"])
-        for r in reports:
-            w.writerow([r.classifier, r.p, r.n_repeats, r.selection_mode,
-                        format_float(r.mean_test_accuracy),
-                        format_float(r.std_test_accuracy),
-                        format_float(r.mean_train_accuracy),
-                        format_float(r.std_train_accuracy), r.redraws])
+    write_csv(path, ["classifier", "p", "n_repeats", "selection_mode",
+                     "mean_test_accuracy", "std_test_accuracy",
+                     "mean_train_accuracy", "std_train_accuracy", "redraws"],
+              ([r.classifier, r.p, r.n_repeats, r.selection_mode,
+                r.mean_test_accuracy, r.std_test_accuracy,
+                r.mean_train_accuracy, r.std_train_accuracy, r.redraws]
+               for r in reports))
 
 
 def write_per_repeat_csv(report: EvalReport, path) -> None:
     """Optional per-repeat log: repeat, test and train accuracy."""
     if report.per_repeat is None:
         raise ConfigurationError("report was built without per-repeat records")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["repeat", "test_accuracy", "train_accuracy"])
-        for i, (te, tr) in enumerate(report.per_repeat):
-            w.writerow([i, format_float(te), format_float(tr)])
+    write_csv(path, ["repeat", "test_accuracy", "train_accuracy"],
+              ([i, te, tr] for i, (te, tr) in enumerate(report.per_repeat)))
 
 
 def write_correlation_csv(corr: np.ndarray, selected, path) -> None:
     """Correlation matrix CSV labeled by 1-based window numbers."""
     names = [f"w{int(i) + 1}" for i in selected]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([""] + names)
-        for name, row in zip(names, corr):
-            w.writerow([name] + ["" if np.isnan(v) else format_float(v)
-                                 for v in row])
+    write_csv(path, ["", *names],
+              ([name, *("" if np.isnan(v) else v for v in row)]
+               for name, row in zip(names, corr)))

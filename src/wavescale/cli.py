@@ -9,7 +9,6 @@ problem.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
@@ -20,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, EstimationError, IngestionError, ShapeError
 from .estimators import METHODS
-from .utils import check_threads, format_float
+from .utils import check_threads, write_csv
 
 # Each cmd_* imports the modules it runs, so a subcommand loads only those.
 
@@ -248,13 +247,14 @@ def _classify_outputs(classifiers, curve, per_repeat_log) -> list:
 
 def _classify_feature_matrix(features, classifiers, p, split, curve,
                              curve_repeats, standardize_flag, selection_mode,
-                             out_dir: Path, threads,
+                             paths: dict, threads,
                              per_repeat_log=False) -> None:
     """Evaluate every classifier on the FeatureMatrix ``features`` at ``p``
     on ``split`` and, unless ``curve`` is None, at each feature count it
     lists on the first ``curve_repeats`` of those splits, in one pass of
-    the evaluation core; write the files of ``_classify_outputs`` into
-    ``out_dir``.  The callers have run ``check_evaluation`` on every p."""
+    the evaluation core; write each file named by ``_classify_outputs`` to
+    its path in ``paths``, a name -> path mapping.  The callers have run
+    ``check_evaluation`` on every p."""
     from .classify import (evaluate_classifiers, feature_correlation,
                            write_correlation_csv, write_eval_csv,
                            write_per_repeat_csv)
@@ -269,31 +269,27 @@ def _classify_feature_matrix(features, classifiers, p, split, curve,
     reports = [r[0] for r in results]
     if per_repeat_log:
         for spec, rep in zip(classifiers, reports):
-            write_per_repeat_csv(rep, out_dir / f"per_repeat_{spec.kind}.csv")
-    write_eval_csv(reports, out_dir / "accuracy.csv")
+            write_per_repeat_csv(rep, paths[f"per_repeat_{spec.kind}.csv"])
+    write_eval_csv(reports, paths["accuracy.csv"])
 
     if curve:
         for spec, spec_reports in zip(classifiers, results):
             write_eval_csv(spec_reports[1:],
-                           out_dir / f"accuracy_vs_features_{spec.kind}.csv")
+                           paths[f"accuracy_vs_features_{spec.kind}.csv"])
 
     selected = select_top(fisher_scores(features), p)
     corr = feature_correlation(features, selected)
-    write_correlation_csv(corr, selected, out_dir / "feature_correlation.csv")
-    _write_selected_features(features, selected,
-                             out_dir / "selected_features.csv")
+    write_correlation_csv(corr, selected, paths["feature_correlation.csv"])
+    _write_selected_features(features, selected, paths["selected_features.csv"])
 
 
 def _write_selected_features(features, selected, path):
     """Top-p slope columns for external classifiers."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", "label"]
-                   + [f"w{int(i) + 1}" for i in selected])
-        for row_i, sid in enumerate(features.sample_ids):
-            w.writerow([sid, int(features.labels[row_i])]
-                       + [format_float(v)
-                          for v in features.slopes[row_i, selected]])
+    write_csv(path,
+              ["sample_id", "label", *(f"w{int(i) + 1}" for i in selected)],
+              ([sid, int(label), *row] for sid, label, row
+               in zip(features.sample_ids, features.labels,
+                      features.slopes[:, selected])))
 
 
 def cmd_classify(args) -> int:
@@ -314,8 +310,8 @@ def cmd_classify(args) -> int:
         master_seed=args.seed)
     check_repeats(args.curve_repeats, "--curve-repeats")
     out_dir = _make_out_dir(args.out_dir)
-    outputs = [out_dir / name for name in
-               _classify_outputs(classifiers, curve, args.per_repeat_log)]
+    names = _classify_outputs(classifiers, curve, args.per_repeat_log)
+    outputs = [out_dir / name for name in names]
     with _output_set(outputs) as staged:
         features = read_feature_csv(args.features)
         if args.balance:
@@ -324,8 +320,8 @@ def cmd_classify(args) -> int:
                          features.n_windows, len(features.labels), split)
         _classify_feature_matrix(
             features, classifiers, args.p, split, curve, args.curve_repeats,
-            args.standardize, args.selection, staged[0].parent, args.threads,
-            per_repeat_log=args.per_repeat_log)
+            args.standardize, args.selection, dict(zip(names, staged)),
+            args.threads, per_repeat_log=args.per_repeat_log)
     print("wrote " + ", ".join(str(p) for p in outputs))
     return 0
 
@@ -340,10 +336,11 @@ def cmd_pipeline(args) -> int:
     cfg = load_run_config(args.config)
     out_dir = _make_out_dir(cfg.output_dir)
     curve = None if cfg.curve is None else range(cfg.curve[0], cfg.curve[1] + 1)
+    names = _classify_outputs(cfg.classifiers, curve, cfg.per_repeat_log)
     outputs = [out_dir / name for name in
-               ["features.csv", "windows.csv", "rank_sum_screen.csv"]
-               + _classify_outputs(cfg.classifiers, curve, cfg.per_repeat_log)]
-    with _output_set(outputs) as (features_csv, windows_csv, screen_csv, *_):
+               ["features.csv", "windows.csv", "rank_sum_screen.csv", *names]]
+    with _output_set(outputs) as (features_csv, windows_csv, screen_csv,
+                                  *staged):
         dataset = load_dataset(cfg.matrix_path, cfg.labels_path)
         if cfg.balance:
             dataset = balance_classes(dataset, cfg.seed)
@@ -362,7 +359,7 @@ def cmd_pipeline(args) -> int:
         _classify_feature_matrix(
             features, cfg.classifiers, cfg.p, cfg.split, curve,
             cfg.curve_repeats, cfg.standardize, cfg.selection_mode,
-            features_csv.parent, cfg.threads,
+            dict(zip(names, staged)), cfg.threads,
             per_repeat_log=cfg.per_repeat_log)
     print("pipeline complete; wrote " + ", ".join(str(p) for p in outputs))
     return 0

@@ -131,12 +131,13 @@ def _parse_classifiers(raw) -> tuple:
         if kind == "logistic":
             specs.append(ClassifierSpec(
                 kind="logistic",
-                l2_c=_get(entry, "C", where, float, 1.0),
-                max_iters=_get(entry, "max_iters", where, int, 500),
-                tol=_get(entry, "tol", where, float, 1e-6)))
+                l2_c=_get(entry, "C", where, float, ClassifierSpec.l2_c),
+                max_iters=_get(entry, "max_iters", where, int,
+                               ClassifierSpec.max_iters),
+                tol=_get(entry, "tol", where, float, ClassifierSpec.tol)))
         else:
-            specs.append(ClassifierSpec(kind="knn",
-                                        k=_get(entry, "k", where, int, 5)))
+            specs.append(ClassifierSpec(kind="knn", k=_get(
+                entry, "k", where, int, ClassifierSpec.k)))
     if not specs:
         raise ConfigurationError("classifier list is empty")
     return tuple(specs)
@@ -192,10 +193,10 @@ def load_run_config(path) -> RunConfig:
     split_raw = _known(raw.get("split", {}), "split", "train_fraction repeats")
     split = SplitSpec(
         train_fraction=check_train_fraction(_get(
-            split_raw, "train_fraction", "split", float, 0.67),
-            "split.train_fraction"),
+            split_raw, "train_fraction", "split", float,
+            SplitSpec.train_fraction), "split.train_fraction"),
         n_repeats=check_repeats(_get(split_raw, "repeats", "split", int,
-                                     10_000), "split.repeats"),
+                                     SplitSpec.n_repeats), "split.repeats"),
         master_seed=seed)
 
     features = _known(raw.get("features", {}), "features", "p curve curve_repeats")

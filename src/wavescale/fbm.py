@@ -18,14 +18,13 @@ cell.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError
 from .estimators import METHODS, scaling_descriptors
-from .utils import format_float, map_ordered
+from .utils import map_ordered, write_csv
 from .wavelets import make_filter
 
 _EIGENVALUE_FLOOR = -1e-9
@@ -84,13 +83,9 @@ class BenchmarkReport:
 
     def write_csv(self, path) -> None:
         """Emit rows H,method,mean,std,n,failures."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["H", "method", "mean", "std", "n", "failures"])
-            for e in self.entries:
-                w.writerow([format_float(e.hurst), e.method,
-                            format_float(e.mean), format_float(e.std),
-                            e.n, e.failures])
+        write_csv(path, ["H", "method", "mean", "std", "n", "failures"],
+                  ([e.hurst, e.method, e.mean, e.std, e.n, e.failures]
+                   for e in self.entries))
 
 
 def fgn_autocovariance(hurst: float, lags: np.ndarray) -> np.ndarray:

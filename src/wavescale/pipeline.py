@@ -10,7 +10,6 @@ class separation and a Wilcoxon rank-sum screen verifies significance.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 import warnings
@@ -22,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EstimationError, IngestionError
 from .estimators import METHODS, scaling_descriptors
-from .utils import format_float, map_ordered
+from .utils import map_ordered, write_csv
 from .wavelets import make_filter
 
 LABEL_ALIASES = {"case": 1, "control": 0, "1": 1, "0": 0}
@@ -177,13 +176,10 @@ class FeatureMatrix:
     def write_csv(self, path) -> None:
         """Rows sample_id,label,w01..wW holding slope values."""
         width = max(2, len(str(self.n_windows)))
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sample_id", "label"]
-                       + [f"w{i + 1:0{width}d}" for i in range(self.n_windows)])
-            for i, sid in enumerate(self.sample_ids):
-                w.writerow([sid, int(self.labels[i])]
-                           + [format_float(v) for v in self.slopes[i]])
+        write_csv(path, ["sample_id", "label"]
+                  + [f"w{i + 1:0{width}d}" for i in range(self.n_windows)],
+                  ([sid, int(label), *row] for sid, label, row
+                   in zip(self.sample_ids, self.labels, self.slopes)))
 
 
 def _is_header(line: str) -> bool:
@@ -204,7 +200,9 @@ def _read_text(path) -> str:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
 
 
-_BAD_NUMBER = re.compile(r"string '(.*)' to \w+ at row (\d+), column (\d+)")
+# np.loadtxt quotes the value as repr does: in double quotes when it holds a '
+_BAD_NUMBER = re.compile(
+    r"""string (['"])(.*)\1 to \w+ at row (\d+), column (\d+)""")
 
 
 def _read_csv(path, header=(), n_text=0, width=None):
@@ -250,8 +248,8 @@ def _read_csv(path, header=(), n_text=0, width=None):
         except ValueError as exc:
             check_rows()
             bad = _BAD_NUMBER.search(str(exc))
-            where = (f"row {first + int(bad[2])} column {n_text + int(bad[3])}"
-                     f": non-numeric value {bad[1]!r}") if bad else exc
+            where = (f"row {first + int(bad[3])} column {n_text + int(bad[4])}"
+                     f": non-numeric value {bad[2]!r}") if bad else exc
             raise IngestionError(f"{path}: {where}") from None
     if values.shape[1] != width - n_text:
         check_rows()
@@ -653,22 +651,15 @@ def window_mz_ranges(grid: WindowGrid, mz_values) -> list:
 def write_window_metadata_csv(grid: WindowGrid, mz_values, path) -> None:
     """Sidecar CSV: window, 1-based inclusive bin indices, m/z range."""
     ranges = window_mz_ranges(grid, mz_values)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window", "first_index", "last_index", "mz_lo", "mz_hi"])
-        for (num, mz_lo, mz_hi), (lo, hi) in zip(ranges, grid.windows):
-            w.writerow([num, lo + 1, hi,
-                        "" if mz_lo is None else format_float(mz_lo),
-                        "" if mz_hi is None else format_float(mz_hi)])
+    write_csv(path, ["window", "first_index", "last_index", "mz_lo", "mz_hi"],
+              ([num, lo + 1, hi, mz_lo, mz_hi]
+               for (num, mz_lo, mz_hi), (lo, hi) in zip(ranges, grid.windows)))
 
 
 def write_screen_csv(features: FeatureMatrix, path) -> None:
     """Per-window rank-sum screen of case vs control slopes."""
     case = features.slopes[features.labels == 1]
     ctrl = features.slopes[features.labels == 0]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window", "rank_sum_statistic", "p_value"])
-        for i in range(features.n_windows):
-            stat, p = rank_sum_test(case[:, i], ctrl[:, i])
-            w.writerow([i + 1, format_float(stat), format_float(p)])
+    write_csv(path, ["window", "rank_sum_statistic", "p_value"],
+              ([i + 1, *rank_sum_test(case[:, i], ctrl[:, i])]
+               for i in range(features.n_windows)))

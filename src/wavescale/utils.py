@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+
+import numpy as np
+
 from .errors import ConfigurationError
 
 
@@ -28,6 +32,12 @@ def map_ordered(fn, items, threads: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-def format_float(x: float) -> str:
-    """Shortest round-trip decimal form, stable across runs."""
-    return repr(float(x))
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as the one output CSV
+    format: UTF-8, Python's csv dialect (``\\r\\n`` row ends), every float,
+    numpy's too, in shortest round-trip form, and None as an empty field."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, (float, np.floating))
+                     else v for v in row] for row in rows)

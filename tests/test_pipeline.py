@@ -342,6 +342,9 @@ _SAMPLE = "mz,intensity\n1.0,5.0\n2.0,6.0\n"
 _REJECTIONS = [
     ("bad number", {"m.csv": "mz,a,b\n1.0,2.0,3.0\n2.0,x,4.0\n"}, "m.csv",
      r"m\.csv: row 3 column 2: non-numeric value 'x'"),
+    # numpy quotes a value holding a ' with double quotes
+    ("quote in a number", {"m.csv": "mz,a,b\n1.0,2.0,3.0\n2.0,it's,4.0\n"},
+     "m.csv", r"""m\.csv: row 3 column 2: non-numeric value "it's"$"""),
     ("bad feature", {"f.csv": "sample_id,label,w01,w02\na,1,0.5,0.25\n"
                               "b,0,0.1,oops\n"}, "features",
      r"f\.csv: row 3 column 4: non-numeric value 'oops'"),
@@ -403,6 +406,9 @@ _REJECTIONS = [
      r"b\.csv: row 1 has 3 columns, expected 2$"),
     ("later bad intensity", {"d/b.csv": "mz,intensity\n1.0,5.0\n2.0,x\n"},
      "d", r"b\.csv: row 3 column 2: non-numeric value 'x'$"),
+    ("later quote in an intensity",
+     {"d/b.csv": "mz,intensity\n1.0,5.0\n2.0,it's\n"}, "d",
+     r"""b\.csv: row 3 column 2: non-numeric value "it's"$"""),
     ("later NUL in m/z", {"d/b.csv": "mz,intensity\n1.0,5.0\n2.0\0,6.0\n"},
      "d", r"b\.csv: row 3 column 1: non-numeric value '2\.0\\\\x00'$"),
     ("later form feed", {"d/b.csv": "mz,intensity\n1.0,5.0\x0c\n2.0,6.0\n"},
