@@ -60,6 +60,46 @@ def check_repeats(n_repeats: int, source: str) -> int:
     return n_repeats
 
 
+# The checks below serve a run's flags and config keys alike: None takes
+# the default, and an error names the flag or key ``source``.
+_CURVE_REPEATS = 1000  # splits of each accuracy-curve point
+
+
+def make_split(train_fraction, n_repeats, master_seed: int,
+               sources) -> SplitSpec:
+    """The SplitSpec of the settings, None taking SplitSpec's default;
+    ``sources`` names the train fraction's and the repeats' source."""
+    return SplitSpec(
+        check_train_fraction(SplitSpec.train_fraction if train_fraction
+                             is None else train_fraction, sources[0]),
+        check_repeats(SplitSpec.n_repeats if n_repeats is None
+                      else n_repeats, sources[1]), master_seed)
+
+
+def check_p(p, source: str) -> int:
+    """``p`` (default 10) if at least 1; ``check_evaluation`` checks it
+    against the window count."""
+    p = 10 if p is None else p
+    if p < 1:
+        raise ConfigurationError(f"{source} must be >= 1, got {p}")
+    return p
+
+
+def check_curve_repeats(n_repeats, source: str) -> int:
+    """The curve's repeats (default 1000), checked by ``check_repeats``."""
+    return check_repeats(_CURVE_REPEATS if n_repeats is None else n_repeats,
+                         source)
+
+
+def check_selection(mode, source: str) -> str:
+    """``mode`` (default per-split) if one of SELECTION_MODES."""
+    mode = SELECTION_MODES[0] if mode is None else mode
+    if mode not in SELECTION_MODES:
+        raise ConfigurationError(
+            f"{source} must be one of {SELECTION_MODES}, got {mode!r}")
+    return mode
+
+
 @dataclass(frozen=True)
 class ClassifierSpec:
     """Classifier choice plus hyperparameters.
@@ -86,6 +126,21 @@ class ClassifierSpec:
         if self.kind == "logistic":
             return f"logistic(C={self.l2_c:g})"
         return f"knn(k={self.k})"
+
+
+def check_classifiers(classifiers, source: str) -> tuple:
+    """The ClassifierSpecs (default logistic, then kNN), checked to be
+    non-empty and to hold each kind once, since each kind writes its own
+    files; a ``{}`` in ``source`` takes the index of the spec at fault."""
+    if classifiers is None:
+        return (ClassifierSpec(kind="logistic"), ClassifierSpec(kind="knn"))
+    if not classifiers:
+        raise ConfigurationError("no classifiers requested")
+    for i, spec in enumerate(classifiers):
+        if any(prev.kind == spec.kind for prev in classifiers[:i]):
+            raise ConfigurationError(
+                f"{source.format(i)}: repeated classifier kind {spec.kind!r}")
+    return tuple(classifiers)
 
 
 @dataclass(frozen=True)
@@ -460,9 +515,7 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
     so each report equals the one-spec, one-count call.  See ``evaluate``
     for the split, the selection modes and ``threads``.
     """
-    if selection_mode not in SELECTION_MODES:
-        raise ConfigurationError(
-            f"selection_mode must be one of {SELECTION_MODES}")
+    check_selection(selection_mode, "selection_mode")
     classifiers = list(classifiers)
     ps = [int(p) for p in ps]
     counts = [split.n_repeats] * len(ps) if repeats is None else [
@@ -557,7 +610,7 @@ def accuracy_vs_feature_count(features: FeatureMatrix,
     if p_range is None:
         p_range = range(1, features.n_windows + 1)
     if split is None:
-        split = SplitSpec(n_repeats=1000)
+        split = SplitSpec(n_repeats=_CURVE_REPEATS)
     return evaluate_classifiers(features, [classifier_spec], p_range, split,
                                 apply_standardize, selection_mode, False,
                                 threads)[0]

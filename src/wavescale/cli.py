@@ -94,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--method", required=True, choices=METHODS)
     ext.add_argument("--wavelet", default=None)
     ext.add_argument("--depth", type=int, default=None)
-    ext.add_argument("--window-len", type=int, default=1024)
-    ext.add_argument("--stride", type=int, default=500)
+    ext.add_argument("--window-len", type=int, default=None)
+    ext.add_argument("--stride", type=int, default=None)
     ext.add_argument("--dataset-tag", default=None,
                      help="named level plan, e.g. ovarian-8-7-02")
     ext.add_argument("--out", default="features.csv")
@@ -106,19 +106,19 @@ def _build_parser() -> argparse.ArgumentParser:
     cls = sub.add_parser("classify",
                          help="repeated-split evaluation of a feature matrix")
     cls.add_argument("--features", required=True, help="feature CSV from extract")
-    cls.add_argument("--p", type=int, default=10)
-    cls.add_argument("--repeats", type=int, default=10_000)
-    cls.add_argument("--classifiers", default="logistic,knn")
-    cls.add_argument("--train-fraction", type=float, default=0.67)
+    cls.add_argument("--p", type=int, default=None)
+    cls.add_argument("--repeats", type=int, default=None)
+    cls.add_argument("--classifiers", default=None)
+    cls.add_argument("--train-fraction", type=float, default=None)
     cls.add_argument("--curve", default=None,
                      help="feature counts to sweep, e.g. 1..29 or 1,5,10")
-    cls.add_argument("--curve-repeats", type=int, default=1000)
+    cls.add_argument("--curve-repeats", type=int, default=None)
     cls.add_argument("--balance", action="store_true",
                      help="subsample the larger class first")
     cls.add_argument("--standardize", dest="standardize",
                      action=argparse.BooleanOptionalAction, default=True)
-    cls.add_argument("--selection", choices=("per-split", "global"),
-                     default="per-split")
+    cls.add_argument("--selection", default=None,
+                     help="where windows are ranked: per-split or global")
     cls.add_argument("--per-repeat-log", action="store_true")
     cls.add_argument("--seed", type=int, default=0)
     cls.add_argument("--out-dir", default=".")
@@ -127,19 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pipe = sub.add_parser("pipeline", help="full run from a YAML config")
     pipe.add_argument("config", help="path to the YAML run configuration")
     return ap
-
-
-def _parse_classifier_names(text: str):
-    from .classify import ClassifierSpec
-
-    names = [name.strip() for name in text.split(",") if name.strip()]
-    if not names:
-        raise ConfigurationError("no classifiers requested")
-    for i, name in enumerate(names):
-        if name in names[:i]:  # each kind writes its own files
-            raise ConfigurationError(
-                f"--classifiers: repeated classifier kind {name!r}")
-    return [ClassifierSpec(kind=name) for name in names]
 
 
 def _make_out_dir(out_dir) -> Path:
@@ -205,39 +192,43 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _method_config_from_args(args):
-    from .pipeline import MethodConfig, default_method_config
-
-    base = default_method_config(args.method, args.dataset_tag)
-    return MethodConfig(
-        family=args.wavelet or base.family,
-        depth=args.depth if args.depth is not None else base.depth,
-        level_plan=base.level_plan)
-
-
-def cmd_extract(args) -> int:
+def _extract(matrix, labels, method, settings, threads, out, meta,
+             prepare=lambda dataset, grid: dataset):
+    """The features of ``extract_settings``' ``settings``, written to
+    ``out`` with the window table in ``meta``.  ``prepare(dataset, grid)``
+    returns the dataset to extract from, before any extraction."""
     from .pipeline import (extract_features, load_dataset, make_windows,
                            write_window_metadata_csv)
 
-    method_config = _method_config_from_args(args)
-    method_config.check(args.window_len)  # before minutes of ingest
-    if args.stride < 1:
-        raise ConfigurationError(f"--stride must be >= 1, got {args.stride}")
+    method_config, window_len, stride = settings
+    dataset = load_dataset(matrix, labels)
+    grid = make_windows(dataset.n_bins, window_len, stride)
+    dataset = prepare(dataset, grid)
+    features = extract_features(dataset, method, grid, method_config,
+                                threads=threads)
+    features.write_csv(out)
+    write_window_metadata_csv(grid, dataset.mz_values, meta)
+    return features
+
+
+def cmd_extract(args) -> int:
+    from .pipeline import extract_settings
+
+    settings = extract_settings(  # before minutes of ingest
+        args.method, args.dataset_tag, args.wavelet, args.depth,
+        window_len=args.window_len, stride=args.stride,
+        stride_source="--stride")
     meta = args.meta or str(Path(args.out).with_suffix("")) + "_windows.csv"
     with _output_set([args.out, meta]) as (out, staged_meta):
-        dataset = load_dataset(args.matrix, args.labels)
-        grid = make_windows(dataset.n_bins, args.window_len, args.stride)
-        features = extract_features(dataset, args.method, grid,
-                                    method_config, threads=args.threads)
-        features.write_csv(out)
-        write_window_metadata_csv(grid, dataset.mz_values, staged_meta)
+        features = _extract(args.matrix, args.labels, args.method, settings,
+                            args.threads, out, staged_meta)
     print(f"wrote {args.out} ({features.slopes.shape[0]} samples x "
           f"{features.n_windows} windows) and {meta}")
     return 0
 
 
 def _classify_outputs(classifiers, curve, per_repeat_log) -> list:
-    """Names of the files ``_classify_feature_matrix`` writes, in order."""
+    """Names of the files ``_classify`` writes, in order."""
     kinds = [spec.kind for spec in classifiers]
     return ([f"per_repeat_{kind}.csv" for kind in kinds if per_repeat_log]
             + ["accuracy.csv"]
@@ -245,22 +236,22 @@ def _classify_outputs(classifiers, curve, per_repeat_log) -> list:
             + ["feature_correlation.csv", "selected_features.csv"])
 
 
-def _classify_feature_matrix(features, classifiers, p, split, curve,
-                             curve_repeats, standardize_flag, selection_mode,
-                             paths: dict, threads,
-                             per_repeat_log=False) -> None:
-    """Evaluate every classifier on the FeatureMatrix ``features`` at ``p``
-    on ``split`` and, unless ``curve`` is None, at each feature count it
-    lists on the first ``curve_repeats`` of those splits, in one pass of
-    the evaluation core; write each file named by ``_classify_outputs`` to
-    its path in ``paths``, a name -> path mapping.  The callers have run
-    ``check_evaluation`` on every p."""
-    from .classify import (evaluate_classifiers, feature_correlation,
-                           write_correlation_csv, write_eval_csv,
-                           write_per_repeat_csv)
+def _classify(features, classifiers, p, split, curve, curve_repeats,
+              standardize_flag, selection_mode, staged, threads,
+              per_repeat_log=False) -> None:
+    """Evaluate every classifier on ``features`` at ``p`` on ``split`` and
+    at each ``curve`` count on the first ``curve_repeats`` splits, in one
+    pass of the evaluation core, once ``check_evaluation`` passes; write
+    each file ``_classify_outputs`` names to its path in ``staged``."""
+    from .classify import (check_evaluation, evaluate_classifiers,
+                           feature_correlation, write_correlation_csv,
+                           write_eval_csv, write_per_repeat_csv)
     from .pipeline import fisher_scores, select_top
 
     curve = curve or []
+    check_evaluation(classifiers, [p, *curve], features.n_windows,
+                     len(features.labels), split)
+    paths = {path.name: path for path in staged}
     results = evaluate_classifiers(
         features, classifiers, [p, *curve], split,
         apply_standardize=standardize_flag, selection_mode=selection_mode,
@@ -293,35 +284,37 @@ def _write_selected_features(features, selected, path):
 
 
 def cmd_classify(args) -> int:
-    from .classify import (SplitSpec, check_evaluation, check_repeats,
-                           check_train_fraction)
+    from .classify import (ClassifierSpec, check_classifiers,
+                           check_curve_repeats, check_p, check_selection,
+                           make_split)
     from .pipeline import balance_feature_rows, read_feature_csv
 
-    classifiers = _parse_classifier_names(args.classifiers)
+    specs = None
+    if args.classifiers is not None:
+        specs = [ClassifierSpec(kind=name.strip())
+                 for name in args.classifiers.split(",") if name.strip()]
+    classifiers = check_classifiers(specs, "--classifiers")
+    p = check_p(args.p, "--p")
     curve = None
     if args.curve is not None:
         curve = parse_int_range(args.curve)
         if not curve:
             raise ConfigurationError(f"--curve: no values in {args.curve!r}")
-    split = SplitSpec(
-        train_fraction=check_train_fraction(args.train_fraction,
-                                            "--train-fraction"),
-        n_repeats=check_repeats(args.repeats, "--repeats"),
-        master_seed=args.seed)
-    check_repeats(args.curve_repeats, "--curve-repeats")
+        check_p(min(curve), "--curve")
+    split = make_split(args.train_fraction, args.repeats, args.seed,
+                       ("--train-fraction", "--repeats"))
+    curve_repeats = check_curve_repeats(args.curve_repeats, "--curve-repeats")
+    selection = check_selection(args.selection, "--selection")
     out_dir = _make_out_dir(args.out_dir)
-    names = _classify_outputs(classifiers, curve, args.per_repeat_log)
-    outputs = [out_dir / name for name in names]
+    outputs = [out_dir / name for name in
+               _classify_outputs(classifiers, curve, args.per_repeat_log)]
     with _output_set(outputs) as staged:
         features = read_feature_csv(args.features)
         if args.balance:
             features = balance_feature_rows(features, args.seed)
-        check_evaluation(classifiers, [args.p, *(curve or ())],
-                         features.n_windows, len(features.labels), split)
-        _classify_feature_matrix(
-            features, classifiers, args.p, split, curve, args.curve_repeats,
-            args.standardize, args.selection, dict(zip(names, staged)),
-            args.threads, per_repeat_log=args.per_repeat_log)
+        _classify(features, classifiers, p, split, curve, curve_repeats,
+                  args.standardize, selection, staged, args.threads,
+                  per_repeat_log=args.per_repeat_log)
     print("wrote " + ", ".join(str(p) for p in outputs))
     return 0
 
@@ -330,37 +323,36 @@ def cmd_pipeline(args) -> int:
     from .classify import check_evaluation
     from .config import load_run_config
     from .pipeline import (balance_classes, check_rank_sum_sizes,
-                           extract_features, load_dataset, make_windows,
-                           write_screen_csv, write_window_metadata_csv)
+                           write_screen_csv)
 
     cfg = load_run_config(args.config)
     out_dir = _make_out_dir(cfg.output_dir)
     curve = None if cfg.curve is None else range(cfg.curve[0], cfg.curve[1] + 1)
-    names = _classify_outputs(cfg.classifiers, curve, cfg.per_repeat_log)
     outputs = [out_dir / name for name in
-               ["features.csv", "windows.csv", "rank_sum_screen.csv", *names]]
-    with _output_set(outputs) as (features_csv, windows_csv, screen_csv,
-                                  *staged):
-        dataset = load_dataset(cfg.matrix_path, cfg.labels_path)
+               ["features.csv", "windows.csv", "rank_sum_screen.csv",
+                *_classify_outputs(cfg.classifiers, curve, cfg.per_repeat_log)]]
+
+    def prepare(dataset, grid):
         if cfg.balance:
             dataset = balance_classes(dataset, cfg.seed)
-        grid = make_windows(dataset.n_bins, cfg.window_len, cfg.stride)
         # the checks of the screen and of the evaluation core, made before
         # extraction, in the order their writers would make them
         check_rank_sum_sizes(int(np.sum(dataset.labels == 1)),
                              int(np.sum(dataset.labels == 0)))
         check_evaluation(cfg.classifiers, [cfg.p, *(curve or ())],
                          grid.count, dataset.n_samples, cfg.split)
-        features = extract_features(dataset, cfg.method, grid,
-                                    cfg.method_config, threads=cfg.threads)
-        features.write_csv(features_csv)
-        write_window_metadata_csv(grid, dataset.mz_values, windows_csv)
+        return dataset
+
+    with _output_set(outputs) as (features_csv, windows_csv, screen_csv,
+                                  *staged):
+        features = _extract(
+            cfg.matrix_path, cfg.labels_path, cfg.method,
+            (cfg.method_config, cfg.window_len, cfg.stride), cfg.threads,
+            features_csv, windows_csv, prepare)
         write_screen_csv(features, screen_csv)
-        _classify_feature_matrix(
-            features, cfg.classifiers, cfg.p, cfg.split, curve,
-            cfg.curve_repeats, cfg.standardize, cfg.selection_mode,
-            dict(zip(names, staged)), cfg.threads,
-            per_repeat_log=cfg.per_repeat_log)
+        _classify(features, cfg.classifiers, cfg.p, cfg.split, curve,
+                  cfg.curve_repeats, cfg.standardize, cfg.selection_mode,
+                  staged, cfg.threads, per_repeat_log=cfg.per_repeat_log)
     print("pipeline complete; wrote " + ", ".join(str(p) for p in outputs))
     return 0
 

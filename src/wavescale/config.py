@@ -1,10 +1,8 @@
 """Pipeline run configuration: a YAML file mapped onto a dataclass.
 
-Only the dataset paths and the method are mandatory; everything else has
-the per-method defaults applied when omitted.  Referenced paths, the
-selection mode, key names, value types, the window length, stride, depth
-and wavelet family, the level plan, and the feature counts are checked at
-load time.
+Only the dataset paths and the method are mandatory.  A key that an
+``extract`` or ``classify`` flag also sets is defaulted and checked by the
+same code as that flag.
 """
 
 from __future__ import annotations
@@ -15,11 +13,11 @@ from pathlib import Path
 
 import yaml
 
-from .classify import (SELECTION_MODES, ClassifierSpec, SplitSpec,
-                       check_repeats, check_train_fraction)
+from .classify import (ClassifierSpec, SplitSpec, check_classifiers,
+                       check_curve_repeats, check_p, check_selection,
+                       make_split)
 from .errors import ConfigurationError
-from .estimators import METHODS
-from .pipeline import MethodConfig, default_method_config
+from .pipeline import MethodConfig, extract_settings
 from .utils import check_threads
 
 
@@ -48,7 +46,11 @@ class RunConfig:
 _TOP_KEYS = ("dataset method wavelet depth levels window balance classifiers "
              "split features standardize selection seed threads output_dir "
              "per_repeat_log")
-_CLASSIFIER_KEYS = {"logistic": "kind C max_iters tol", "knn": "kind k"}
+# each kind's entry keys: config key -> (ClassifierSpec field, value type)
+_CLASSIFIER_KEYS = {"logistic": {"C": ("l2_c", float),
+                                 "max_iters": ("max_iters", int),
+                                 "tol": ("tol", float)},
+                    "knn": {"k": ("k", int)}}
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -111,6 +113,8 @@ def _parse_level_plan(raw) -> tuple:
 
 
 def _parse_classifiers(raw) -> tuple:
+    if raw is None:
+        return check_classifiers(None, "classifiers")
     specs = []
     for i, entry in enumerate(raw):
         where = f"classifiers[{i}]"
@@ -119,38 +123,21 @@ def _parse_classifiers(raw) -> tuple:
         if not isinstance(entry, dict):
             raise ConfigurationError(f"{where}: expected a mapping or a "
                                      f"classifier name, got {entry!r}")
+        _require(entry, "kind", where)
         kind = _get(entry, "kind", where, str)
-        if kind is None:
-            raise ConfigurationError(f"{where}: missing required key 'kind'")
         if kind not in _CLASSIFIER_KEYS:
             raise ConfigurationError(f"{where}: unknown kind {kind!r}")
-        # each kind writes its own per-repeat log and curve file
-        if any(spec.kind == kind for spec in specs):
-            raise ConfigurationError(f"{where}: repeated classifier kind {kind!r}")
-        _known(entry, where, _CLASSIFIER_KEYS[kind])
-        if kind == "logistic":
-            specs.append(ClassifierSpec(
-                kind="logistic",
-                l2_c=_get(entry, "C", where, float, ClassifierSpec.l2_c),
-                max_iters=_get(entry, "max_iters", where, int,
-                               ClassifierSpec.max_iters),
-                tol=_get(entry, "tol", where, float, ClassifierSpec.tol)))
-        else:
-            specs.append(ClassifierSpec(kind="knn", k=_get(
-                entry, "k", where, int, ClassifierSpec.k)))
-    if not specs:
-        raise ConfigurationError("classifier list is empty")
-    return tuple(specs)
+        keys = _CLASSIFIER_KEYS[kind]
+        _known(entry, where, " ".join(["kind", *keys]))
+        specs.append(ClassifierSpec(kind=kind, **{
+            field: _get(entry, key, where, type_)
+            for key, (field, type_) in keys.items() if key in entry}))
+    return check_classifiers(specs, "classifiers[{}]")
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse and validate a YAML run configuration.
-
-    Besides key names and value types, the window length, stride,
-    decomposition depth and wavelet family, the level plan's windows and
-    levels, ``features.p``, ``features.curve``, ``features.curve_repeats``
-    and ``threads`` are checked here, before any input is read.
-    """
+    """Parse and check a YAML run configuration: key names, value types and
+    every value that can be checked before any input is read."""
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -171,61 +158,39 @@ def load_run_config(path) -> RunConfig:
             raise ConfigurationError(f"referenced path does not exist: {p}")
 
     method = _require(raw, "method", str(path))
-    if method not in METHODS:
-        raise ConfigurationError(
-            f"method must be one of {METHODS}, got {method!r}")
-
-    base = default_method_config(method, _get(dataset, "tag", "dataset", str))
-    plan = (_parse_level_plan(_get(raw, "levels", "", list))
-            if "levels" in raw else base.level_plan)
-    method_config = MethodConfig(
-        family=_get(raw, "wavelet", "", str, base.family),
-        depth=_get(raw, "depth", "", int, base.depth), level_plan=plan)
-
+    levels = _get(raw, "levels", "", list)
     window = _known(raw.get("window", {}), "window", "length stride")
-    window_len = _get(window, "length", "window", int, 1024)
-    stride = _get(window, "stride", "window", int, 500)
-    method_config.check(window_len)
-    if stride < 1:
-        raise ConfigurationError(f"window.stride must be >= 1, got {stride}")
+    method_config, window_len, stride = extract_settings(
+        method, _get(dataset, "tag", "dataset", str),
+        wavelet=_get(raw, "wavelet", "", str),
+        depth=_get(raw, "depth", "", int),
+        level_plan=None if levels is None else _parse_level_plan(levels),
+        window_len=_get(window, "length", "window", int),
+        stride=_get(window, "stride", "window", int),
+        stride_source="window.stride")
 
     seed = _get(raw, "seed", "", int, 0)
     split_raw = _known(raw.get("split", {}), "split", "train_fraction repeats")
-    split = SplitSpec(
-        train_fraction=check_train_fraction(_get(
-            split_raw, "train_fraction", "split", float,
-            SplitSpec.train_fraction), "split.train_fraction"),
-        n_repeats=check_repeats(_get(split_raw, "repeats", "split", int,
-                                     SplitSpec.n_repeats), "split.repeats"),
-        master_seed=seed)
+    split = make_split(_get(split_raw, "train_fraction", "split", float),
+                       _get(split_raw, "repeats", "split", int), seed,
+                       ("split.train_fraction", "split.repeats"))
 
     features = _known(raw.get("features", {}), "features", "p curve curve_repeats")
-    p = _get(features, "p", "features", int, 10)
-    if p < 1:
-        raise ConfigurationError(f"features.p must be >= 1, got {p}")
-    curve = features.get("curve")
+    p = check_p(_get(features, "p", "features", int), "features.p")
+    curve = _get(features, "curve", "features", list)
     if curve is not None:
         try:
-            lo, hi = (int(curve[0]), int(curve[1]))
-        except (TypeError, ValueError, IndexError, KeyError):
+            lo, hi = (int(v) for v in curve)
+        except (TypeError, ValueError):
             raise ConfigurationError(
                 "features.curve must be a [lo, hi] pair") from None
         if not 1 <= lo <= hi:
             raise ConfigurationError(
                 f"features.curve must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")
         curve = (lo, hi)
-    curve_repeats = _get(features, "curve_repeats", "features", int, 1000)
-    if curve_repeats < 1:
-        raise ConfigurationError(
-            f"features.curve_repeats must be >= 1, got {curve_repeats}")
-
-    classifiers = _parse_classifiers(_get(
-        raw, "classifiers", "", list, [{"kind": "logistic"}, {"kind": "knn"}]))
-
-    selection_mode = _get(raw, "selection", "", str, "per-split")
-    if selection_mode not in SELECTION_MODES:
-        raise ConfigurationError(f"selection must be one of {SELECTION_MODES}, "
-                                 f"got {selection_mode!r}")
+    curve_repeats = check_curve_repeats(
+        _get(features, "curve_repeats", "features", int),
+        "features.curve_repeats")
 
     return RunConfig(
         matrix_path=matrix_path,
@@ -235,13 +200,14 @@ def load_run_config(path) -> RunConfig:
         window_len=window_len,
         stride=stride,
         balance=_get(raw, "balance", "", bool, False),
-        classifiers=classifiers,
+        classifiers=_parse_classifiers(_get(raw, "classifiers", "", list)),
         split=split,
         p=p,
         curve=curve,
         curve_repeats=curve_repeats,
         standardize=_get(raw, "standardize", "", bool, True),
-        selection_mode=selection_mode,
+        selection_mode=check_selection(_get(raw, "selection", "", str),
+                                       "selection"),
         seed=seed,
         threads=check_threads(_get(raw, "threads", "", int, 1)),
         output_dir=Path(_get(raw, "output_dir", "", str, ".")),

@@ -136,22 +136,45 @@ def default_method_config(method: str, dataset_tag: str = None) -> MethodConfig:
     """Per-method defaults: Haar at depth 10 for the spectrum methods,
     symmlet4 at depth 9 for the rank-size method (1024-point windows).
 
-    ``dataset_tag`` selects a stored level plan, e.g. "ovarian-8-7-02".
+    ``dataset_tag`` selects a stored level plan, e.g. "ovarian-8-7-02";
+    an unknown tag is a ConfigurationError for every method, and a known
+    one selects no plan for ``jones``.
     """
     if method not in METHODS:
-        raise ConfigurationError(f"unknown method {method!r}")
-    plan = ()
-    if dataset_tag is not None:
-        try:
-            plan = LEVEL_PLANS[(dataset_tag, method)]
-        except KeyError:
-            if method != "jones":
-                raise ConfigurationError(
-                    f"no stored level plan for ({dataset_tag!r}, {method!r})"
-                ) from None
+        raise ConfigurationError(f"unknown method {method!r}; known methods: "
+                                 f"{', '.join(METHODS)}")
+    tags = sorted({tag for tag, _ in LEVEL_PLANS})
+    if dataset_tag is not None and dataset_tag not in tags:
+        raise ConfigurationError(f"unknown dataset tag {dataset_tag!r}; "
+                                 f"known tags: {', '.join(tags)}")
     if method == "jones":
         return MethodConfig(family="symmlet4", depth=9, level_plan=())
-    return MethodConfig(family="haar", depth=10, level_plan=plan)
+    return MethodConfig(family="haar", depth=10,
+                        level_plan=LEVEL_PLANS.get((dataset_tag, method), ()))
+
+
+_WINDOW_LEN, _STRIDE = 1024, 500  # the paper's rolling windows
+
+
+def extract_settings(method: str, dataset_tag: str = None, wavelet=None,
+                     depth=None, level_plan=None, window_len=None,
+                     stride=None, *, stride_source: str):
+    """The checked (MethodConfig, window length, stride) of ``extract``'s
+    flags or a run config's keys, None taking the default of
+    ``default_method_config``, 1024-bin windows or a stride of 500; a
+    stride below 1 is an error naming ``stride_source``."""
+    base = default_method_config(method, dataset_tag)
+    method_config = MethodConfig(
+        family=base.family if wavelet is None else wavelet,
+        depth=base.depth if depth is None else depth,
+        level_plan=base.level_plan if level_plan is None else level_plan)
+    window_len = _WINDOW_LEN if window_len is None else window_len
+    stride = _STRIDE if stride is None else stride
+    method_config.check(window_len)
+    if stride < 1:
+        raise ConfigurationError(
+            f"{stride_source} must be >= 1, got {stride}")
+    return method_config, window_len, stride
 
 
 @dataclass(frozen=True)
@@ -401,7 +424,8 @@ def load_dataset(matrix_path, labels_path) -> SpectraDataset:
         sample_ids=tuple(ids), mz_values=mz)
 
 
-def make_windows(n_bins: int, window_len: int = 1024, stride: int = 500) -> WindowGrid:
+def make_windows(n_bins: int, window_len: int = _WINDOW_LEN,
+                 stride: int = _STRIDE) -> WindowGrid:
     """Rolling-window grid: window w covers [(w-1)*stride, ... + window_len).
 
     Produces floor((n_bins - window_len) / stride + 1) windows; bins past

@@ -121,20 +121,24 @@ def test_console_script_installed():
 
 # ------------------------------------------------------- shared toy data
 
-def _write_dataset(tmp_path, n_per_class=5, n_bins=1536, seed=3):
+def _write_dataset(tmp_path, n_per_class=5, n_bins=1536, seed=3, n_case=None):
+    """A matrix CSV and a labels CSV of ``n_per_class`` controls and
+    ``n_case`` cases (default ``n_per_class``)."""
     ds = two_class_fbm_dataset(n_per_class=n_per_class, n_bins=n_bins,
                                seed=seed)
-    lines = ["mz," + ",".join(ds.sample_ids)]
+    n = ds.n_samples if n_case is None else n_per_class + n_case
+    ids, labels_ = ds.sample_ids[:n], ds.labels[:n]  # controls come first
+    lines = ["mz," + ",".join(ids)]
     for i in range(ds.n_bins):
         lines.append(",".join([repr(float(i + 1))] +
-                              [repr(float(v)) for v in ds.intensities[:, i]]))
+                              [repr(float(v)) for v in ds.intensities[:n, i]]))
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("\n".join(lines) + "\n", encoding="utf-8")
     labels = tmp_path / "labels.csv"
     labels.write_text(
         "sample_id,label\n" + "\n".join(
             f"{sid},{'case' if lab else 'control'}"
-            for sid, lab in zip(ds.sample_ids, ds.labels)) + "\n",
+            for sid, lab in zip(ids, labels_)) + "\n",
         encoding="utf-8")
     return matrix, labels
 
@@ -222,7 +226,10 @@ def test_extract_rejects_bad_values_before_any_output(tmp_path, capsys,
     (["--stride", "0"], "--stride must be >= 1, got 0"),
     (["--meta", "{out}"], "name the same file"),
     (["--meta", "{tmp}/sub/../f.csv"], "name the same file"),
-], ids=["stride", "meta-is-out", "meta-resolves-to-out"])
+    (["--method", "jones", "--dataset-tag", "bogus"],
+     "unknown dataset tag 'bogus'; known tags: ovarian-4-3-02, "
+     "ovarian-8-7-02"),
+], ids=["stride", "meta-is-out", "meta-resolves-to-out", "jones-unknown-tag"])
 def test_extract_bad_flags_exit_2_before_ingest(tmp_path, capsys, monkeypatch,
                                                 flags, message):
     _no_input(monkeypatch)
@@ -320,6 +327,51 @@ def test_pipeline_end_to_end_and_idempotent(tmp_path):
     assert (out_dir / "accuracy.csv").read_bytes() == acc_first
     curve = (out_dir / "accuracy_vs_features_knn.csv").read_text().splitlines()
     assert len(curve) == 4  # header + p in 1..3
+
+
+def test_pipeline_is_extract_then_classify(tmp_path):
+    """``pipeline`` writes byte for byte what ``extract`` followed by
+    ``classify --balance`` writes with the matching flags and seed; the
+    classifier list and the train fraction are left at their defaults on
+    both sides."""
+    matrix, labels = _write_dataset(tmp_path, n_per_class=14, n_bins=2048,
+                                    n_case=10)
+    pipe_dir, cls_dir = tmp_path / "pipe", tmp_path / "cls"
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"""\
+dataset:
+  matrix: {matrix}
+  labels: {labels}
+method: wang
+depth: 8
+window:
+  length: 512
+  stride: 256
+balance: true
+split:
+  repeats: 30
+features:
+  p: 3
+  curve: [1, 7]
+  curve_repeats: 12
+seed: 5
+output_dir: {pipe_dir}
+""", encoding="utf-8")
+    assert main(["pipeline", str(cfg)]) == 0
+    feats = tmp_path / "f.csv"
+    assert main(["extract", "--matrix", str(matrix), "--labels", str(labels),
+                 "--method", "wang", "--depth", "8", "--window-len", "512",
+                 "--stride", "256", "--out", str(feats)]) == 0
+    assert main(["classify", "--features", str(feats), "--balance",
+                 "--p", "3", "--repeats", "30", "--curve", "1..7",
+                 "--curve-repeats", "12", "--seed", "5",
+                 "--out-dir", str(cls_dir)]) == 0
+    for name in ["accuracy.csv", "accuracy_vs_features_logistic.csv",
+                 "accuracy_vs_features_knn.csv", "feature_correlation.csv",
+                 "selected_features.csv"]:
+        assert (pipe_dir / name).read_bytes() == (cls_dir / name).read_bytes(), name
+    assert ((pipe_dir / "windows.csv").read_bytes()
+            == (tmp_path / "f_windows.csv").read_bytes())
 
 
 def test_pipeline_failure_removes_partial_outputs(tmp_path):
@@ -421,10 +473,12 @@ def _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message):
      "balance: expected true or false, got 'maybe'"),
     ("seed: 11", "seed: 1.5", "seed: expected an integer, got 1.5"),
     ("  p: 2", "  p: [2]", "features.p: expected an integer, got [2]"),
+    ("  curve: [1, 3]", "  curve: '13'",
+     "features.curve: expected a list, got '13'"),
     ("method: wang", "method: wang\nthreads: two",
      "threads: expected an integer, got 'two'"),
 ], ids=["repeats", "classifier-entry", "C", "kind", "balance", "seed", "p",
-        "threads"])
+        "curve", "threads"])
 def test_pipeline_config_rejects_ill_typed_values_before_ingest(
         tmp_path, capsys, old, new, message):
     _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
@@ -476,8 +530,10 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "features.curve must satisfy 1 <= lo <= hi, got [3, 1]"),
     ("  curve: [1, 3]", "  curve: [0, 3]",
      "features.curve must satisfy 1 <= lo <= hi, got [0, 3]"),
+    ("  curve: [1, 3]", "  curve: [1, 3, 5]",
+     "features.curve must be a [lo, hi] pair"),
     ("  curve_repeats: 10", "  curve_repeats: 0",
-     "features.curve_repeats must be >= 1, got 0"),
+     "features.curve_repeats: n_repeats must be >= 1, got 0"),
     ("  repeats: 20", "  repeats: 0",
      "split.repeats: n_repeats must be >= 1, got 0"),
     ("  repeats: 20", "  repeats: 20\n  train_fraction: 1.5",
@@ -486,9 +542,14 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "thread count must be >= 1, got 0"),
     ("  - kind: knn\n    k: 5", "  - kind: logistic",
      "classifiers[1]: repeated classifier kind 'logistic'"),
+    ("method: wang", "  tag: bogus\nmethod: jones",
+     "unknown dataset tag 'bogus'; known tags: ovarian-4-3-02, "
+     "ovarian-8-7-02"),
 ], ids=["stride", "plan-windows-order", "plan-windows-zero", "plan-level-high",
-        "plan-level-low", "p", "curve-order", "curve-zero", "curve-repeats",
-        "split-repeats", "split-train-fraction", "threads", "repeated-kind"])
+        "plan-level-low", "p", "curve-order", "curve-zero", "curve-triple",
+        "curve-repeats",
+        "split-repeats", "split-train-fraction", "threads", "repeated-kind",
+        "jones-unknown-tag"])
 def test_pipeline_config_rejects_bad_values_before_ingest(tmp_path, capsys,
                                                           old, new, message):
     _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
@@ -753,8 +814,10 @@ def test_classify_curve_is_the_first_curve_repeats_splits(tmp_path):
      "--repeats: n_repeats must be >= 1, got 0", False),
     (["--train-fraction", "1.5"],
      "--train-fraction: train_fraction must be in (0, 1), got 1.5", False),
+    (["--p", "0"], "--p must be >= 1, got 0", False),
+    (["--curve", "0..3"], "--curve must be >= 1, got 0", False),
 ], ids=["curve", "curve-repeats", "curve-repeats-named", "repeats-named",
-        "train-fraction-named"])
+        "train-fraction-named", "p-named", "curve-low-named"])
 def test_classify_checks_the_curve_before_evaluating(tmp_path, capsys,
                                                      monkeypatch, flags,
                                                      message, reads_features):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import wavescale
 
 _SRC = str(Path(wavescale.__file__).resolve().parent.parent)
@@ -36,6 +38,40 @@ print(json.dumps([rc, sorted(m for m in (
 """)
     assert rc == 0 and out.exists()
     assert loaded == []
+
+
+def test_extract_and_classify_load_no_yaml_or_config(tmp_path):
+    """``extract`` loads neither YAML, the config loader nor the
+    classifiers, and ``classify`` neither YAML nor the config loader: the
+    settings parsers they share with ``pipeline`` live in the modules each
+    command runs anyway."""
+    matrix, labels = tmp_path / "m.csv", tmp_path / "l.csv"
+    walks = np.random.default_rng(0).standard_normal((12, 256)).cumsum(axis=1)
+    matrix.write_text("mz," + ",".join(f"s{j}" for j in range(12)) + "\n"
+                      + "".join(f"{i + 1}.0," + ",".join(map(repr, row)) + "\n"
+                                for i, row in enumerate(walks.T.tolist())),
+                      encoding="utf-8")
+    labels.write_text("sample_id,label\n" + "".join(
+        f"s{j},{j % 2}\n" for j in range(12)), encoding="utf-8")
+    feats = tmp_path / "f.csv"
+    watched = ("yaml", "wavescale.config", "wavescale.classify")
+    loaded = {}
+    for command, argv in {
+            "extract": ["extract", "--matrix", str(matrix), "--labels",
+                        str(labels), "--method", "dwt", "--depth", "4",
+                        "--window-len", "64", "--stride", "64",
+                        "--out", str(feats)],
+            "classify": ["classify", "--features", str(feats), "--p", "2",
+                         "--repeats", "3", "--classifiers", "logistic",
+                         "--out-dir", str(tmp_path / "out")]}.items():
+        loaded[command] = _fresh(f"""
+import json, sys
+from wavescale import cli
+rc = cli.main({argv!r})
+print(json.dumps([rc, sorted(m for m in {watched!r} if m in sys.modules)]))
+""")
+    assert loaded["extract"] == [0, []]
+    assert loaded["classify"] == [0, ["wavescale.classify"]]
 
 
 def test_public_names_are_their_owning_modules_objects():

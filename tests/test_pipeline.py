@@ -752,6 +752,14 @@ def test_default_method_config_table():
     assert named.level_plan[0] == (1, 15, (7, 8, 9))
     assert named.levels_for(16) == (5, 6, 7, 8, 9)
     assert named.levels_for(30) is None
+    # a known tag selects no plan for jones; an unknown one fails for every
+    # method
+    assert default_method_config("jones", "ovarian-8-7-02") == jones
+    for method in ("dwt", "wang", "jones"):
+        with pytest.raises(ConfigurationError,
+                           match="unknown dataset tag 'bogus'; known tags: "
+                                 "ovarian-4-3-02, ovarian-8-7-02"):
+            default_method_config(method, "bogus")
 
 
 # ------------------------------------------------------------ csv outputs
