@@ -129,38 +129,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _make_out_dir(out_dir) -> Path:
-    """``out_dir``, created with its parents unless it exists."""
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except FileExistsError:
-        raise ConfigurationError(
-            f"output directory {str(out_dir)!r} is an existing file") from None
-    except NotADirectoryError:
-        raise ConfigurationError(
-            f"output directory {str(out_dir)!r} lies under a file") from None
-    return out_dir
-
-
 @contextmanager
-def _output_set(paths):
+def _output_set(paths, out_dir=None):
     """Stage the output files ``paths``; make them visible only together.
 
-    Checks every destination before the body runs (a missing directory, a
+    Checks every destination before the body runs (a missing directory
+    other than ``out_dir``, an ``out_dir`` that is or lies under a file, a
     path that is a directory or two paths naming one file is a
-    ConfigurationError) and yields one staged path per destination.
-    Destinations that share a directory share one staging directory
-    created in it, so each ``os.replace`` stays on one filesystem.  When the body returns, the staged files replace the
-    destinations; on any exception, an interrupt too, the staging
-    directories are removed and the destinations stay as they were.
+    ConfigurationError) and yields one staged path per destination.  Each
+    directory's destinations share one staging directory, made in it or
+    in a missing ``out_dir``'s nearest existing ancestor, so each
+    ``os.replace`` stays on one filesystem.  When the body returns,
+    ``out_dir`` is created and the staged files replace the destinations;
+    on any exception, an interrupt too, only the staging is removed.
     """
     paths = [Path(p) for p in paths]
+    stage_in = {}  # a missing out_dir -> its nearest existing ancestor
+    if out_dir is not None and not out_dir.is_dir():
+        ancestor = next(a for a in (out_dir, *out_dir.parents)
+                        if a.is_symlink() or a.exists())
+        if not ancestor.is_dir():
+            raise ConfigurationError(
+                f"output directory {str(out_dir)!r} " + ("is an existing file"
+                if ancestor == out_dir else "lies under a file"))
+        stage_in[out_dir] = ancestor
     resolved = [p.resolve() for p in paths]
     for i, path in enumerate(paths):
         if path.is_dir():
             raise ConfigurationError(f"output path {str(path)!r} is a directory")
-        if not path.parent.is_dir():
+        if not (path.parent.is_dir() or path.parent in stage_in):
             raise ConfigurationError(
                 f"output directory {str(path.parent)!r} for {str(path)!r} does "
                 "not exist")
@@ -170,10 +167,12 @@ def _output_set(paths):
                                      f"{str(path)!r} name the same file")
     with ExitStack() as stack:
         stages = {parent: Path(stack.enter_context(tempfile.TemporaryDirectory(
-                      prefix=".wavescale-", dir=parent)))
+                      prefix=".wavescale-", dir=stage_in.get(parent, parent))))
                   for parent in dict.fromkeys(p.parent for p in paths)}
         staged = [stages[p.parent] / p.name for p in paths]
         yield staged
+        for directory in stage_in:
+            directory.mkdir(parents=True, exist_ok=True)
         for path, tmp in zip(paths, staged):
             tmp.replace(path)
 
@@ -241,16 +240,14 @@ def _classify(features, classifiers, p, split, curve, curve_repeats,
               per_repeat_log=False) -> None:
     """Evaluate every classifier on ``features`` at ``p`` on ``split`` and
     at each ``curve`` count on the first ``curve_repeats`` splits, in one
-    pass of the evaluation core, once ``check_evaluation`` passes; write
-    each file ``_classify_outputs`` names to its path in ``staged``."""
-    from .classify import (check_evaluation, evaluate_classifiers,
-                           feature_correlation, write_correlation_csv,
-                           write_eval_csv, write_per_repeat_csv)
+    pass of the evaluation core; write each file ``_classify_outputs``
+    names to its path in ``staged``."""
+    from .classify import (evaluate_classifiers, feature_correlation,
+                           write_correlation_csv, write_eval_csv,
+                           write_per_repeat_csv)
     from .pipeline import fisher_scores, select_top
 
     curve = curve or []
-    check_evaluation(classifiers, [p, *curve], features.n_windows,
-                     len(features.labels), split)
     paths = {path.name: path for path in staged}
     results = evaluate_classifiers(
         features, classifiers, [p, *curve], split,
@@ -305,10 +302,10 @@ def cmd_classify(args) -> int:
                        ("--train-fraction", "--repeats"))
     curve_repeats = check_curve_repeats(args.curve_repeats, "--curve-repeats")
     selection = check_selection(args.selection, "--selection")
-    out_dir = _make_out_dir(args.out_dir)
+    out_dir = Path(args.out_dir)
     outputs = [out_dir / name for name in
                _classify_outputs(classifiers, curve, args.per_repeat_log)]
-    with _output_set(outputs) as staged:
+    with _output_set(outputs, out_dir) as staged:
         features = read_feature_csv(args.features)
         if args.balance:
             features = balance_feature_rows(features, args.seed)
@@ -326,9 +323,8 @@ def cmd_pipeline(args) -> int:
                            write_screen_csv)
 
     cfg = load_run_config(args.config)
-    out_dir = _make_out_dir(cfg.output_dir)
     curve = None if cfg.curve is None else range(cfg.curve[0], cfg.curve[1] + 1)
-    outputs = [out_dir / name for name in
+    outputs = [cfg.output_dir / name for name in
                ["features.csv", "windows.csv", "rank_sum_screen.csv",
                 *_classify_outputs(cfg.classifiers, curve, cfg.per_repeat_log)]]
 
@@ -343,8 +339,8 @@ def cmd_pipeline(args) -> int:
                          grid.count, dataset.n_samples, cfg.split)
         return dataset
 
-    with _output_set(outputs) as (features_csv, windows_csv, screen_csv,
-                                  *staged):
+    with _output_set(outputs, cfg.output_dir) as (
+            features_csv, windows_csv, screen_csv, *staged):
         features = _extract(
             cfg.matrix_path, cfg.labels_path, cfg.method,
             (cfg.method_config, cfg.window_len, cfg.stride), cfg.threads,

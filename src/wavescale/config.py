@@ -74,41 +74,52 @@ _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string", list: "a list"}
 
 
-def _get(mapping: dict, key: str, where: str, kind: type, default=None):
-    """``mapping[key]`` (``default`` when absent), checked to be a ``kind``.
-
-    A float key also takes an integer or a numeric string (YAML reads
-    ``1e-6`` as a string).  A mistyped value is a ConfigurationError
-    naming ``where.key``.
-    """
-    if key not in mapping:
-        return default
-    value = mapping[key]
+def _typed(value, kind: type, name: str):
+    """``value``, checked to be a ``kind``, else a ConfigurationError naming
+    ``name``.  An integer is never a bool; a float also takes an integer or
+    a numeric string (YAML reads ``1e-6`` as a string)."""
     if kind is float and not isinstance(value, bool):
         with suppress(TypeError, ValueError):
             return float(value)
     elif isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
-    raise ConfigurationError(f"{where + '.' if where else ''}{key}: expected "
-                             f"{_KIND_NAMES[kind]}, got {value!r}")
+    raise ConfigurationError(
+        f"{name}: expected {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _get(mapping: dict, key: str, where: str, kind: type, default=None):
+    """``mapping[key]`` (``default`` when absent), ``_typed`` as ``where.key``."""
+    if key not in mapping:
+        return default
+    return _typed(mapping[key], kind, f"{where + '.' if where else ''}{key}")
+
+
+def _int_list(value, name: str) -> tuple:
+    """The list ``value`` as a tuple of integers, entry j named ``name[j]``."""
+    return tuple(_typed(v, int, f"{name}[{j}]")
+                 for j, v in enumerate(_typed(value, list, name)))
+
+
+def _span(value, name: str) -> tuple:
+    """The integer pair ``value = [lo, hi]``, checked for 1 <= lo <= hi."""
+    span = _int_list(value, name)
+    if len(span) != 2:
+        raise ConfigurationError(f"{name} must be a [lo, hi] pair")
+    lo, hi = span
+    if not 1 <= lo <= hi:
+        raise ConfigurationError(
+            f"{name} must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")
+    return span
 
 
 def _parse_level_plan(raw) -> tuple:
     plan = []
     for i, entry in enumerate(raw):
-        _known(entry, f"levels entry {i}", "windows levels")
-        try:
-            lo, hi = (int(v) for v in entry["windows"])
-            levels = tuple(int(v) for v in entry["levels"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigurationError(
-                f"levels entry {i}: expected windows: [lo, hi] and a "
-                "levels list") from None
-        if not 1 <= lo <= hi:
-            raise ConfigurationError(
-                f"levels entry {i}: windows must satisfy 1 <= lo <= hi, "
-                f"got [{lo}, {hi}]")
-        plan.append((lo, hi, levels))
+        where = f"levels entry {i}"
+        _known(entry, where, "windows levels")
+        lo, hi = _span(_require(entry, "windows", where), f"{where}: windows")
+        plan.append((lo, hi, _int_list(_require(entry, "levels", where),
+                                       f"{where}: levels")))
     return tuple(plan)
 
 
@@ -177,17 +188,8 @@ def load_run_config(path) -> RunConfig:
 
     features = _known(raw.get("features", {}), "features", "p curve curve_repeats")
     p = check_p(_get(features, "p", "features", int), "features.p")
-    curve = _get(features, "curve", "features", list)
-    if curve is not None:
-        try:
-            lo, hi = (int(v) for v in curve)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                "features.curve must be a [lo, hi] pair") from None
-        if not 1 <= lo <= hi:
-            raise ConfigurationError(
-                f"features.curve must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")
-        curve = (lo, hi)
+    curve = (_span(features["curve"], "features.curve")
+             if "curve" in features else None)
     curve_repeats = check_curve_repeats(
         _get(features, "curve_repeats", "features", int),
         "features.curve_repeats")

@@ -6,6 +6,7 @@ own arithmetic paths.
 """
 
 import csv
+import functools
 import itertools
 import math
 import warnings
@@ -26,28 +27,35 @@ def periodic_analysis_direct(x, low, high):
     return approx, detail
 
 
+@functools.cache
 def enumerate_covers(depth):
-    """All disjoint dyadic covers of a full binary tree, as (d, n) lists.
+    """All disjoint dyadic covers of a full binary tree, as tuples of
+    (d, n) pairs; built once per depth.
 
     A cover either keeps a subtree root or splits into covers of the two
     children; counts follow c(0) = 1, c(d) = 1 + c(d-1)**2.
     """
     def covers(d, n, remaining):
-        yield [(d, n)]
+        yield ((d, n),)
         if remaining == 0:
             return
         for left in covers(d + 1, 2 * n, remaining - 1):
             for right in covers(d + 1, 2 * n + 1, remaining - 1):
                 yield left + right
-    return list(covers(0, 0, depth))
+    return tuple(covers(0, 0, depth))
 
 
 def min_cover_cost(tree, cost_fn):
-    """Exhaustive minimum total cost over all admissible covers."""
+    """Exhaustive minimum total cost over all admissible covers.
+
+    Each node is costed once; each cover sums its nodes' costs in cover
+    order.
+    """
+    cost = {(d, n): cost_fn(tree.levels[d][n])
+            for d in range(tree.depth + 1) for n in range(2 ** d)}
     best = math.inf
     for cover in enumerate_covers(tree.depth):
-        total = sum(cost_fn(tree.levels[d][n]) for d, n in cover)
-        best = min(best, total)
+        best = min(best, sum(cost[node] for node in cover))
     return best
 
 

@@ -394,14 +394,15 @@ def test_pipeline_interrupt_removes_partial_outputs(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, matrix, labels, out_dir)
 
     def interrupt(*args, **kwargs):
-        assert any(out_dir.rglob("features.csv"))
+        assert any(tmp_path.glob(".wavescale-*/features.csv"))
         raise KeyboardInterrupt
 
     monkeypatch.setattr("wavescale.pipeline.write_window_metadata_csv",
                         interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["pipeline", str(cfg)])
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
+    assert not any(tmp_path.glob(".wavescale-*"))
 
 
 def test_pipeline_rank_sum_failure_leaves_no_screen(tmp_path, capsys):
@@ -411,7 +412,7 @@ def test_pipeline_rank_sum_failure_leaves_no_screen(tmp_path, capsys):
     cfg = _write_config(tmp_path, matrix, labels, out_dir)
     assert main(["pipeline", str(cfg)]) == 4
     assert "rank-sum test needs at least 5" in capsys.readouterr().err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 def test_pipeline_config_missing_method_exit_2(tmp_path, capsys):
@@ -475,10 +476,28 @@ def _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message):
     ("  p: 2", "  p: [2]", "features.p: expected an integer, got [2]"),
     ("  curve: [1, 3]", "  curve: '13'",
      "features.curve: expected a list, got '13'"),
+    ("  curve: [1, 3]", "  curve: [1.5, 3]",
+     "features.curve[0]: expected an integer, got 1.5"),
+    ("  curve: [1, 3]", "  curve: [true, 3]",
+     "features.curve[0]: expected an integer, got True"),
+    ("  curve: [1, 3]", "  curve: ['1', '3']",
+     "features.curve[0]: expected an integer, got '1'"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: [1.7, 2]\n    levels: [7, 8]",
+     "levels entry 0: windows[0]: expected an integer, got 1.7"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: '12'\n    levels: [7, 8]",
+     "levels entry 0: windows: expected a list, got '12'"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: [1, 2]\n    levels: [7.5, 8]",
+     "levels entry 0: levels[0]: expected an integer, got 7.5"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: [1, 2]\n    levels: [true, 8]",
+     "levels entry 0: levels[0]: expected an integer, got True"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: [1, 2]\n    levels: '78'",
+     "levels entry 0: levels: expected a list, got '78'"),
     ("method: wang", "method: wang\nthreads: two",
      "threads: expected an integer, got 'two'"),
 ], ids=["repeats", "classifier-entry", "C", "kind", "balance", "seed", "p",
-        "curve", "threads"])
+        "curve", "curve-float", "curve-bool", "curve-strings",
+        "plan-windows-float", "plan-windows-string", "plan-levels-float",
+        "plan-levels-bool", "plan-levels-string", "threads"])
 def test_pipeline_config_rejects_ill_typed_values_before_ingest(
         tmp_path, capsys, old, new, message):
     _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
@@ -532,6 +551,10 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "features.curve must satisfy 1 <= lo <= hi, got [0, 3]"),
     ("  curve: [1, 3]", "  curve: [1, 3, 5]",
      "features.curve must be a [lo, hi] pair"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: [1]\n    levels: [7, 8]",
+     "levels entry 0: windows must be a [lo, hi] pair"),
+    ("seed: 11", "seed: 11\nlevels:\n  - levels: [7, 8]",
+     "levels entry 0: missing required key 'windows'"),
     ("  curve_repeats: 10", "  curve_repeats: 0",
      "features.curve_repeats: n_repeats must be >= 1, got 0"),
     ("  repeats: 20", "  repeats: 0",
@@ -547,6 +570,7 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "ovarian-8-7-02"),
 ], ids=["stride", "plan-windows-order", "plan-windows-zero", "plan-level-high",
         "plan-level-low", "p", "curve-order", "curve-zero", "curve-triple",
+        "plan-windows-single", "plan-windows-missing",
         "curve-repeats",
         "split-repeats", "split-train-fraction", "threads", "repeated-kind",
         "jones-unknown-tag"])
@@ -823,23 +847,22 @@ def test_classify_checks_the_curve_before_evaluating(tmp_path, capsys,
                                                      message, reads_features):
     feats = _extracted_features(tmp_path)
 
-    def no_evaluation(*args, **kwargs):
-        raise AssertionError("an evaluation ran")
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a split was drawn")
 
-    monkeypatch.setattr("wavescale.classify.evaluate_classifiers",
-                        no_evaluation)
+    monkeypatch.setattr(classify, "_draw_splits", no_draws)
     if not reads_features:  # a bad count is caught before the file is read
         _no_input(monkeypatch)
     out_dir = tmp_path / "out"
     assert main(["classify", "--features", str(feats), "--p", "2",
                  "--repeats", "10", "--out-dir", str(out_dir)] + flags) == 2
     assert message in capsys.readouterr().err
-    assert not out_dir.exists() or not any(out_dir.iterdir())
+    assert not out_dir.exists()
 
 
 # ------------------------------------------------------- output directory
 
-@pytest.mark.parametrize("where", ["file", "under-file"])
+@pytest.mark.parametrize("where", ["file", "under-file", "dangling-link"])
 @pytest.mark.parametrize("command", ["classify", "pipeline"])
 def test_out_dir_that_is_or_lies_under_a_file_exits_2(tmp_path, capsys,
                                                       monkeypatch, command,
@@ -847,7 +870,10 @@ def test_out_dir_that_is_or_lies_under_a_file_exits_2(tmp_path, capsys,
     _no_input(monkeypatch)
     afile = tmp_path / "afile"
     afile.write_text("a file\n", encoding="utf-8")
-    out_dir = afile if where == "file" else afile / "sub" / "dir"
+    out_dir = {"file": afile, "under-file": afile / "sub" / "dir",
+               "dangling-link": tmp_path / "link"}[where]
+    if where == "dangling-link":
+        out_dir.symlink_to(tmp_path / "gone")
     if command == "classify":
         argv = ["classify", "--features", str(tmp_path / "f.csv"),
                 "--out-dir", str(out_dir)]
@@ -858,9 +884,51 @@ def test_out_dir_that_is_or_lies_under_a_file_exits_2(tmp_path, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"output directory {str(out_dir)!r}" in err
-    assert ("is an existing file" if where == "file"
-            else "lies under a file") in err
+    assert ("lies under a file" if where == "under-file"
+            else "is an existing file") in err
     assert afile.read_text(encoding="utf-8") == "a file\n"
+
+
+_RUN_OUTPUTS = {
+    "classify": ["per_repeat_logistic.csv", "per_repeat_knn.csv",
+                 "accuracy.csv", "accuracy_vs_features_logistic.csv",
+                 "accuracy_vs_features_knn.csv", "feature_correlation.csv",
+                 "selected_features.csv"],
+    "pipeline": ["features.csv", "windows.csv", "rank_sum_screen.csv",
+                 "accuracy.csv", "accuracy_vs_features_logistic.csv",
+                 "accuracy_vs_features_knn.csv", "feature_correlation.csv",
+                 "selected_features.csv"]}
+
+
+@pytest.mark.parametrize("command,fault,code,message", [
+    ("classify", None, 0, ""),
+    ("classify", "p", 2, "p must be in 1..3, got 40"),
+    ("classify", "input", 3, "missing.csv"),
+    ("pipeline", None, 0, ""),
+    ("pipeline", "input", 3, "matrix.csv"),
+], ids=["classify", "classify-p", "classify-missing-input", "pipeline",
+        "pipeline-unreadable-input"])
+def test_missing_out_dir_is_created_only_by_a_successful_run(
+        tmp_path, capsys, command, fault, code, message):
+    out_dir = tmp_path / "new" / "sub"
+    argv = _output_set_argv(tmp_path, command, out_dir)
+    if fault == "p":  # fails once the 3-window feature file is read
+        argv += ["--p", "40"]
+    elif fault == "input" and command == "classify":
+        argv[argv.index("--features") + 1] = str(tmp_path / "missing.csv")
+    elif fault == "input":
+        (tmp_path / "matrix.csv").write_text("not a matrix\n",
+                                             encoding="utf-8")
+    before = set(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    if fault:  # no new directory and no staging directory
+        assert set(tmp_path.iterdir()) == before
+    else:
+        assert set(tmp_path.iterdir()) == before | {tmp_path / "new"}
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            _RUN_OUTPUTS[command])
 
 
 # ----------------------------------------- pipeline checks before extraction
@@ -887,4 +955,4 @@ def test_pipeline_fails_before_extraction(tmp_path, capsys, monkeypatch,
     cfg.write_text(text.replace(old, new, 1), encoding="utf-8")
     assert main(["pipeline", str(cfg)]) == code
     assert message in capsys.readouterr().err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
