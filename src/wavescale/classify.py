@@ -19,6 +19,7 @@ the one-split calls of the same kernels.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -100,12 +101,32 @@ def check_selection(mode, source: str) -> str:
     return mode
 
 
+# The rule of each ClassifierSpec hyperparameter: (test, requirement).
+_SETTING_RULES = {
+    "l2_c": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "max_iters": (lambda v: v >= 1, ">= 1"),
+    "tol": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "k": (lambda v: v >= 1, ">= 1"),
+}
+
+
+def check_classifier_setting(name: str, value, source: str):
+    """``value`` if it meets the rule of ClassifierSpec's field ``name``;
+    the error names ``source``."""
+    test, requirement = _SETTING_RULES[name]
+    if not test(value):
+        raise ConfigurationError(f"{source} must be {requirement}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """Classifier choice plus hyperparameters.
+    """Classifier choice plus hyperparameters, each checked by
+    ``check_classifier_setting``.
 
-    ``kind`` is "logistic" (l2_c is the inverse regularization strength)
-    or "knn" (k neighbors, equal weights, Euclidean distance).
+    ``kind`` is "logistic" (l2_c is the inverse regularization strength;
+    a fit stops after max_iters steps or once the gradient norm is below
+    tol) or "knn" (k neighbors, equal weights, Euclidean distance).
     """
 
     kind: str = "logistic"
@@ -117,10 +138,8 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in ("logistic", "knn"):
             raise ConfigurationError(f"unknown classifier kind {self.kind!r}")
-        if self.kind == "logistic" and self.l2_c <= 0:
-            raise ConfigurationError("l2_c must be positive")
-        if self.kind == "knn" and self.k < 1:
-            raise ConfigurationError("k must be >= 1")
+        for name in _SETTING_RULES:
+            check_classifier_setting(name, getattr(self, name), name)
 
     def describe(self) -> str:
         if self.kind == "logistic":
@@ -308,16 +327,20 @@ def _fit_logistic(x, y, l2_c, max_iters, tol):
     return w, b, ~active, iters
 
 
-def train_logistic(x: np.ndarray, y: np.ndarray, l2_c: float = 1.0,
-                   max_iters: int = 500, tol: float = 1e-6) -> LogisticModel:
+def train_logistic(x: np.ndarray, y: np.ndarray,
+                   l2_c: float = ClassifierSpec.l2_c,
+                   max_iters: int = ClassifierSpec.max_iters,
+                   tol: float = ClassifierSpec.tol) -> LogisticModel:
     """Fit by damped Newton steps with a backtracking line search.
 
     Deterministic: starts from zero weights and stops once the gradient
     norm falls below ``tol``.  Non-convergence within ``max_iters`` steps
     returns the last iterate with ``converged`` False and a warning.
     This is the one-fit call of the solver ``evaluate`` runs on chunks
-    of splits, and gives bitwise the same model.
+    of splits, and gives bitwise the same model.  The settings are
+    checked as ClassifierSpec checks them.
     """
+    ClassifierSpec("logistic", l2_c, max_iters, tol)
     w, b, converged, iters = _fit_logistic(_one(x), _one(y), l2_c,
                                            max_iters, tol)
     return LogisticModel(weights=w[0], bias=float(b[0]),
@@ -361,14 +384,13 @@ def _knn_votes(train, train_y, queries, k):
 
 
 def knn_predict(train_x: np.ndarray, train_y: np.ndarray,
-                test_x: np.ndarray, k: int = 5) -> np.ndarray:
+                test_x: np.ndarray, k: int = ClassifierSpec.k) -> np.ndarray:
     """Majority vote among the k Euclidean-nearest training rows.
 
     Distance ties resolve toward the lower training-row index; an even
     vote split resolves to label 0.
     """
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
+    ClassifierSpec("knn", k=k)  # checks k
     train_x = np.asarray(train_x, dtype=float)
     test_x = np.asarray(test_x, dtype=float)
     if k > train_x.shape[0]:

@@ -82,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--h", default="0.1..0.9",
                      help="Hurst grid, e.g. 0.1..0.9 or 0.3,0.5 (default 0.1..0.9)")
     sim.add_argument("--reps", type=int, default=1000)
-    sim.add_argument("--n", type=int, default=1024, help="signal length")
-    sim.add_argument("--methods", default="dwt,wang,jones")
+    sim.add_argument("--n", type=int, default=None, help="signal length")
+    sim.add_argument("--methods", default=None)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", default="hurst_benchmark.csv")
 
@@ -181,7 +181,8 @@ def cmd_simulate(args) -> int:
     from .fbm import run_estimator_benchmark
 
     h_grid = parse_float_range(args.h)
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    methods = None if args.methods is None else tuple(
+        m.strip() for m in args.methods.split(",") if m.strip())
     with _output_set([args.out]) as (out,):
         report = run_estimator_benchmark(
             h_grid, n_reps=args.reps, length=args.n, methods=methods,

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import yaml
 
-from .classify import (ClassifierSpec, SplitSpec, check_classifiers,
-                       check_curve_repeats, check_p, check_selection,
-                       make_split)
+from .classify import (ClassifierSpec, SplitSpec, check_classifier_setting,
+                       check_classifiers, check_curve_repeats, check_p,
+                       check_selection, make_split)
 from .errors import ConfigurationError
 from .pipeline import MethodConfig, extract_settings
 from .utils import check_threads
@@ -141,7 +141,8 @@ def _parse_classifiers(raw) -> tuple:
         keys = _CLASSIFIER_KEYS[kind]
         _known(entry, where, " ".join(["kind", *keys]))
         specs.append(ClassifierSpec(kind=kind, **{
-            field: _get(entry, key, where, type_)
+            field: check_classifier_setting(
+                field, _get(entry, key, where, type_), f"{where}.{key}")
             for key, (field, type_) in keys.items() if key in entry}))
     return check_classifiers(specs, "classifiers[{}]")
 

@@ -29,7 +29,24 @@ from .best_basis import best_basis_rows
 from .errors import ConfigurationError, EstimationError
 from .wavelets import FilterPair, PacketTree, packet_cascade
 
-METHODS = ("dwt", "wang", "jones")
+# Each method's default decomposition: its wavelet family and how many
+# levels short of the full depth log2(signal length) it stops.
+_DEFAULTS = {"dwt": ("haar", 0), "wang": ("haar", 0), "jones": ("symmlet4", 1)}
+METHODS = tuple(_DEFAULTS)
+
+
+def _check_method(method: str) -> None:
+    if method not in _DEFAULTS:
+        raise ConfigurationError(f"unknown method {method!r}; known methods: "
+                                 f"{', '.join(METHODS)}")
+
+
+def default_decomposition(method: str, length: int) -> tuple:
+    """The (wavelet family, depth) ``method`` uses on a ``length``-point
+    signal unless told otherwise; an unknown method is a ConfigurationError."""
+    _check_method(method)
+    family, short = _DEFAULTS[method]
+    return family, length.bit_length() - 1 - short
 
 
 @dataclass(frozen=True)
@@ -223,9 +240,7 @@ def _descriptors(method: str, levels, data_level: int, level_sets):
     """One outcome per row of the (R, 2**d, m) level arrays ``levels``
     (d = 0, 1, ...), with ``level_sets[r]`` restricting row r's spectrum:
     the row's descriptor, or the EstimationError its fit raised."""
-    if method not in METHODS:
-        raise ConfigurationError(
-            f"unknown method {method!r}; choose from {METHODS}")
+    _check_method(method)
     if method == "jones":
         levels = list(levels)
         selected, _ = best_basis_rows(levels)

@@ -23,20 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError
-from .estimators import METHODS, scaling_descriptors
+from .estimators import METHODS, default_decomposition, scaling_descriptors
 from .utils import map_ordered, write_csv
 from .wavelets import make_filter
 
 _EIGENVALUE_FLOOR = -1e-9
 
 # Replicate rows drawn, transformed and estimated together: large enough
-# to amortise the per-call overhead, small enough to keep the symmlet4
-# packet tables of a chunk at a few megabytes at length 1024.
+# to amortise the per-call overhead, small enough to keep the packet
+# tables jones keeps for a chunk at a few megabytes at length 1024.
 _CHUNK = 32
-
-# Benchmark defaults: spectrum methods decompose with Haar to full depth,
-# the rank-size method with the 8-tap symmlet to one level less.
-_METHOD_FAMILY = {"dwt": "haar", "wang": "haar", "jones": "symmlet4"}
 
 
 @dataclass(frozen=True)
@@ -138,16 +134,15 @@ def fbm_from_fgn(fgn: np.ndarray) -> np.ndarray:
     return np.cumsum(np.asarray(fgn, dtype=float))
 
 
-def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
-                            methods=METHODS, master_seed: int = 0,
+def run_estimator_benchmark(h_grid, n_reps: int, length: int = None,
+                            methods=None, master_seed: int = 0,
                             threads: int = 1) -> BenchmarkReport:
     """Estimate H on simulated paths and aggregate per (H, method).
 
-    For every H in ``h_grid``, ``n_reps`` independent paths of the given
-    dyadic length are simulated.  Every requested estimator runs on the
-    same paths: the spectrum methods on a Haar decomposition at full
-    depth, the rank-size method on a symmlet4 decomposition one level
-    shallower.  Spectrum regressions use all decomposed levels.
+    For every H in ``h_grid``, ``n_reps`` paths of the dyadic ``length``
+    (None: 1024) are simulated.  Each of ``methods`` (None: METHODS) runs
+    on the same paths with its ``default_decomposition`` of the length.
+    Spectrum regressions use all decomposed levels.
 
     Replicates are processed in chunks of _CHUNK rows: one draw, one FFT
     and one cumulative sum per chunk, then one batched estimator call per
@@ -157,6 +152,8 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
     per cell and excluded from the aggregates.
     """
     h_grid = [float(h) for h in h_grid]
+    length = 1024 if length is None else length
+    methods = METHODS if methods is None else tuple(methods)
     if not h_grid:
         raise ConfigurationError("empty H grid")
     for h in h_grid:
@@ -164,20 +161,15 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
     if n_reps < 2:
         raise ConfigurationError(
             f"n_reps must be >= 2 for a standard deviation, got {n_reps}")
-    methods = tuple(methods)
-    unknown = set(methods) - set(METHODS)
-    if unknown:
-        raise ConfigurationError(f"unknown methods: {sorted(unknown)}")
     if not methods:
         raise ConfigurationError("no methods requested")
-    for i, m in enumerate(methods):
-        if m in methods[:i]:  # one cell per (H, method)
+    decompositions = {}
+    for m in methods:
+        if m in decompositions:  # one cell per (H, method)
             raise ConfigurationError(f"repeated method {m!r}")
+        family, depth = default_decomposition(m, length)
+        decompositions[m] = make_filter(family), depth
 
-    J = length.bit_length() - 1
-    filters = {fam: make_filter(fam)
-               for fam in {_METHOD_FAMILY[m] for m in methods}}
-    depth = {"haar": J, "symmlet4": J - 1}
     eigs = [_embedding_eigenvalues(length, h) for h in h_grid]
 
     def one_chunk(task):
@@ -189,11 +181,9 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = 1024,
         paths = np.cumsum(_fgn_rows(h_grid[ih], length, rngs, eigs[ih]),
                           axis=1)
         out = {}
-        for m in methods:
-            fam = _METHOD_FAMILY[m]
-            out[m] = [d.hurst for d in scaling_descriptors(
-                m, paths, filters[fam], depth[fam])
-                if not isinstance(d, EstimationError)]
+        for m, (f, depth) in decompositions.items():
+            out[m] = [d.hurst for d in scaling_descriptors(m, paths, f, depth)
+                      if not isinstance(d, EstimationError)]
         return out
 
     tasks = [(ih, start, min(start + _CHUNK, n_reps))

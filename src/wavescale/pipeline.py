@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EstimationError, IngestionError
-from .estimators import METHODS, scaling_descriptors
+from .estimators import default_decomposition, scaling_descriptors
 from .utils import map_ordered, write_csv
 from .wavelets import make_filter
 
@@ -132,43 +132,41 @@ LEVEL_PLANS = {
 }
 
 
-def default_method_config(method: str, dataset_tag: str = None) -> MethodConfig:
-    """Per-method defaults: Haar at depth 10 for the spectrum methods,
-    symmlet4 at depth 9 for the rank-size method (1024-point windows).
+_WINDOW_LEN, _STRIDE = 1024, 500  # the paper's rolling windows
 
-    ``dataset_tag`` selects a stored level plan, e.g. "ovarian-8-7-02";
-    an unknown tag is a ConfigurationError for every method, and a known
-    one selects no plan for ``jones``.
-    """
-    if method not in METHODS:
-        raise ConfigurationError(f"unknown method {method!r}; known methods: "
-                                 f"{', '.join(METHODS)}")
+
+def default_method_config(method: str, dataset_tag: str = None,
+                          window_len: int = _WINDOW_LEN) -> MethodConfig:
+    """The method's ``default_decomposition`` of ``window_len``-bin windows
+    with the level plan ``dataset_tag`` selects, e.g. "ovarian-8-7-02": none
+    for ``jones``, and an unknown tag is a ConfigurationError."""
+    family, depth = default_decomposition(method, window_len)
     tags = sorted({tag for tag, _ in LEVEL_PLANS})
     if dataset_tag is not None and dataset_tag not in tags:
         raise ConfigurationError(f"unknown dataset tag {dataset_tag!r}; "
                                  f"known tags: {', '.join(tags)}")
-    if method == "jones":
-        return MethodConfig(family="symmlet4", depth=9, level_plan=())
-    return MethodConfig(family="haar", depth=10,
+    return MethodConfig(family=family, depth=depth,
                         level_plan=LEVEL_PLANS.get((dataset_tag, method), ()))
-
-
-_WINDOW_LEN, _STRIDE = 1024, 500  # the paper's rolling windows
 
 
 def extract_settings(method: str, dataset_tag: str = None, wavelet=None,
                      depth=None, level_plan=None, window_len=None,
                      stride=None, *, stride_source: str):
     """The checked (MethodConfig, window length, stride) of ``extract``'s
-    flags or a run config's keys, None taking the default of
-    ``default_method_config``, 1024-bin windows or a stride of 500; a
-    stride below 1 is an error naming ``stride_source``."""
-    base = default_method_config(method, dataset_tag)
+    flags or a run config's keys, None taking the default of 1024-bin
+    windows, a stride of 500 or ``default_method_config`` at the window
+    length; a stride below 1 is an error naming ``stride_source``, and a
+    level plan for jones, which fits the whole best basis, one naming
+    ``levels``."""
+    window_len = _WINDOW_LEN if window_len is None else window_len
+    base = default_method_config(method, dataset_tag, window_len)
+    if method == "jones" and level_plan:
+        raise ConfigurationError(
+            "levels: jones fits the whole best basis and takes no level plan")
     method_config = MethodConfig(
         family=base.family if wavelet is None else wavelet,
         depth=base.depth if depth is None else depth,
         level_plan=base.level_plan if level_plan is None else level_plan)
-    window_len = _WINDOW_LEN if window_len is None else window_len
     stride = _STRIDE if stride is None else stride
     method_config.check(window_len)
     if stride < 1:
@@ -215,9 +213,13 @@ def _is_header(line: str) -> bool:
     return False
 
 
+# UTF-8, with a leading byte-order mark (as some spreadsheets write) dropped
+_ENCODING = "utf-8-sig"
+
+
 def _read_text(path) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding=_ENCODING) as fh:
             return fh.read()
     except (OSError, UnicodeError) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
@@ -328,7 +330,7 @@ def _grid_text(path, has_header: bool):
     try:
         fields = np.loadtxt(path, dtype=bytes, usecols=0, delimiter=",",
                             comments=None, skiprows=int(has_header),
-                            encoding="utf-8", ndmin=1)
+                            encoding=_ENCODING, ndmin=1)
     except ValueError:  # a field that is not latin-1 text
         return None
     return fields.astype(f"S{fields.dtype.itemsize + 1}")
@@ -354,7 +356,7 @@ def _same_grid_intensities(path, has_header: bool, mz_text):
     try:
         values = np.loadtxt(path, dtype=[("mz", mz_text.dtype), ("v", float)],
                             delimiter=",", comments=None,
-                            skiprows=int(has_header), encoding="utf-8",
+                            skiprows=int(has_header), encoding=_ENCODING,
                             ndmin=1)
     except ValueError:
         return None
@@ -446,19 +448,17 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
                      threads: int = 1) -> FeatureMatrix:
     """Estimate one scaling descriptor per (sample, window).
 
-    The window length must be a power of two compatible with the
-    configured decomposition depth.  A failed estimate aborts the run
-    (naming the sample and window) rather than leaving holes in the
-    matrix.  When the level plan gives every window of a dwt or wang run
+    The window length must be a power of two compatible with the depth of
+    ``method_config`` (default: ``default_method_config`` at that length).
+    A failed estimate aborts the run (naming the sample and window)
+    rather than leaving holes in the matrix.  When the level plan gives every window of a dwt or wang run
     a level set, the decomposition stops at the deepest level the plan
     reads (see scaling_descriptors), with the descriptors and zero-energy
     warnings of the full ``method_config.depth``.
     """
-    if method not in METHODS:
-        raise ConfigurationError(f"unknown method {method!r}")
-    if method_config is None:
-        method_config = default_method_config(method)
     wl = grid.window_len
+    if method_config is None:
+        method_config = default_method_config(method, window_len=wl)
     method_config.check(wl)
     f = make_filter(method_config.family)
     level_sets = [method_config.levels_for(w + 1) for w in range(grid.count)]

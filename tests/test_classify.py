@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -149,10 +150,27 @@ def test_logistic_objective_convexity_endpoint():
 
 def test_predict_logistic_trivials():
     model_zero = train_logistic(np.zeros((4, 2)), np.array([0, 1, 0, 1.0]),
-                                max_iters=0)
+                                max_iters=1)
     labels, probs = predict_logistic(model_zero, np.ones((3, 2)))
     np.testing.assert_allclose(probs, 0.5)
     np.testing.assert_array_equal(labels, 0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"l2_c": float("nan")}, "l2_c must be finite and > 0, got nan"),
+    ({"l2_c": -1e-300}, "l2_c must be finite and > 0, got -1e-300"),
+    ({"max_iters": -3}, "max_iters must be >= 1, got -3"),
+    ({"tol": float("nan")}, "tol must be finite and > 0, got nan"),
+    ({"tol": float("inf")}, "tol must be finite and > 0, got inf"),
+    ({"tol": 0.0}, "tol must be finite and > 0, got 0.0"),
+], ids=["C-nan", "C-tiny", "max-iters", "tol-nan", "tol-inf", "tol-zero"])
+def test_logistic_settings_checked_by_the_spec(kwargs, message):
+    x = np.zeros((4, 2))
+    y = np.array([0, 1, 0, 1.0])
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        train_logistic(x, y, **kwargs)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        ClassifierSpec(kind="logistic", **kwargs)
 
 
 # -------------------------------------------------------------------- knn

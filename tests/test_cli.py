@@ -43,6 +43,19 @@ def test_simulate_writes_deterministic_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_simulate_defaults_are_the_library_defaults(tmp_path):
+    """Without --n and --methods, simulate runs every method on paths of
+    run_estimator_benchmark's default length."""
+    outs = []
+    for flags in ([], ["--n", "1024", "--methods", "dwt,wang,jones"]):
+        outs.append(tmp_path / f"s{len(outs)}.csv")
+        assert main(["simulate", "--h", "0.5", "--reps", "2", "--seed", "3",
+                     "--out", str(outs[-1])] + flags) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert [line.split(",")[1] for line in
+            outs[0].read_text().splitlines()[1:]] == ["dwt", "wang", "jones"]
+
+
 def test_simulate_zero_reps_usage_error(tmp_path, capsys):
     rc = main(["simulate", "--h", "0.5", "--reps", "0", "--n", "64",
                "--out", str(tmp_path / "x.csv")])
@@ -63,8 +76,11 @@ def _no_draws(monkeypatch):
     (["--h", ""], "empty H grid"),
     (["--h", "0.5", "--reps", "1"], "n_reps must be >= 2"),
     (["--h", "0.5", "--methods", "dwt,wang,dwt"], "repeated method 'dwt'"),
+    (["--h", "0.5", "--methods", "dwt,hurst"],
+     "unknown method 'hurst'; known methods: dwt, wang, jones"),
+    (["--h", "0.5", "--methods", ","], "no methods requested"),
 ], ids=["h-above-1", "h-closed-range", "h-empty", "one-rep",
-        "repeated-method"])
+        "repeated-method", "unknown-method", "no-methods"])
 def test_simulate_bad_grid_or_reps_exit_2_before_drawing(
         tmp_path, capsys, monkeypatch, flags, message):
     _no_draws(monkeypatch)
@@ -187,6 +203,19 @@ def test_extract_jones_defaults(tmp_path):
     lines = feats.read_text().splitlines()
     assert lines[0] == "sample_id,label,w01"
     assert len(lines) == 5
+
+
+def test_extract_default_depth_follows_the_window_length(tmp_path):
+    """Without --depth, wang decomposes 256-bin windows to full depth 8."""
+    matrix, labels = _write_dataset(tmp_path, n_per_class=2, n_bins=1024)
+    outs = []
+    for depth in ([], ["--depth", "8"]):
+        outs.append(tmp_path / f"f{len(outs)}.csv")
+        assert main(["extract", "--matrix", str(matrix), "--labels",
+                     str(labels), "--method", "wang", "--window-len", "256",
+                     "--out", str(outs[-1])] + depth) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[0].read_text().splitlines()[0].split(",")) == 2 + 2
 
 
 def test_extract_missing_labels_file_exit_3(tmp_path, capsys):
@@ -568,12 +597,34 @@ def test_bad_window_depth_or_family_fails_before_ingest(
     ("method: wang", "  tag: bogus\nmethod: jones",
      "unknown dataset tag 'bogus'; known tags: ovarian-4-3-02, "
      "ovarian-8-7-02"),
+    ("method: wang",
+     "method: jones\nlevels:\n  - windows: [1, 29]\n    levels: [7, 8]",
+     "levels: jones fits the whole best basis and takes no level plan"),
+    ("    C: 1.0", "    C: .nan",
+     "classifiers[0].C must be finite and > 0, got nan"),
+    ("    C: 1.0", "    C: .inf",
+     "classifiers[0].C must be finite and > 0, got inf"),
+    ("    C: 1.0", "    C: -1e-300",
+     "classifiers[0].C must be finite and > 0, got -1e-300"),
+    ("    C: 1.0", "    C: 1.0\n    max_iters: -3",
+     "classifiers[0].max_iters must be >= 1, got -3"),
+    ("    C: 1.0", "    C: 1.0\n    max_iters: 0",
+     "classifiers[0].max_iters must be >= 1, got 0"),
+    ("    C: 1.0", "    C: 1.0\n    tol: .nan",
+     "classifiers[0].tol must be finite and > 0, got nan"),
+    ("    C: 1.0", "    C: 1.0\n    tol: 0",
+     "classifiers[0].tol must be finite and > 0, got 0.0"),
+    ("    C: 1.0", "    C: 1.0\n    tol: -1e-6",
+     "classifiers[0].tol must be finite and > 0, got -1e-06"),
+    ("    k: 5", "    k: 0", "classifiers[1].k must be >= 1, got 0"),
 ], ids=["stride", "plan-windows-order", "plan-windows-zero", "plan-level-high",
         "plan-level-low", "p", "curve-order", "curve-zero", "curve-triple",
         "plan-windows-single", "plan-windows-missing",
         "curve-repeats",
         "split-repeats", "split-train-fraction", "threads", "repeated-kind",
-        "jones-unknown-tag"])
+        "jones-unknown-tag", "jones-level-plan", "C-nan", "C-inf", "C-tiny",
+        "max-iters-negative", "max-iters-zero", "tol-nan", "tol-zero",
+        "tol-negative", "k-zero"])
 def test_pipeline_config_rejects_bad_values_before_ingest(tmp_path, capsys,
                                                           old, new, message):
     _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)

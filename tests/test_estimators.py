@@ -239,3 +239,50 @@ def test_scaling_descriptor_rejects_unknown_method():
     tree = wpd_full(np.ones(8), f, 3)
     with pytest.raises(ConfigurationError):
         scaling_descriptor("rs", tree)
+
+
+# ------------------------------------------------- default decomposition
+
+@pytest.mark.parametrize("method", ["dwt", "wang", "jones"])
+@pytest.mark.parametrize("length", [64, 128, 256, 512, 1024, 2048, 4096])
+def test_default_decomposition_is_one_rule(tmp_path, monkeypatch, method,
+                                           length):
+    """Every caller that decomposes without an explicit family or depth
+    uses the method's rule at the actual signal length: Haar at full depth
+    for dwt and wang, symmlet4 one level short for jones."""
+    import wavescale.fbm as fbm
+    import wavescale.pipeline as pipeline
+    from wavescale import (extract_features, make_windows,
+                           run_estimator_benchmark, two_class_fbm_dataset)
+    from wavescale.config import load_run_config
+
+    J = length.bit_length() - 1
+    want = ("symmlet4", J - 1) if method == "jones" else ("haar", J)
+    used = {}
+    for module in (fbm, pipeline):
+        def spy(m, rows, f, depth, *args, _real=module.scaling_descriptors,
+                _name=module.__name__):
+            used.setdefault(_name, set()).add((f.family, depth))
+            return _real(m, rows, f, depth, *args)
+
+        monkeypatch.setattr(module, "scaling_descriptors", spy)
+
+    run_estimator_benchmark([0.5], 2, length, [method])
+    ds = two_class_fbm_dataset(n_per_class=1, n_bins=length, seed=1)
+    extract_features(ds, method, make_windows(length, length, length))
+    assert used == {"wavescale.fbm": {want}, "wavescale.pipeline": {want}}
+
+    flags, _, _ = pipeline.extract_settings(method, window_len=length,
+                                            stride_source="stride")
+    for name in ("m.csv", "l.csv"):
+        (tmp_path / name).write_text("", encoding="utf-8")  # never read
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"dataset: {{matrix: {tmp_path / 'm.csv'}, labels: "
+                   f"{tmp_path / 'l.csv'}}}\nmethod: {method}\n"
+                   f"window: {{length: {length}}}\n", encoding="utf-8")
+    config = load_run_config(cfg).method_config
+    assert ((flags.family, flags.depth) == (config.family, config.depth)
+            == want)
+
+    from wavescale.estimators import default_decomposition
+    assert default_decomposition(method, length) == want

@@ -210,6 +210,26 @@ def test_reader_matches_csv_reference_bitwise(tmp_path, layout, newline):
         assert got.flags["C_CONTIGUOUS"]
 
 
+@pytest.mark.parametrize("layout", ["dir", "dir-bare", "matrix"])
+def test_byte_order_mark_is_not_data(tmp_path, layout):
+    """A UTF-8 byte-order mark opening a file, as spreadsheets write
+    "CSV UTF-8", is dropped: copies of the inputs with one load equal to
+    the originals."""
+    path = _write_layout(tmp_path, layout)
+    labels = tmp_path / "labels.csv"
+    bom = tmp_path / "bom"
+    for src in [labels, *(path.iterdir() if path.is_dir() else [path])]:
+        dst = bom / src.relative_to(tmp_path)
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        dst.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+    want = load_dataset(path, labels)
+    got = load_dataset(bom / path.name, bom / "labels.csv")
+    assert got.sample_ids == want.sample_ids
+    for a, b in ((got.labels, want.labels), (got.mz_values, want.mz_values),
+                 (got.intensities, want.intensities)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_feature_csv_reader_matches_csv_reference_bitwise(tmp_path):
     rng = np.random.default_rng(4)
     slopes = np.array([float(v) for v in _number_text(rng, 36)]).reshape(4, 10)
@@ -302,6 +322,23 @@ def test_sample_dir_parses_a_repeated_grid_once(tmp_path, monkeypatch):
     load_dataset(path, labels)
     assert full == ["manifest.csv", "a.csv", "labels.csv"]
     assert repeated == ["b.csv", "c.csv", "d.csv"]
+
+
+@pytest.mark.parametrize("header", ["mz,intensity", None],
+                         ids=["header", "bare"])
+def test_byte_order_marks_keep_the_repeated_grid_reader(tmp_path, monkeypatch,
+                                                        header):
+    """Sample files that open with a byte-order mark still share one
+    parse of the m/z grid, and its first bin is kept."""
+    full, repeated = _spy_readers(monkeypatch)
+    path, labels = _write_sample_dir(tmp_path, {
+        sid: "\ufeff" + _sample_text(_GRID, [s, 2.0 * s, -1.0], header=header)
+        for s, sid in enumerate("abcd")})
+    ds = load_dataset(path, labels)
+    assert full == ["manifest.csv", "a.csv", "labels.csv"]
+    assert repeated == ["b.csv", "c.csv", "d.csv"]
+    assert ds.mz_values.tolist() == [700.0, 700.25, 701.125]
+    assert ds.intensities[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_sample_dir_reads_the_rest_in_full_after_a_grid_miss(tmp_path,
