@@ -119,10 +119,22 @@ def check_classifier_setting(name: str, value, source: str):
     return value
 
 
+_KINDS = ("logistic", "knn")
+
+
+def check_classifier_kind(kind, source: str) -> str:
+    """``kind`` if it is one of _KINDS; the error names ``source``."""
+    if kind not in _KINDS:
+        raise ConfigurationError(
+            f"{source}: unknown classifier kind {kind!r}; known kinds: "
+            f"{', '.join(_KINDS)}")
+    return kind
+
+
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """Classifier choice plus hyperparameters, each checked by
-    ``check_classifier_setting``.
+    """Classifier choice plus hyperparameters, checked by
+    ``check_classifier_kind`` and ``check_classifier_setting``.
 
     ``kind`` is "logistic" (l2_c is the inverse regularization strength;
     a fit stops after max_iters steps or once the gradient norm is below
@@ -136,8 +148,7 @@ class ClassifierSpec:
     k: int = 5
 
     def __post_init__(self):
-        if self.kind not in ("logistic", "knn"):
-            raise ConfigurationError(f"unknown classifier kind {self.kind!r}")
+        check_classifier_kind(self.kind, "kind")
         for name in _SETTING_RULES:
             check_classifier_setting(name, getattr(self, name), name)
 
@@ -147,18 +158,19 @@ class ClassifierSpec:
         return f"knn(k={self.k})"
 
 
-def check_classifiers(classifiers, source: str) -> tuple:
+def check_classifiers(classifiers, source: str, entry: str = None) -> tuple:
     """The ClassifierSpecs (default logistic, then kNN), checked to be
     non-empty and to hold each kind once, since each kind writes its own
-    files; a ``{}`` in ``source`` takes the index of the spec at fault."""
+    files.  The errors name ``source``, or for a repeated kind ``entry``
+    (default ``source``), whose ``{}`` takes the index of the spec."""
     if classifiers is None:
         return (ClassifierSpec(kind="logistic"), ClassifierSpec(kind="knn"))
     if not classifiers:
-        raise ConfigurationError("no classifiers requested")
+        raise ConfigurationError(f"{source}: no classifiers requested")
     for i, spec in enumerate(classifiers):
         if any(prev.kind == spec.kind for prev in classifiers[:i]):
-            raise ConfigurationError(
-                f"{source.format(i)}: repeated classifier kind {spec.kind!r}")
+            raise ConfigurationError(f"{(entry or source).format(i)}: "
+                                     f"repeated classifier kind {spec.kind!r}")
     return tuple(classifiers)
 
 
@@ -266,12 +278,10 @@ def logistic_gradient(weights, bias, x, y, l2_c):
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s, dtype=float)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
-    return out
+    """1 / (1 + e^-s) from e = e^-|s|, which never overflows: 1 / (1 + e)
+    where s >= 0 and e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(s))
+    return np.where(s >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _fit_logistic(x, y, l2_c, max_iters, tol):

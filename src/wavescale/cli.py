@@ -282,15 +282,16 @@ def _write_selected_features(features, selected, path):
 
 
 def cmd_classify(args) -> int:
-    from .classify import (ClassifierSpec, check_classifiers,
-                           check_curve_repeats, check_p, check_selection,
-                           make_split)
+    from .classify import (ClassifierSpec, check_classifier_kind,
+                           check_classifiers, check_curve_repeats, check_p,
+                           check_selection, make_split)
     from .pipeline import balance_feature_rows, read_feature_csv
 
     specs = None
     if args.classifiers is not None:
-        specs = [ClassifierSpec(kind=name.strip())
-                 for name in args.classifiers.split(",") if name.strip()]
+        specs = [ClassifierSpec(check_classifier_kind(name, "--classifiers"))
+                 for name in map(str.strip, args.classifiers.split(","))
+                 if name]
     classifiers = check_classifiers(specs, "--classifiers")
     p = check_p(args.p, "--p")
     curve = None

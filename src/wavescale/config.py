@@ -13,9 +13,10 @@ from pathlib import Path
 
 import yaml
 
-from .classify import (ClassifierSpec, SplitSpec, check_classifier_setting,
-                       check_classifiers, check_curve_repeats, check_p,
-                       check_selection, make_split)
+from .classify import (ClassifierSpec, SplitSpec, check_classifier_kind,
+                       check_classifier_setting, check_classifiers,
+                       check_curve_repeats, check_p, check_selection,
+                       make_split)
 from .errors import ConfigurationError
 from .pipeline import MethodConfig, extract_settings
 from .utils import check_threads
@@ -135,16 +136,14 @@ def _parse_classifiers(raw) -> tuple:
             raise ConfigurationError(f"{where}: expected a mapping or a "
                                      f"classifier name, got {entry!r}")
         _require(entry, "kind", where)
-        kind = _get(entry, "kind", where, str)
-        if kind not in _CLASSIFIER_KEYS:
-            raise ConfigurationError(f"{where}: unknown kind {kind!r}")
+        kind = check_classifier_kind(_get(entry, "kind", where, str), where)
         keys = _CLASSIFIER_KEYS[kind]
         _known(entry, where, " ".join(["kind", *keys]))
         specs.append(ClassifierSpec(kind=kind, **{
             field: check_classifier_setting(
                 field, _get(entry, key, where, type_), f"{where}.{key}")
             for key, (field, type_) in keys.items() if key in entry}))
-    return check_classifiers(specs, "classifiers[{}]")
+    return check_classifiers(specs, "classifiers", "classifiers[{}]")
 
 
 def load_run_config(path) -> RunConfig:

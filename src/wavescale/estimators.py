@@ -208,6 +208,11 @@ def hurst_wang(slope: float) -> float:
     return -slope / 2.0
 
 
+def hurst_jones(slope: float) -> float:
+    """H = |slope + 1| for a rank-size slope; not clamped to [0, 1]."""
+    return abs(slope + 1.0)
+
+
 def rank_size_fit(values) -> SlopeFit:
     """Log-log regression of sorted magnitudes against their rank.
 
@@ -232,8 +237,7 @@ def _rank_size_sorted(c: np.ndarray) -> SlopeFit:
     return _ols(np.log(ranks[nz]), np.log(c[nz]))
 
 
-_HURST = {"dwt": hurst_dwt, "wang": hurst_wang,
-          "jones": lambda slope: abs(slope + 1.0)}
+_HURST = {"dwt": hurst_dwt, "wang": hurst_wang, "jones": hurst_jones}
 
 
 def _descriptors(method: str, levels, data_level: int, level_sets):
@@ -262,15 +266,6 @@ def _descriptors(method: str, levels, data_level: int, level_sets):
         else:
             yield ScalingDescriptor(method, line.slope,
                                     _HURST[method](line.slope), line)
-
-
-def hurst_jones(tree: PacketTree) -> ScalingDescriptor:
-    """Rank-size Hurst estimate from the entropy-best basis.
-
-    All coefficients of the selected basis enter the rank-size fit; the
-    fitted slope d maps to H = |d + 1|.
-    """
-    return scaling_descriptor("jones", tree)
 
 
 def scaling_descriptor(method: str, tree: PacketTree, levels=None) -> ScalingDescriptor:

@@ -90,21 +90,32 @@ class MethodConfig:
     depth: int
     level_plan: tuple = ()
 
-    def check(self, window_len: int) -> None:
+    def check(self, method: str, window_len: int,
+              default_depth: bool = False) -> None:
         """Raise ConfigurationError naming the bad value unless the family
-        is known, ``window_len`` is a power of two, 1 <= depth <=
-        log2(window_len) and every level of the plan is one the
-        decomposition produces.  ``extract`` and ``pipeline`` call it
-        before any input is read."""
+        is known, ``window_len`` is a power of two, the depth lies in
+        least..log2(window_len) and every level of the plan is one the
+        decomposition produces.  ``least`` is 1 for jones and 2 for dwt
+        and wang, whose slope fit needs two levels, so each of their plan
+        entries must also name two distinct levels.  With
+        ``default_depth`` the depth is ``method``'s default for the
+        window length, and a too small one is reported as a too short
+        window.  ``extract`` and ``pipeline`` call it before any input is
+        read."""
         make_filter(self.family)
         if window_len < 2 or window_len & (window_len - 1):
             raise ConfigurationError(
                 f"window length {window_len} is not a power of two")
         J = window_len.bit_length() - 1
-        if not 1 <= self.depth <= J:
+        least = 1 if method == "jones" else 2
+        if default_depth and self.depth < least:
+            raise ConfigurationError(
+                f"window length {window_len} is too short for the default "
+                f"{method} depth, {self.depth}: it must be at least {least}")
+        if not least <= self.depth <= J:
             raise ConfigurationError(
                 f"depth {self.depth} does not fit window length "
-                f"{window_len}: it must be in 1..{J}")
+                f"{window_len}: {method} needs it in {least}..{J}")
         for i, (_, _, levels) in enumerate(self.level_plan):
             outside = [j for j in levels if not J - self.depth <= j <= J - 1]
             if outside:
@@ -112,6 +123,10 @@ class MethodConfig:
                     f"levels entry {i}: level(s) {outside} outside the "
                     f"decomposed levels {J - self.depth}..{J - 1} (window "
                     f"length {window_len}, depth {self.depth})")
+            if method != "jones" and len(set(levels)) < 2:
+                raise ConfigurationError(
+                    f"levels entry {i}: {method} fits a slope through at "
+                    f"least 2 distinct levels, got {list(levels)}")
 
     def levels_for(self, window_number: int):
         for lo, hi, levels in self.level_plan:
@@ -168,7 +183,7 @@ def extract_settings(method: str, dataset_tag: str = None, wavelet=None,
         depth=base.depth if depth is None else depth,
         level_plan=base.level_plan if level_plan is None else level_plan)
     stride = _STRIDE if stride is None else stride
-    method_config.check(window_len)
+    method_config.check(method, window_len, default_depth=depth is None)
     if stride < 1:
         raise ConfigurationError(
             f"{stride_source} must be >= 1, got {stride}")
@@ -457,9 +472,10 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
     warnings of the full ``method_config.depth``.
     """
     wl = grid.window_len
-    if method_config is None:
+    default_depth = method_config is None
+    if default_depth:
         method_config = default_method_config(method, window_len=wl)
-    method_config.check(wl)
+    method_config.check(method, wl, default_depth)
     f = make_filter(method_config.family)
     level_sets = [method_config.levels_for(w + 1) for w in range(grid.count)]
 

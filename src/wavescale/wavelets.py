@@ -65,36 +65,17 @@ class PacketTree:
     data_level: int
     levels: tuple = field(repr=False)
 
-    def _depth_of(self, level: int) -> int:
+    def coeffs(self, level: int, index: int) -> np.ndarray:
+        """Coefficient vector of node (level, index)."""
         d = self.data_level - level
         if d < 0 or d > self.depth:
             raise ConfigurationError(
                 f"level {level} not present (decomposed levels are "
                 f"{self.data_level - self.depth}..{self.data_level})")
-        return d
-
-    def coeffs(self, level: int, index: int) -> np.ndarray:
-        """Coefficient vector of node (level, index)."""
-        d = self._depth_of(level)
         if not 0 <= index < (1 << d):
             raise ConfigurationError(
                 f"node index {index} out of range at level {level}")
         return self.levels[d][index]
-
-    def level_matrix(self, level: int) -> np.ndarray:
-        """All nodes of one level as rows, in index order."""
-        return self.levels[self._depth_of(level)]
-
-    def detail_matrix(self, level: int) -> np.ndarray:
-        """Rows for the odd-index nodes of a level.
-
-        These are exactly the nodes produced by a high-pass application,
-        i.e. the detail nodes used by the level-energy estimators.
-        """
-        d = self._depth_of(level)
-        if d == 0:
-            raise ConfigurationError("the data level has no detail nodes")
-        return self.levels[d][1::2]
 
 
 @dataclass(frozen=True)
@@ -112,10 +93,6 @@ class DwtDecomposition:
     approx: np.ndarray
     details: dict
 
-    @property
-    def coefficient_count(self) -> int:
-        return len(self.approx) + sum(len(v) for v in self.details.values())
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -126,14 +103,14 @@ def make_filter(family: str) -> FilterPair:
     """Build the analysis filter pair for a named wavelet family.
 
     The high-pass taps follow the quadrature-mirror relation
-    g[k] = (-1)**k * h[L-1-k].  Tap tables are validated at construction:
-    sum sqrt(2), unit energy, and vanishing even-shift autocorrelation,
-    each to 1e-12.
+    g[k] = (-1)**k * h[L-1-k].  The tap tables are constants; the unit
+    tests pin their sum sqrt(2), unit energy and vanishing even-shift
+    autocorrelation, each to 1e-12.
 
     Raises
     ------
     ConfigurationError
-        If the family is unknown or a tap table fails validation.
+        If the family is unknown.
     """
     try:
         low = _LOW_PASS_TAPS[family].copy()
@@ -144,21 +121,7 @@ def make_filter(family: str) -> FilterPair:
     L = len(low)
     k = np.arange(L)
     high = (-1.0) ** k * low[::-1]
-    _validate_taps(family, low)
     return FilterPair(family, _freeze(low), _freeze(high), L)
-
-
-def _validate_taps(family: str, low: np.ndarray) -> None:
-    tol = 1e-12
-    if abs(low.sum() - SQRT2) > tol:
-        raise ConfigurationError(f"{family}: tap sum differs from sqrt(2)")
-    if abs(np.dot(low, low) - 1.0) > tol:
-        raise ConfigurationError(f"{family}: taps do not have unit energy")
-    L = len(low)
-    for m in range(1, L // 2):
-        if abs(np.dot(low[: L - 2 * m], low[2 * m :])) > tol:
-            raise ConfigurationError(
-                f"{family}: shift-{2 * m} autocorrelation is nonzero")
 
 
 def _analysis_rows(rows: np.ndarray, f: FilterPair):

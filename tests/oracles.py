@@ -341,7 +341,9 @@ def _reference_standardize(train_x, test_x):
     return (train_x - mean) / scale, (test_x - mean) / scale
 
 
-def _reference_sigmoid(s):
+def reference_sigmoid(s):
+    """The logistic function by boolean-mask gathers: 1 / (1 + e^-s) on
+    s >= 0 and e^s / (1 + e^s) elsewhere."""
     out = np.empty_like(s, dtype=float)
     pos = s >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
@@ -364,7 +366,7 @@ def reference_train_logistic(x, y, l2_c=1.0, max_iters=500, tol=1e-6):
     obj = _reference_objective(w, b, x, y, l2_c)
     step = 1.0
     for _ in range(max_iters):
-        resid = _reference_sigmoid(x @ w + b) - y
+        resid = reference_sigmoid(x @ w + b) - y
         gw = x.T @ resid / n + w / (l2_c * n)
         gb = float(resid.mean())
         gnorm2 = float(np.dot(gw, gw) + gb * gb)
@@ -401,8 +403,8 @@ def _reference_split(slopes, labels, train_idx, test_idx, spec, p,
     if spec.kind == "logistic":
         w, b = reference_train_logistic(x_train, y_train.astype(float),
                                         spec.l2_c, spec.max_iters, spec.tol)
-        probs_train = _reference_sigmoid(x_train @ w + b)
-        probs_test = _reference_sigmoid(x_test @ w + b)
+        probs_train = reference_sigmoid(x_train @ w + b)
+        probs_test = reference_sigmoid(x_test @ w + b)
         pred_train = (probs_train > 0.5).astype(np.int8)
         pred_test = (probs_test > 0.5).astype(np.int8)
         margin = float(np.abs(np.concatenate([probs_train, probs_test])

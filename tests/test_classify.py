@@ -6,7 +6,8 @@ import pytest
 import scipy.optimize
 
 import wavescale.classify as classify
-from oracles import finite_difference_gradient, knn_predict_bruteforce
+from oracles import (finite_difference_gradient, knn_predict_bruteforce,
+                     reference_sigmoid)
 from wavescale import (
     ClassifierSpec,
     ConfigurationError,
@@ -24,7 +25,7 @@ from wavescale import (
     standardize,
     train_logistic,
 )
-from wavescale.classify import _split_features
+from wavescale.classify import _sigmoid, _split_features
 
 
 def _features_from(slopes, labels):
@@ -77,6 +78,18 @@ def test_standardize_needs_two_rows():
 
 
 # --------------------------------------------------------------- logistic
+
+def test_sigmoid_is_the_masked_formula_bitwise():
+    rng = np.random.default_rng(0)
+    cases = [scale * rng.standard_normal(shape)
+             for shape in [(10, 19), (64, 19), (64, 253), (1, 5)]
+             for scale in (1.0, 30.0, 1000.0)]
+    cases.append(np.array([0.0, -0.0, np.inf, -np.inf, 710.0, -710.0,
+                           745.2, -745.2, 1e-300, -1e-300]))
+    for s in cases:
+        assert _sigmoid(s).tobytes() == reference_sigmoid(s).tobytes()
+    assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
+
 
 def test_logistic_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)

@@ -533,30 +533,43 @@ def test_pipeline_config_rejects_ill_typed_values_before_ingest(
 
 
 @pytest.mark.parametrize("command", ["pipeline", "extract"])
-@pytest.mark.parametrize("window,depth,wavelet,message", [
-    (500, 9, "haar", "window length 500 is not a power of two"),
-    (512, 10, "haar", "depth 10 does not fit window length 512"),
-    (512, 0, "haar", "depth 0 does not fit window length 512"),
-    (512, 9, "db2", "unknown wavelet family 'db2'"),
-], ids=["window", "depth", "depth-zero", "family"])
+@pytest.mark.parametrize("method,window,depth,wavelet,message", [
+    ("wang", 500, 9, "haar", "window length 500 is not a power of two"),
+    ("wang", 512, 10, "haar", "depth 10 does not fit window length 512"),
+    ("wang", 512, 0, "haar", "depth 0 does not fit window length 512"),
+    ("wang", 512, 9, "db2", "unknown wavelet family 'db2'"),
+    ("dwt", 512, 1, "haar",
+     "depth 1 does not fit window length 512: dwt needs it in 2..9"),
+    ("wang", 2, None, "haar", "window length 2 is too short for the default "
+     "wang depth, 1: it must be at least 2"),
+    ("jones", 2, None, None, "window length 2 is too short for the default "
+     "jones depth, 0: it must be at least 1"),
+], ids=["window", "depth", "depth-zero", "family", "dwt-one-level",
+        "wang-default-one-level", "jones-default-depth-zero"])
 def test_bad_window_depth_or_family_fails_before_ingest(
-        tmp_path, capsys, command, window, depth, wavelet, message):
+        tmp_path, capsys, command, method, window, depth, wavelet, message):
+    """A depth of None (and a wavelet of None) takes the method's default."""
     matrix, labels = _write_dataset(tmp_path, n_per_class=2)
     matrix.write_text("not a matrix\n", encoding="utf-8")  # never read
     out_dir = tmp_path / "out"
     if command == "pipeline":
-        cfg = _write_config(tmp_path, matrix, labels, out_dir,
-                            extra=f"wavelet: {wavelet}\n")
+        extra = "" if wavelet is None else f"wavelet: {wavelet}\n"
+        cfg = _write_config(tmp_path, matrix, labels, out_dir, extra=extra)
+        depth_line = "" if depth is None else f"depth: {depth}\n"
         cfg.write_text(cfg.read_text()
-                       .replace("depth: 9", f"depth: {depth}")
+                       .replace("method: wang", f"method: {method}")
+                       .replace("depth: 9\n", depth_line)
                        .replace("length: 512", f"length: {window}"),
                        encoding="utf-8")
         argv = ["pipeline", str(cfg)]
     else:
         argv = ["extract", "--matrix", str(matrix), "--labels", str(labels),
-                "--method", "wang", "--wavelet", wavelet,
-                "--depth", str(depth), "--window-len", str(window),
+                "--method", method, "--window-len", str(window),
                 "--stride", "512", "--out", str(out_dir / "f.csv")]
+        if wavelet is not None:
+            argv += ["--wavelet", wavelet]
+        if depth is not None:
+            argv += ["--depth", str(depth)]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
@@ -584,6 +597,14 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "levels entry 0: windows must be a [lo, hi] pair"),
     ("seed: 11", "seed: 11\nlevels:\n  - levels: [7, 8]",
      "levels entry 0: missing required key 'windows'"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: [1, 29]\n    levels: [7]",
+     "levels entry 0: wang fits a slope through at least 2 distinct levels, "
+     "got [7]"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: [1, 29]\n    levels: [7, 7]",
+     "levels entry 0: wang fits a slope through at least 2 distinct levels, "
+     "got [7, 7]"),
+    ("depth: 9", "depth: 1", "depth 1 does not fit window length 512: wang "
+     "needs it in 2..9"),
     ("  curve_repeats: 10", "  curve_repeats: 0",
      "features.curve_repeats: n_repeats must be >= 1, got 0"),
     ("  repeats: 20", "  repeats: 0",
@@ -594,6 +615,14 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "thread count must be >= 1, got 0"),
     ("  - kind: knn\n    k: 5", "  - kind: logistic",
      "classifiers[1]: repeated classifier kind 'logistic'"),
+    ("  - kind: knn\n    k: 5", "  - kind: foo",
+     "classifiers[1]: unknown classifier kind 'foo'; known kinds: logistic, "
+     "knn"),
+    ("  - kind: knn\n    k: 5", "  - foo",
+     "classifiers[1]: unknown classifier kind 'foo'; known kinds: logistic, "
+     "knn"),
+    ("classifiers:\n  - kind: logistic\n    C: 1.0\n  - kind: knn\n    k: 5",
+     "classifiers: []", "classifiers: no classifiers requested"),
     ("method: wang", "  tag: bogus\nmethod: jones",
      "unknown dataset tag 'bogus'; known tags: ovarian-4-3-02, "
      "ovarian-8-7-02"),
@@ -619,9 +648,10 @@ def test_bad_window_depth_or_family_fails_before_ingest(
     ("    k: 5", "    k: 0", "classifiers[1].k must be >= 1, got 0"),
 ], ids=["stride", "plan-windows-order", "plan-windows-zero", "plan-level-high",
         "plan-level-low", "p", "curve-order", "curve-zero", "curve-triple",
-        "plan-windows-single", "plan-windows-missing",
-        "curve-repeats",
+        "plan-windows-single", "plan-windows-missing", "plan-one-level",
+        "plan-repeated-level", "depth-one-level", "curve-repeats",
         "split-repeats", "split-train-fraction", "threads", "repeated-kind",
+        "unknown-kind", "unknown-kind-name", "no-classifiers",
         "jones-unknown-tag", "jones-level-plan", "C-nan", "C-inf", "C-tiny",
         "max-iters-negative", "max-iters-zero", "tol-nan", "tol-zero",
         "tol-negative", "k-zero"])
@@ -891,8 +921,15 @@ def test_classify_curve_is_the_first_curve_repeats_splits(tmp_path):
      "--train-fraction: train_fraction must be in (0, 1), got 1.5", False),
     (["--p", "0"], "--p must be >= 1, got 0", False),
     (["--curve", "0..3"], "--curve must be >= 1, got 0", False),
+    (["--classifiers", "foo"], "--classifiers: unknown classifier kind 'foo'; "
+     "known kinds: logistic, knn", False),
+    (["--classifiers", "knn, foo"], "--classifiers: unknown classifier kind "
+     "'foo'; known kinds: logistic, knn", False),
+    (["--classifiers", ","], "--classifiers: no classifiers requested", False),
 ], ids=["curve", "curve-repeats", "curve-repeats-named", "repeats-named",
-        "train-fraction-named", "p-named", "curve-low-named"])
+        "train-fraction-named", "p-named", "curve-low-named",
+        "classifier-kind-named", "second-classifier-kind-named",
+        "no-classifiers-named"])
 def test_classify_checks_the_curve_before_evaluating(tmp_path, capsys,
                                                      monkeypatch, flags,
                                                      message, reads_features):

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wavescale
 from wavescale import (
     ConfigurationError,
+    METHODS,
     EstimationError,
     FbmSpec,
     PacketTree,
@@ -23,6 +25,7 @@ from wavescale import (
     synthesis_step,
     wpd_full,
 )
+from wavescale.estimators import default_decomposition
 
 
 # ---------------------------------------------------------------- fitting
@@ -53,13 +56,24 @@ def test_hurst_map_examples():
     assert hurst_wang(-1.0) == pytest.approx(0.5)
     assert hurst_wang(0.0) == pytest.approx(0.0)
     assert hurst_wang(-1.8) == pytest.approx(0.9)
+    assert hurst_jones(-1.5) == pytest.approx(0.5)
+    assert hurst_jones(-2.0) == pytest.approx(1.0)
 
 
 @given(st.floats(min_value=-10, max_value=10))
 def test_hurst_maps_are_affine(slope):
     assert hurst_dwt(slope) == -(slope + 1.0) / 2.0
     assert hurst_wang(slope) == -slope / 2.0
+    assert hurst_jones(slope) == abs(slope + 1.0)
 
+
+@pytest.mark.parametrize("method", METHODS)
+def test_descriptor_hurst_is_the_method_slope_map(method):
+    """Every method's descriptor carries hurst_<method> of its own slope."""
+    family, depth = default_decomposition(method, 256)
+    x = fbm_from_fgn(fgn_sample(FbmSpec(0.6, 256, 7)))
+    d = scaling_descriptor(method, wpd_full(x, make_filter(family), depth))
+    assert d.hurst == getattr(wavescale, f"hurst_{method}")(d.slope)
 
 # ---------------------------------------------------------------- spectra
 
@@ -148,7 +162,7 @@ def _population_slope(method, hurst, levels, n_reps=200, n=512, seed=100):
                 node = tree.coeffs(j, 1)
                 energies[j].append(np.mean(node ** 2))
             else:
-                det = tree.detail_matrix(j)
+                det = tree.levels[tree.data_level - j][1::2]
                 energies[j].append(np.mean(np.mean(det ** 2, axis=1)))
     pts = [SpectrumPoint(j, np.log2(np.mean(v))) for j, v in energies.items()]
     return fit_slope(pts).slope
@@ -198,7 +212,7 @@ def test_hurst_jones_on_hand_built_tree():
     root = synthesis_step(approx, detail, f)
     tree = PacketTree(filter=f, depth=1, signal_length=n, data_level=10,
                       levels=(root[None, :], np.vstack([approx, detail])))
-    d = hurst_jones(tree)
+    d = scaling_descriptor("jones", tree)
     assert d.slope == pytest.approx(-1.5, abs=1e-12)
     assert d.hurst == pytest.approx(0.5, abs=1e-12)
 
@@ -207,13 +221,13 @@ def test_jones_needs_nonzero_coefficients():
     f = make_filter("symmlet4")
     tree = wpd_full(np.zeros(16), f, 2)
     with pytest.raises(EstimationError):
-        hurst_jones(tree)
+        scaling_descriptor("jones", tree)
 
 
 def test_jones_runs_on_fbm_window():
     f = make_filter("symmlet4")
     x = fbm_from_fgn(fgn_sample(FbmSpec(0.5, 1024, 42)))
-    d = hurst_jones(wpd_full(x, f, 9))
+    d = scaling_descriptor("jones", wpd_full(x, f, 9))
     assert d.method == "jones"
     assert 0.0 <= d.hurst <= 1.5
     assert d.fit.n_points == 1024  # real-valued coefficients, none dropped
@@ -284,5 +298,4 @@ def test_default_decomposition_is_one_rule(tmp_path, monkeypatch, method,
     assert ((flags.family, flags.depth) == (config.family, config.depth)
             == want)
 
-    from wavescale.estimators import default_decomposition
     assert default_decomposition(method, length) == want
