@@ -514,22 +514,31 @@ def _training_rows(n_samples: int, split: SplitSpec) -> int:
     return min(max(n_train, 1), n_samples - 1)
 
 
-def check_evaluation(classifiers, ps, n_windows: int, n_samples: int,
-                     split: SplitSpec) -> None:
+def check_evaluation(classifiers, ps, n_windows: int, n_case: int,
+                     n_control: int, split: SplitSpec) -> None:
     """Raise ConfigurationError unless every p in ``ps`` is in
-    1..n_windows and every kNN spec's k fits the training rows.
+    1..n_windows, every kNN spec's k fits the training rows, and the
+    training rows of ``n_case`` cases and ``n_control`` controls can hold
+    two samples of each class.
 
     ``evaluate_classifiers`` runs this before its first draw; a pipeline
-    can run it as soon as it knows the window and sample counts.
+    can run it as soon as it knows the window and class counts.
     """
     for p in ps:
         if not 1 <= p <= n_windows:
             raise ConfigurationError(f"p must be in 1..{n_windows}, got {p}")
-    n_train = _training_rows(n_samples, split)
+    n_train = _training_rows(n_case + n_control, split)
     for spec in classifiers:
         if spec.kind == "knn" and spec.k > n_train:
             raise ConfigurationError(
                 f"k={spec.k} exceeds {n_train} training rows")
+    # the fewest and most cases a training split can hold, as _draw_splits
+    # needs them
+    if max(2, n_train - n_control) > min(n_train - 2, n_case):
+        raise ConfigurationError(
+            f"train fraction {split.train_fraction} gives {n_train} training "
+            f"rows of {n_case} case and {n_control} control samples, which "
+            f"can never hold two samples of each class")
 
 
 def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
@@ -554,12 +563,13 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
         check_repeats(int(r), "repeats") for r in repeats]
     if len(counts) != len(ps):
         raise ConfigurationError(f"{len(counts)} repeats for {len(ps)} ps")
-    n = len(features.labels)
-    check_evaluation(classifiers, ps, features.n_windows, n, split)
+    labels = features.labels.astype(np.int8)
+    n_case = int(labels.sum())
+    check_evaluation(classifiers, ps, features.n_windows, n_case,
+                     len(labels) - n_case, split)
     if not ps:
         return [[] for _ in classifiers]
-    n_train = _training_rows(n, split)
-    labels = features.labels.astype(np.int8)
+    n_train = _training_rows(len(labels), split)
     order = None
     if selection_mode == "global":
         order = np.argsort(-fisher_scores(features), kind="stable")

@@ -335,10 +335,11 @@ def cmd_pipeline(args) -> int:
             dataset = balance_classes(dataset, cfg.seed)
         # the checks of the screen and of the evaluation core, made before
         # extraction, in the order their writers would make them
-        check_rank_sum_sizes(int(np.sum(dataset.labels == 1)),
-                             int(np.sum(dataset.labels == 0)))
+        n_case = int(np.sum(dataset.labels == 1))
+        n_control = dataset.n_samples - n_case
+        check_rank_sum_sizes(n_case, n_control)
         check_evaluation(cfg.classifiers, [cfg.p, *(curve or ())],
-                         grid.count, dataset.n_samples, cfg.split)
+                         grid.count, n_case, n_control, cfg.split)
         return dataset
 
     with _output_set(outputs, cfg.output_dir) as (

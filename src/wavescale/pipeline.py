@@ -27,6 +27,14 @@ from .wavelets import make_filter
 LABEL_ALIASES = {"case": 1, "control": 0, "1": 1, "0": 0}
 
 
+def _check_ascending(mz) -> None:
+    """Raise IngestionError naming the first bin of ``mz`` below the one
+    before it or not a number."""
+    down = np.flatnonzero(~(np.diff(mz) >= 0))
+    if len(down):
+        raise IngestionError(f"m/z axis is not ascending at bin {down[0] + 2}")
+
+
 @dataclass(frozen=True)
 class SpectraDataset:
     """Intensity matrix plus labels, ids, and optional m/z axis."""
@@ -50,9 +58,7 @@ class SpectraDataset:
             if len(self.mz_values) != m:
                 raise IngestionError(
                     f"m/z axis has {len(self.mz_values)} entries for {m} bins")
-            down = np.flatnonzero(~(np.diff(self.mz_values) >= 0))
-            if len(down):
-                raise IngestionError(f"m/z axis is not ascending at bin {down[0] + 2}")
+            _check_ascending(self.mz_values)
 
     @property
     def n_samples(self) -> int:
@@ -228,13 +234,11 @@ def _is_header(line: str) -> bool:
     return False
 
 
-# UTF-8, with a leading byte-order mark (as some spreadsheets write) dropped
-_ENCODING = "utf-8-sig"
-
-
 def _read_text(path) -> str:
     try:
-        with open(path, encoding=_ENCODING) as fh:
+        # UTF-8, with a leading byte-order mark (as some spreadsheets write)
+        # dropped
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeError) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
@@ -245,15 +249,19 @@ _BAD_NUMBER = re.compile(
     r"""string (['"])(.*)\1 to \w+ at row (\d+), column (\d+)""")
 
 
-def _read_csv(path, header=(), n_text=0, width=None):
+def _read_csv(path, header=(), n_text=0, width=None, dtype=float,
+              usecols=None):
     """Parse one CSV into (header, first ``n_text`` fields of each data row,
-    float matrix of the other fields from one np.loadtxt call).  The header
-    starts with ``header`` (None: only a first line not starting with a
-    number is a header); every line is ``width`` fields wide, by default
-    the header's.  Fields split at each comma, with no quoting.  Errors name
-    the file, the 1-based row and, for a bad number, the column, read from
-    np.loadtxt's message, which counts data rows from 0."""
-    lines = _read_text(path).splitlines() or [""]
+    array of the other fields from one np.loadtxt call of ``dtype`` and
+    ``usecols``: a float matrix, or one entry per row for another dtype).
+    The header starts with ``header`` (None: only a first line not
+    starting with a number is a header); every line is ``width`` fields
+    wide, by default the header's.  Fields split at each comma, with no
+    quoting.  Errors name the file, the 1-based row and, for a bad number,
+    the column, read from np.loadtxt's message, which counts data rows
+    from 0."""
+    raw = _read_text(path)
+    lines = raw.splitlines() or [""]
     head = [c.strip() for c in lines[0].split(",")]
     if header is None:
         if not _is_header(lines[0]):
@@ -265,6 +273,10 @@ def _read_csv(path, header=(), n_text=0, width=None):
     if len(lines) < first:
         raise IngestionError(f"{path}: no data rows after row 1")
     width = width or len(head)
+    # a bytes field drops a trailing NUL, which a float field rejects, so
+    # none may follow the header
+    if dtype is not float and "\0" in raw[len(lines[0]) if head else 0:]:
+        raise IngestionError(f"{path}: a NUL cannot be read as bytes")
 
     def check_rows():
         for line, row in enumerate(lines, start=1):
@@ -274,7 +286,9 @@ def _read_csv(path, header=(), n_text=0, width=None):
                 raise IngestionError(f"{path}: row {line} has {row.count(',') + 1}"
                                      f" columns, expected {width}")
 
-    if n_text or "" in lines or lines[0].count(",") + 1 != width:
+    # np.loadtxt skips blank lines and, given usecols, takes rows of any width
+    if (n_text or usecols is not None or "" in lines
+            or lines[0].count(",") + 1 != width):
         check_rows()
     rows, text = lines[first - 1:], None
     if n_text:
@@ -284,14 +298,16 @@ def _read_csv(path, header=(), n_text=0, width=None):
     values = np.empty((len(text or ()), 0))
     if rows:
         try:
-            values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            values = np.loadtxt(rows, dtype, delimiter=",", comments=None,
+                                usecols=usecols,
+                                ndmin=2 if dtype is float else 1)
         except ValueError as exc:
             check_rows()
             bad = _BAD_NUMBER.search(str(exc))
             where = (f"row {first + int(bad[3])} column {n_text + int(bad[4])}"
                      f": non-numeric value {bad[2]!r}") if bad else exc
             raise IngestionError(f"{path}: {where}") from None
-    if values.shape[1] != width - n_text:
+    if values.ndim == 2 and values.shape[1] != width - n_text:
         check_rows()
     return head, text, values
 
@@ -324,79 +340,35 @@ def _load_matrix_file(matrix_path):
     return ids, where, values[:, 0].copy(), values[:, 1:].T.copy()
 
 
-def _loadtxt_text(path):
-    """The text of ``path`` when np.loadtxt, reading the file itself, sees
-    the lines and fields _read_csv sees, else None: the text holds no line
-    break other than the newline (str.splitlines also breaks at these) and
-    no NUL (a bytes field drops a trailing one)."""
-    text = _read_text(path)
-    if any(c in text for c in "\0\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
-        return None
-    return text
-
-
-def _grid_text(path, has_header: bool):
-    """The m/z fields of the first sample file ``path``, which _read_csv
-    has accepted, as bytes one wider than the longest field, so that a
-    longer field of a later file cannot compare equal once cut to that
-    width; None when np.loadtxt could see other fields than _read_csv."""
-    if _loadtxt_text(path) is None:
-        return None
-    try:
-        fields = np.loadtxt(path, dtype=bytes, usecols=0, delimiter=",",
-                            comments=None, skiprows=int(has_header),
-                            encoding=_ENCODING, ndmin=1)
-    except ValueError:  # a field that is not latin-1 text
-        return None
-    return fields.astype(f"S{fields.dtype.itemsize + 1}")
-
-
-def _same_grid_intensities(path, has_header: bool, mz_text):
-    """The intensities of sample file ``path``, parsed in one np.loadtxt
-    call on the file, when it has no blank line, the first file's header
-    presence and line count, and m/z fields byte for byte equal to
-    ``mz_text``: then they are the values _read_csv and the m/z tolerance
-    check would accept.  None otherwise."""
-    text = _loadtxt_text(path)
-    if text is None:
-        return None
-    first = text.split("\n", 1)[0]
-    # np.loadtxt skips blank lines, which _read_csv rejects
-    if (text.startswith("\n") or "\n\n" in text
-            or text.count("\n") + (not text.endswith("\n"))
-            != len(mz_text) + has_header
-            or _is_header(first) != has_header
-            or has_header and first.count(",") != 1):
-        return None
-    try:
-        values = np.loadtxt(path, dtype=[("mz", mz_text.dtype), ("v", float)],
-                            delimiter=",", comments=None,
-                            skiprows=int(has_header), encoding=_ENCODING,
-                            ndmin=1)
-    except ValueError:
-        return None
-    return values["v"] if values["mz"].tobytes() == mz_text.tobytes() else None
-
-
 def _load_sample_dir(dir_path):
     manifest = Path(dir_path) / "manifest.csv"
     _, text, _ = _read_csv(manifest, ("sample_id", "filename"), 2, 2)
     ids = [sid for sid, _ in text]
     where = [f"{manifest}: row {line}" for line in range(2, len(ids) + 2)]
-    mz = intens = mz_text = None
+    mz = intens = grid = None
     for s, (sid, name) in enumerate(text):
         fp = manifest.parent / name
-        if mz_text is not None:
-            values = _same_grid_intensities(fp, has_header, mz_text)
-            if values is not None:
-                intens[s] = values
+        if grid is not None:
+            try:
+                _, _, values = _read_csv(fp, header=None, width=2, dtype=[
+                    ("mz", grid.dtype), ("v", float)])
+            except IngestionError:  # the float read below decides
+                values = None
+            if values is not None and values["mz"].tobytes() == grid.tobytes():
+                intens[s] = values["v"]
                 continue
-            mz_text = None  # the grids differ in text: read the rest in full
+            grid = None  # the grids differ in text: read the rest as floats
         head, _, values = _read_csv(fp, header=None, width=2)
         if mz is None:
             mz, intens = values[:, 0].copy(), np.empty((len(ids), len(values)))
-            has_header = head is not None
-            mz_text = _grid_text(fp, has_header)
+            # one byte wider than the longest field, so that a longer field
+            # of a later file cannot compare equal once cut to that width
+            try:
+                _, _, grid = _read_csv(fp, header=None, width=2,
+                                       dtype=bytes, usecols=0)
+                grid = grid.astype(f"S{grid.itemsize + 1}")
+            except IngestionError:  # a number with a space not in latin-1
+                grid = None
         n = min(len(mz), len(values))
         off = ~(abs(values[:n, 0] - mz[:n]) <= 1e-9 * np.maximum(1.0, abs(mz[:n])))
         if off.any() or len(values) != len(mz):
@@ -418,10 +390,11 @@ def load_dataset(matrix_path, labels_path) -> SpectraDataset:
     a CSV mapping sample_id to case/control (or 1/0).
 
     A directory's m/z grid is parsed once, from its first file: a later
-    file whose m/z fields repeat the first file's byte for byte is read
-    by one np.loadtxt call that parses only its intensities.  The first
-    file whose m/z text differs, and every file after it, go through the
-    full reader and the m/z tolerance check, with the same result.
+    file whose m/z fields repeat the first file's byte for byte has them
+    read as bytes and only its intensities parsed.  The first file whose
+    m/z text differs, and every file after it, have their m/z values
+    parsed and checked against the grid's within a tolerance, with the
+    same result.
 
     IngestionError names the file and row of the offending record.
     """
@@ -675,13 +648,12 @@ def window_mz_ranges(grid: WindowGrid, mz_values) -> list:
     """Per window: (window number, first m/z, last m/z).
 
     With no m/z axis the m/z fields are None and only index ranges remain
-    meaningful.  An unsorted axis raises IngestionError.
+    meaningful.  An axis that is not ascending raises IngestionError.
     """
     if mz_values is None:
         return [(w + 1, None, None) for w in range(grid.count)]
     mz = np.asarray(mz_values, dtype=float)
-    if (np.diff(mz) < 0).any():
-        raise IngestionError("m/z values must be sorted ascending")
+    _check_ascending(mz)
     out = []
     for w, (lo, hi) in enumerate(grid.windows):
         out.append((w + 1, float(mz[lo]), float(mz[hi - 1])))

@@ -323,6 +323,27 @@ def test_evaluate_counts_redraws():
     assert rep.redraws > 0
 
 
+@pytest.mark.parametrize("fraction", [0.3, 0.5, 0.7])
+def test_split_check_admits_exactly_the_drawable_training_sizes(fraction):
+    """check_evaluation refuses a split exactly when no training subset
+    holds two samples of each class, and otherwise the redraws find one."""
+    split = SplitSpec(train_fraction=fraction, n_repeats=1)
+    for n_case in range(7):
+        for n_control in range(7):
+            n_train = classify._training_rows(n_case + n_control, split)
+            labels = np.array([1] * n_case + [0] * n_control, dtype=np.int8)
+            if any(n_train - n_control <= ones <= n_case
+                   for ones in range(2, n_train - 1)):
+                classify.check_evaluation([], [], 1, n_case, n_control, split)
+                classify._draw_splits(labels, n_train, 0, range(5))
+                continue
+            with pytest.raises(ConfigurationError, match=(
+                    f"train fraction {fraction} gives {n_train} training rows "
+                    f"of {n_case} case and {n_control} control samples, which "
+                    f"can never hold two samples of each class")):
+                classify.check_evaluation([], [], 1, n_case, n_control, split)
+
+
 def test_evaluate_validates_p():
     fm = _gaussian_blobs()
     with pytest.raises(ConfigurationError):

@@ -926,10 +926,13 @@ def test_classify_curve_is_the_first_curve_repeats_splits(tmp_path):
     (["--classifiers", "knn, foo"], "--classifiers: unknown classifier kind "
      "'foo'; known kinds: logistic, knn", False),
     (["--classifiers", ","], "--classifiers: no classifiers requested", False),
+    (["--train-fraction", "0.3", "--classifiers", "logistic"],
+     "train fraction 0.3 gives 3 training rows of 5 case and 5 control "
+     "samples, which can never hold two samples of each class", True),
 ], ids=["curve", "curve-repeats", "curve-repeats-named", "repeats-named",
         "train-fraction-named", "p-named", "curve-low-named",
         "classifier-kind-named", "second-classifier-kind-named",
-        "no-classifiers-named"])
+        "no-classifiers-named", "undrawable-split"])
 def test_classify_checks_the_curve_before_evaluating(tmp_path, capsys,
                                                      monkeypatch, flags,
                                                      message, reads_features):
@@ -1025,9 +1028,13 @@ def test_missing_out_dir_is_created_only_by_a_successful_run(
     (5, "  p: 2", "  p: 25", 2, "p must be in 1..3, got 25"),
     (5, "  curve: [1, 3]", "  curve: [1, 9]", 2, "p must be in 1..3, got 4"),
     (5, "    k: 5", "    k: 8", 2, "k=8 exceeds 7 training rows"),
+    (5, "  - kind: knn\n    k: 5\nsplit:\n  repeats: 20",
+     "split:\n  repeats: 20\n  train_fraction: 0.3", 2,
+     "train fraction 0.3 gives 3 training rows of 5 case and 5 control "
+     "samples, which can never hold two samples of each class"),
     (3, "  p: 2", "  p: 2", 4,
      "rank-sum test needs at least 5 observations per sample"),
-], ids=["p", "curve", "knn-k", "rank-sum"])
+], ids=["p", "curve", "knn-k", "undrawable-split", "rank-sum"])
 def test_pipeline_fails_before_extraction(tmp_path, capsys, monkeypatch,
                                           n_per_class, old, new, code,
                                           message):

@@ -297,31 +297,32 @@ def test_sample_dir_matches_csv_reference_bitwise(tmp_path, later,
 
 
 def _spy_readers(monkeypatch):
-    """Lists that collect the file names the full reader and the repeated
-    grid reader are called with."""
+    """Lists that collect the file names _read_csv is called with: those
+    it parses as floats (every field of a sample file, m/z included) and
+    those it reads with another dtype (the m/z fields as bytes)."""
     import wavescale.pipeline as pipeline
 
-    calls = {"_read_csv": [], "_same_grid_intensities": []}
-    for name, names in calls.items():
-        def spy(path, *args, _real=getattr(pipeline, name), _names=names,
-                **kwargs):
-            _names.append(path.name)
-            return _real(path, *args, **kwargs)
+    floats, other = [], []
+    real = pipeline._read_csv
 
-        monkeypatch.setattr(pipeline, name, spy)
-    return calls["_read_csv"], calls["_same_grid_intensities"]
+    def spy(path, *args, dtype=float, **kwargs):
+        (floats if dtype is float else other).append(path.name)
+        return real(path, *args, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_read_csv", spy)
+    return floats, other
 
 
 def test_sample_dir_parses_a_repeated_grid_once(tmp_path, monkeypatch):
-    """Only the first sample file goes through the reader that parses m/z
-    values when every later file repeats its m/z text."""
-    full, repeated = _spy_readers(monkeypatch)
+    """Only the first sample file has its m/z values parsed as floats when
+    every later file repeats its m/z text."""
+    floats, other = _spy_readers(monkeypatch)
     path, labels = _write_sample_dir(tmp_path, {
         sid: _sample_text(_GRID, [s, 2.0 * s, -1.0])
         for s, sid in enumerate("abcd")})
     load_dataset(path, labels)
-    assert full == ["manifest.csv", "a.csv", "labels.csv"]
-    assert repeated == ["b.csv", "c.csv", "d.csv"]
+    assert floats == ["manifest.csv", "a.csv", "labels.csv"]
+    assert other == ["a.csv", "b.csv", "c.csv", "d.csv"]
 
 
 @pytest.mark.parametrize("header", ["mz,intensity", None],
@@ -330,32 +331,73 @@ def test_byte_order_marks_keep_the_repeated_grid_reader(tmp_path, monkeypatch,
                                                         header):
     """Sample files that open with a byte-order mark still share one
     parse of the m/z grid, and its first bin is kept."""
-    full, repeated = _spy_readers(monkeypatch)
+    floats, other = _spy_readers(monkeypatch)
     path, labels = _write_sample_dir(tmp_path, {
         sid: "\ufeff" + _sample_text(_GRID, [s, 2.0 * s, -1.0], header=header)
         for s, sid in enumerate("abcd")})
     ds = load_dataset(path, labels)
-    assert full == ["manifest.csv", "a.csv", "labels.csv"]
-    assert repeated == ["b.csv", "c.csv", "d.csv"]
+    assert floats == ["manifest.csv", "a.csv", "labels.csv"]
+    assert other == ["a.csv", "b.csv", "c.csv", "d.csv"]
     assert ds.mz_values.tolist() == [700.0, 700.25, 701.125]
     assert ds.intensities[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("first_header, later_header", [
+    ("mz,intensity", None), (None, "mz,intensity")],
+    ids=["first-header", "later-header"])
+def test_header_presence_keeps_the_repeated_grid_reader(
+        tmp_path, monkeypatch, first_header, later_header):
+    """A later file with or without the header line the first file lacks
+    or has still repeats its m/z grid, and reads as the reference does."""
+    floats, other = _spy_readers(monkeypatch)
+    path, labels = _write_sample_dir(tmp_path, {
+        "a": _sample_text(_GRID, [1.5, 2.5, 3.5], header=first_header),
+        "b": _sample_text(_GRID, [4.0, 5.5, -6.25], header=later_header),
+        "c": _sample_text(_GRID, [0.1, 1e-300, 7.0], header=first_header)})
+    ds = load_dataset(path, labels)
+    assert floats == ["manifest.csv", "a.csv", "labels.csv"]
+    assert other == ["a.csv", "b.csv", "c.csv"]
+    _, _, mz, intens = reference_load_dataset(path, labels)
+    assert ds.mz_values.tobytes() == mz.tobytes()
+    assert ds.intensities.tobytes() == intens.tobytes()
 
 
 def test_sample_dir_reads_the_rest_in_full_after_a_grid_miss(tmp_path,
                                                             monkeypatch):
     """Once a later file's m/z text differs from the first file's, the
-    files after it go straight to the full reader."""
-    full, repeated = _spy_readers(monkeypatch)
+    files after it have their m/z values parsed as floats too."""
+    floats, other = _spy_readers(monkeypatch)
     bodies = {sid: _sample_text(_GRID, [s, 2.0 * s, -1.0])
               for s, sid in enumerate("abcde")}
     bodies["c"] = _sample_text(["700.00", "700.25", "701.125"], [1, 2, 3])
     path, labels = _write_sample_dir(tmp_path, bodies)
     ds = load_dataset(path, labels)
-    assert full == ["manifest.csv", "a.csv", "c.csv", "d.csv", "e.csv",
-                    "labels.csv"]
-    assert repeated == ["b.csv", "c.csv"]
+    assert floats == ["manifest.csv", "a.csv", "c.csv", "d.csv", "e.csv",
+                      "labels.csv"]
+    assert other == ["a.csv", "b.csv", "c.csv"]
     assert ds.intensities.tobytes() == reference_load_dataset(
         path, labels)[3].tobytes()
+
+
+@pytest.mark.parametrize("first", [
+    _sample_text(["\u2003700.0"] + _GRID[1:], [1.5, 2.5, 3.5]),
+    _sample_text(_GRID[:2] + ["701.125\u3000"], [1.5, 2.5, 3.5]),
+], ids=["leading", "trailing"])
+def test_sample_dir_without_a_bytes_grid_reads_every_file_as_floats(
+        tmp_path, monkeypatch, first):
+    """A first file whose m/z fields parse as numbers but not as latin-1
+    bytes (a wide Unicode space) gives no m/z bytes to compare, so every
+    later file has its m/z values parsed as floats, as the reference's."""
+    floats, other = _spy_readers(monkeypatch)
+    path, labels = _write_sample_dir(tmp_path, {
+        "a": first, "b": _sample_text(_GRID, [4.0, 5.5, -6.25]),
+        "c": _sample_text(_GRID, [0.1, 1e-300, 7.0])})
+    ds = load_dataset(path, labels)
+    assert floats == ["manifest.csv", "a.csv", "b.csv", "c.csv", "labels.csv"]
+    assert other == ["a.csv"]
+    _, _, mz, intens = reference_load_dataset(path, labels)
+    assert ds.mz_values.tobytes() == mz.tobytes()
+    assert ds.intensities.tobytes() == intens.tobytes()
 
 
 @pytest.mark.parametrize("later, message", [
@@ -708,8 +750,22 @@ def test_window_mz_ranges_values():
 
 def test_window_mz_ranges_unsorted_rejected():
     grid = make_windows(8, 4, 4)
-    with pytest.raises(IngestionError):
+    with pytest.raises(IngestionError,
+                       match="m/z axis is not ascending at bin 3$"):
         window_mz_ranges(grid, np.array([1.0, 3.0, 2.0, 4.0, 5, 6, 7, 8]))
+
+
+@pytest.mark.parametrize("mz, bin_", [
+    ([1.0, np.nan, 3.0, 4.0], 2), ([np.nan, 2.0, 3.0, 4.0], 2),
+    ([1.0, 2.0, 3.0, np.nan], 4)], ids=["nan-inner", "nan-first", "nan-last"])
+def test_window_mz_ranges_takes_the_dataset_rule(mz, bin_):
+    """An axis the dataset refuses is refused here too, naming the bin."""
+    message = f"m/z axis is not ascending at bin {bin_}$"
+    with pytest.raises(IngestionError, match=message):
+        SpectraDataset(np.zeros((2, 4)), np.array([0, 1]), ("a", "b"),
+                       np.array(mz))
+    with pytest.raises(IngestionError, match=message):
+        window_mz_ranges(make_windows(4, 2, 2), mz)
 
 
 def test_window_mz_ranges_without_axis():
