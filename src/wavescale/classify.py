@@ -20,6 +20,7 @@ the one-split calls of the same kernels.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,111 +31,26 @@ from .pipeline import FeatureMatrix, fisher_ratio, fisher_scores
 from .utils import map_ordered, write_csv
 
 SELECTION_MODES = ("per-split", "global")
+_KINDS = ("logistic", "knn")
 
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Repeated-holdout parameters."""
+    """Repeated-holdout parameters, checked by ``check_setting``; None
+    takes the setting's default."""
 
     train_fraction: float = 0.67
     n_repeats: int = 10_000
     master_seed: int = 0
 
     def __post_init__(self):
-        check_train_fraction(self.train_fraction, "SplitSpec")
-        check_repeats(self.n_repeats, "SplitSpec")
-
-
-def check_train_fraction(train_fraction: float, source: str) -> float:
-    """``train_fraction`` if in (0, 1); the error names its ``source``."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigurationError(f"{source}: train_fraction must be in "
-                                 f"(0, 1), got {train_fraction}")
-    return train_fraction
-
-
-def check_repeats(n_repeats: int, source: str) -> int:
-    """``n_repeats`` if at least 1; the error names its ``source``."""
-    if n_repeats < 1:
-        raise ConfigurationError(
-            f"{source}: n_repeats must be >= 1, got {n_repeats}")
-    return n_repeats
-
-
-# The checks below serve a run's flags and config keys alike: None takes
-# the default, and an error names the flag or key ``source``.
-_CURVE_REPEATS = 1000  # splits of each accuracy-curve point
-
-
-def make_split(train_fraction, n_repeats, master_seed: int,
-               sources) -> SplitSpec:
-    """The SplitSpec of the settings, None taking SplitSpec's default;
-    ``sources`` names the train fraction's and the repeats' source."""
-    return SplitSpec(
-        check_train_fraction(SplitSpec.train_fraction if train_fraction
-                             is None else train_fraction, sources[0]),
-        check_repeats(SplitSpec.n_repeats if n_repeats is None
-                      else n_repeats, sources[1]), master_seed)
-
-
-def check_p(p, source: str) -> int:
-    """``p`` (default 10) if at least 1; ``check_evaluation`` checks it
-    against the window count."""
-    p = 10 if p is None else p
-    if p < 1:
-        raise ConfigurationError(f"{source} must be >= 1, got {p}")
-    return p
-
-
-def check_curve_repeats(n_repeats, source: str) -> int:
-    """The curve's repeats (default 1000), checked by ``check_repeats``."""
-    return check_repeats(_CURVE_REPEATS if n_repeats is None else n_repeats,
-                         source)
-
-
-def check_selection(mode, source: str) -> str:
-    """``mode`` (default per-split) if one of SELECTION_MODES."""
-    mode = SELECTION_MODES[0] if mode is None else mode
-    if mode not in SELECTION_MODES:
-        raise ConfigurationError(
-            f"{source} must be one of {SELECTION_MODES}, got {mode!r}")
-    return mode
-
-
-# The rule of each ClassifierSpec hyperparameter: (test, requirement).
-_SETTING_RULES = {
-    "l2_c": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-    "max_iters": (lambda v: v >= 1, ">= 1"),
-    "tol": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-    "k": (lambda v: v >= 1, ">= 1"),
-}
-
-
-def check_classifier_setting(name: str, value, source: str):
-    """``value`` if it meets the rule of ClassifierSpec's field ``name``;
-    the error names ``source``."""
-    test, requirement = _SETTING_RULES[name]
-    if not test(value):
-        raise ConfigurationError(f"{source} must be {requirement}, got {value!r}")
-    return value
-
-
-_KINDS = ("logistic", "knn")
-
-
-def check_classifier_kind(kind, source: str) -> str:
-    """``kind`` if it is one of _KINDS; the error names ``source``."""
-    if kind not in _KINDS:
-        raise ConfigurationError(
-            f"{source}: unknown classifier kind {kind!r}; known kinds: "
-            f"{', '.join(_KINDS)}")
-    return kind
+        _check_fields(self, ("train_fraction", "n_repeats"))
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
     """Classifier choice plus hyperparameters, checked by
-    ``check_classifier_kind`` and ``check_classifier_setting``.
+    ``check_setting``; None takes the setting's default.
 
     ``kind`` is "logistic" (l2_c is the inverse regularization strength;
     a fit stops after max_iters steps or once the gradient norm is below
@@ -148,14 +64,62 @@ class ClassifierSpec:
     k: int = 5
 
     def __post_init__(self):
-        check_classifier_kind(self.kind, "kind")
-        for name in _SETTING_RULES:
-            check_classifier_setting(name, getattr(self, name), name)
+        _check_fields(self, ("kind", "l2_c", "max_iters", "tol", "k"))
 
     def describe(self) -> str:
         if self.kind == "logistic":
             return f"logistic(C={self.l2_c:g})"
         return f"knn(k={self.k})"
+
+
+# The rules shared by several settings: (test, requirement).
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+
+# Each classification setting: (default, test, requirement).  A flag, a
+# config key and a spec field of one setting share its row.
+_SETTINGS = {
+    "train_fraction": (SplitSpec.train_fraction, lambda v: 0.0 < v < 1.0,
+                       "in (0, 1)"),
+    "n_repeats": (SplitSpec.n_repeats, *_AT_LEAST_1),
+    "curve_repeats": (1000, *_AT_LEAST_1),  # the splits of each curve point
+    "p": (10, *_AT_LEAST_1),  # check_evaluation caps it at the window count
+    "selection": (SELECTION_MODES[0], lambda v: v in SELECTION_MODES,
+                  f"one of {SELECTION_MODES}"),
+    "kind": (ClassifierSpec.kind, lambda v: v in _KINDS, f"one of {_KINDS}"),
+    "l2_c": (ClassifierSpec.l2_c, *_FINITE_POSITIVE),
+    "max_iters": (ClassifierSpec.max_iters, *_AT_LEAST_1),
+    "tol": (ClassifierSpec.tol, *_FINITE_POSITIVE),
+    "k": (ClassifierSpec.k, *_AT_LEAST_1),
+}
+
+
+def check_setting(name: str, value, source: str):
+    """``value`` of the setting ``name`` (its default when None), if it
+    meets the setting's rule; the error names the flag or key ``source``."""
+    default, test, requirement = _SETTINGS[name]
+    value = default if value is None else value
+    if not test(value):
+        raise ConfigurationError(
+            f"{source} must be {requirement}, got {value!r}")
+    return value
+
+
+def _check_fields(spec, names) -> None:
+    """Check each of ``spec``'s fields ``names`` as its own setting."""
+    for name in names:
+        object.__setattr__(spec, name,
+                           check_setting(name, getattr(spec, name), name))
+
+
+def make_split(train_fraction, n_repeats, master_seed: int,
+               sources) -> SplitSpec:
+    """The SplitSpec of a run's settings; ``sources`` names the train
+    fraction's and the repeats' flag or key."""
+    return SplitSpec(check_setting("train_fraction", train_fraction,
+                                   sources[0]),
+                     check_setting("n_repeats", n_repeats, sources[1]),
+                     master_seed)
 
 
 def check_classifiers(classifiers, source: str, entry: str = None) -> tuple:
@@ -541,9 +505,20 @@ def check_evaluation(classifiers, ps, n_windows: int, n_case: int,
             f"can never hold two samples of each class")
 
 
+def _integers(values, source: str) -> list:
+    """``values`` as a list of ints; an entry that is not an integer (a
+    numpy integer is one, a bool is not) is an error naming ``source[j]``."""
+    values = list(values)
+    for j, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ConfigurationError(
+                f"{source}[{j}] must be an integer, got {v!r}")
+    return [int(v) for v in values]
+
+
 def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
                          split: SplitSpec, apply_standardize: bool = True,
-                         selection_mode: str = "per-split",
+                         selection_mode: str = None,
                          keep_per_repeat: bool = False,
                          threads: int = 1, repeats=None) -> list:
     """One list of EvalReports per spec of ``classifiers``, one report
@@ -556,11 +531,13 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
     so each report equals the one-spec, one-count call.  See ``evaluate``
     for the split, the selection modes and ``threads``.
     """
-    check_selection(selection_mode, "selection_mode")
+    selection_mode = check_setting("selection", selection_mode,
+                                   "selection_mode")
     classifiers = list(classifiers)
-    ps = [int(p) for p in ps]
+    ps = _integers(ps, "ps")
     counts = [split.n_repeats] * len(ps) if repeats is None else [
-        check_repeats(int(r), "repeats") for r in repeats]
+        check_setting("n_repeats", r, "repeats")
+        for r in _integers(repeats, "repeats")]
     if len(counts) != len(ps):
         raise ConfigurationError(f"{len(counts)} repeats for {len(ps)} ps")
     labels = features.labels.astype(np.int8)
@@ -614,7 +591,7 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
 
 def evaluate(features: FeatureMatrix, classifier_spec: ClassifierSpec,
              p: int, split: SplitSpec, apply_standardize: bool = True,
-             selection_mode: str = "per-split", keep_per_repeat: bool = False,
+             selection_mode: str = None, keep_per_repeat: bool = False,
              threads: int = 1) -> EvalReport:
     """Mean test accuracy over seeded repeated holdout splits.
 
@@ -623,9 +600,10 @@ def evaluate(features: FeatureMatrix, classifier_spec: ClassifierSpec,
     top ``p``, standardizes, trains, and scores the held-out rows.  A
     repeat whose training half lacks a class is redrawn (and counted).
 
-    ``selection_mode`` "global" instead ranks once on the full matrix
-    before splitting, reproducing pipelines that select features ahead of
-    the split at the cost of information leaking into the test score.
+    ``selection_mode`` "global" (default: "per-split", the ranking just
+    described) instead ranks once on the full matrix before splitting,
+    reproducing pipelines that select features ahead of the split at the
+    cost of information leaking into the test score.
 
     Per-repeat seeds spawn from the split's master seed, and each split
     is computed on its own, so reports are identical for any thread
@@ -640,7 +618,7 @@ def accuracy_vs_feature_count(features: FeatureMatrix,
                               classifier_spec: ClassifierSpec,
                               p_range=None, split: SplitSpec = None,
                               apply_standardize: bool = True,
-                              selection_mode: str = "per-split",
+                              selection_mode: str = None,
                               threads: int = 1) -> list:
     """Evaluate across feature counts; returns one EvalReport per p.
 
@@ -652,7 +630,8 @@ def accuracy_vs_feature_count(features: FeatureMatrix,
     if p_range is None:
         p_range = range(1, features.n_windows + 1)
     if split is None:
-        split = SplitSpec(n_repeats=_CURVE_REPEATS)
+        split = SplitSpec(n_repeats=check_setting("curve_repeats", None,
+                                                  "curve_repeats"))
     return evaluate_classifiers(features, [classifier_spec], p_range, split,
                                 apply_standardize, selection_mode, False,
                                 threads)[0]

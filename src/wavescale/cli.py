@@ -282,28 +282,28 @@ def _write_selected_features(features, selected, path):
 
 
 def cmd_classify(args) -> int:
-    from .classify import (ClassifierSpec, check_classifier_kind,
-                           check_classifiers, check_curve_repeats, check_p,
-                           check_selection, make_split)
+    from .classify import (ClassifierSpec, check_classifiers, check_setting,
+                           make_split)
     from .pipeline import balance_feature_rows, read_feature_csv
 
     specs = None
     if args.classifiers is not None:
-        specs = [ClassifierSpec(check_classifier_kind(name, "--classifiers"))
+        specs = [ClassifierSpec(check_setting("kind", name, "--classifiers"))
                  for name in map(str.strip, args.classifiers.split(","))
                  if name]
     classifiers = check_classifiers(specs, "--classifiers")
-    p = check_p(args.p, "--p")
+    p = check_setting("p", args.p, "--p")
     curve = None
     if args.curve is not None:
         curve = parse_int_range(args.curve)
         if not curve:
             raise ConfigurationError(f"--curve: no values in {args.curve!r}")
-        check_p(min(curve), "--curve")
+        check_setting("p", min(curve), "--curve")
     split = make_split(args.train_fraction, args.repeats, args.seed,
                        ("--train-fraction", "--repeats"))
-    curve_repeats = check_curve_repeats(args.curve_repeats, "--curve-repeats")
-    selection = check_selection(args.selection, "--selection")
+    curve_repeats = check_setting("curve_repeats", args.curve_repeats,
+                                  "--curve-repeats")
+    selection = check_setting("selection", args.selection, "--selection")
     out_dir = Path(args.out_dir)
     outputs = [out_dir / name for name in
                _classify_outputs(classifiers, curve, args.per_repeat_log)]
@@ -359,7 +359,6 @@ def cmd_pipeline(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    np.seterr(over="ignore")
     handlers = {
         "simulate": cmd_simulate,
         "extract": cmd_extract,

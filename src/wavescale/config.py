@@ -13,10 +13,8 @@ from pathlib import Path
 
 import yaml
 
-from .classify import (ClassifierSpec, SplitSpec, check_classifier_kind,
-                       check_classifier_setting, check_classifiers,
-                       check_curve_repeats, check_p, check_selection,
-                       make_split)
+from .classify import (ClassifierSpec, SplitSpec, check_classifiers,
+                       check_setting, make_split)
 from .errors import ConfigurationError
 from .pipeline import MethodConfig, extract_settings
 from .utils import check_threads
@@ -136,13 +134,13 @@ def _parse_classifiers(raw) -> tuple:
             raise ConfigurationError(f"{where}: expected a mapping or a "
                                      f"classifier name, got {entry!r}")
         _require(entry, "kind", where)
-        kind = check_classifier_kind(_get(entry, "kind", where, str), where)
+        kind = check_setting("kind", _get(entry, "kind", where, str), where)
         keys = _CLASSIFIER_KEYS[kind]
         _known(entry, where, " ".join(["kind", *keys]))
         specs.append(ClassifierSpec(kind=kind, **{
-            field: check_classifier_setting(
-                field, _get(entry, key, where, type_), f"{where}.{key}")
-            for key, (field, type_) in keys.items() if key in entry}))
+            field: check_setting(field, _get(entry, key, where, type_),
+                                 f"{where}.{key}")
+            for key, (field, type_) in keys.items()}))
     return check_classifiers(specs, "classifiers", "classifiers[{}]")
 
 
@@ -152,7 +150,7 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: invalid YAML: {exc}") from exc
@@ -187,11 +185,11 @@ def load_run_config(path) -> RunConfig:
                        ("split.train_fraction", "split.repeats"))
 
     features = _known(raw.get("features", {}), "features", "p curve curve_repeats")
-    p = check_p(_get(features, "p", "features", int), "features.p")
+    p = check_setting("p", _get(features, "p", "features", int), "features.p")
     curve = (_span(features["curve"], "features.curve")
              if "curve" in features else None)
-    curve_repeats = check_curve_repeats(
-        _get(features, "curve_repeats", "features", int),
+    curve_repeats = check_setting(
+        "curve_repeats", _get(features, "curve_repeats", "features", int),
         "features.curve_repeats")
 
     return RunConfig(
@@ -208,8 +206,9 @@ def load_run_config(path) -> RunConfig:
         curve=curve,
         curve_repeats=curve_repeats,
         standardize=_get(raw, "standardize", "", bool, True),
-        selection_mode=check_selection(_get(raw, "selection", "", str),
-                                       "selection"),
+        selection_mode=check_setting("selection",
+                                     _get(raw, "selection", "", str),
+                                     "selection"),
         seed=seed,
         threads=check_threads(_get(raw, "threads", "", int, 1)),
         output_dir=Path(_get(raw, "output_dir", "", str, ".")),

@@ -243,7 +243,9 @@ _HURST = {"dwt": hurst_dwt, "wang": hurst_wang, "jones": hurst_jones}
 def _descriptors(method: str, levels, data_level: int, level_sets):
     """One outcome per row of the (R, 2**d, m) level arrays ``levels``
     (d = 0, 1, ...), with ``level_sets[r]`` restricting row r's spectrum:
-    the row's descriptor, or the EstimationError its fit raised."""
+    the row's descriptor, or an EstimationError: the one its fit raised,
+    or one for a slope that is not finite (as when level energies
+    overflow)."""
     _check_method(method)
     if method == "jones":
         levels = list(levels)
@@ -261,6 +263,9 @@ def _descriptors(method: str, levels, data_level: int, level_sets):
     for a in args:
         try:
             line = fit(a)
+            if not np.isfinite(line.slope):
+                raise EstimationError(
+                    f"fitted slope is not finite: {line.slope}")
         except EstimationError as exc:
             yield exc
         else:

@@ -156,8 +156,10 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = None,
     methods = METHODS if methods is None else tuple(methods)
     if not h_grid:
         raise ConfigurationError("empty H grid")
-    for h in h_grid:
+    for i, h in enumerate(h_grid):
         FbmSpec(hurst=h, length=length, seed=0)  # validate before drawing
+        if h in h_grid[:i]:  # one cell per (H, method)
+            raise ConfigurationError(f"repeated H {h!r}")
     if n_reps < 2:
         raise ConfigurationError(
             f"n_reps must be >= 2 for a standard deviation, got {n_reps}")

@@ -396,13 +396,28 @@ def test_repeat_counts_are_checked():
     fm = _gaussian_blobs()
     split = SplitSpec(n_repeats=2)
     with pytest.raises(ConfigurationError,
-                       match="repeats: n_repeats must be >= 1, got 0"):
+                       match=r"^repeats must be >= 1, got 0$"):
         evaluate_classifiers(fm, [ClassifierSpec()], [1, 2], split,
                              repeats=[2, 0])
     with pytest.raises(ConfigurationError,
                        match="1 repeats for 2 ps"):
         evaluate_classifiers(fm, [ClassifierSpec()], [1, 2], split,
                              repeats=[2])
+    # a count that is not an integer is refused, not truncated
+    for ps, repeats, message in [
+            ([2.7], [2], "ps[0] must be an integer, got 2.7"),
+            ([2], [2.9], "repeats[0] must be an integer, got 2.9"),
+            ([1, True], [2, 2], "ps[1] must be an integer, got True"),
+            ([2], [np.float64(2.0)],
+             f"repeats[0] must be an integer, got {np.float64(2.0)!r}")]:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            evaluate_classifiers(fm, [ClassifierSpec()], ps, split,
+                                 repeats=repeats)
+    # numpy integers are integers
+    assert (evaluate_classifiers(fm, [ClassifierSpec()], [np.int64(2)], split,
+                                 repeats=[np.int32(2)])
+            == evaluate_classifiers(fm, [ClassifierSpec()], [2], split,
+                                    repeats=[2]))
 
 
 # ------------------------------------------------------------ correlation

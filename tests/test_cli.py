@@ -76,11 +76,12 @@ def _no_draws(monkeypatch):
     (["--h", ""], "empty H grid"),
     (["--h", "0.5", "--reps", "1"], "n_reps must be >= 2"),
     (["--h", "0.5", "--methods", "dwt,wang,dwt"], "repeated method 'dwt'"),
+    (["--h", "0.3,0.3", "--methods", "dwt"], "repeated H 0.3"),
     (["--h", "0.5", "--methods", "dwt,hurst"],
      "unknown method 'hurst'; known methods: dwt, wang, jones"),
     (["--h", "0.5", "--methods", ","], "no methods requested"),
 ], ids=["h-above-1", "h-closed-range", "h-empty", "one-rep",
-        "repeated-method", "unknown-method", "no-methods"])
+        "repeated-method", "repeated-h", "unknown-method", "no-methods"])
 def test_simulate_bad_grid_or_reps_exit_2_before_drawing(
         tmp_path, capsys, monkeypatch, flags, message):
     _no_draws(monkeypatch)
@@ -137,9 +138,11 @@ def test_console_script_installed():
 
 # ------------------------------------------------------- shared toy data
 
-def _write_dataset(tmp_path, n_per_class=5, n_bins=1536, seed=3, n_case=None):
+def _write_dataset(tmp_path, n_per_class=5, n_bins=1536, seed=3, n_case=None,
+                   scale=1.0):
     """A matrix CSV and a labels CSV of ``n_per_class`` controls and
-    ``n_case`` cases (default ``n_per_class``)."""
+    ``n_case`` cases (default ``n_per_class``), intensities times
+    ``scale``."""
     ds = two_class_fbm_dataset(n_per_class=n_per_class, n_bins=n_bins,
                                seed=seed)
     n = ds.n_samples if n_case is None else n_per_class + n_case
@@ -147,7 +150,8 @@ def _write_dataset(tmp_path, n_per_class=5, n_bins=1536, seed=3, n_case=None):
     lines = ["mz," + ",".join(ids)]
     for i in range(ds.n_bins):
         lines.append(",".join([repr(float(i + 1))] +
-                              [repr(float(v)) for v in ds.intensities[:n, i]]))
+                              [repr(float(v) * scale)
+                               for v in ds.intensities[:n, i]]))
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("\n".join(lines) + "\n", encoding="utf-8")
     labels = tmp_path / "labels.csv"
@@ -306,6 +310,29 @@ def test_extract_estimation_failure_exit_4(tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize("command", ["extract", "pipeline"])
+def test_non_finite_slope_fails_the_run(tmp_path, capsys, command):
+    """Finite intensities whose level energies overflow give a NaN slope:
+    a failed estimate that names the sample and window, as any failed fit
+    does, and leaves numpy's error state as it was."""
+    matrix, labels = _write_dataset(tmp_path, scale=1e160)
+    first = matrix.read_text(encoding="utf-8").split("\n", 1)[0].split(",")[1]
+    out_dir = tmp_path / "out"
+    argv = {"extract": ["extract", "--matrix", str(matrix), "--labels",
+                        str(labels), "--method", "dwt", "--window-len", "512",
+                        "--stride", "512", "--out", str(tmp_path / "f.csv")],
+            "pipeline": ["pipeline", str(_write_config(tmp_path, matrix,
+                                                       labels, out_dir))]}
+    with np.errstate(all="warn"):
+        before = np.geterr()
+        with pytest.warns(RuntimeWarning):
+            assert main(argv[command]) == 4
+        assert np.geterr() == before
+    assert (f"estimate failed for sample {first!r}, window 1: fitted slope "
+            "is not finite: nan") in capsys.readouterr().err
+    assert not out_dir.exists() and not (tmp_path / "f.csv").exists()
+
+
 # --------------------------------------------------------------- pipeline
 
 def _write_config(tmp_path, matrix, labels, out_dir, extra=""):
@@ -453,6 +480,23 @@ def test_pipeline_config_missing_method_exit_2(tmp_path, capsys):
     assert "method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("not-utf8", "'utf-8' codec can't decode byte 0xff in position 12"),
+], ids=["missing", "directory", "not-utf8"])
+def test_pipeline_config_that_cannot_be_read_exit_2(tmp_path, capsys, kind,
+                                                    message):
+    cfg = tmp_path / "run.yaml"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf8":
+        cfg.write_bytes(b"method: dwt\n\xff\n")
+    assert main(["pipeline", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read config {cfg}: " in err and message in err
+
+
 def test_pipeline_config_missing_path_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("dataset:\n  matrix: missing.csv\n  labels: also.csv\n"
@@ -469,8 +513,10 @@ def test_pipeline_config_missing_path_exit_2(tmp_path, capsys):
     ("  labels:", "  tags: x\n  labels:", "dataset: unknown key(s) 'tags'"),
     ("seed: 11", "seed: 11\nselection: globl", "'globl'"),
     ("    C: 1.0", "    l2_c: 1.0", "classifiers[0]: unknown key(s) 'l2_c'"),
+    ("window:\n  length: 512\n  stride: 512", "window: 512",
+     "window: expected a mapping, got 512"),
 ], ids=["split", "top-level", "classifier", "window", "dataset", "selection",
-        "l2_c"])
+        "l2_c", "window-not-a-mapping"])
 def test_pipeline_config_rejects_unknown_keys_before_ingest(tmp_path, capsys,
                                                             old, new,
                                                             message):
@@ -523,10 +569,11 @@ def _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message):
      "levels entry 0: levels: expected a list, got '78'"),
     ("method: wang", "method: wang\nthreads: two",
      "threads: expected an integer, got 'two'"),
+    ("seed: 11", "seed: [11", "run.yaml: invalid YAML: "),
 ], ids=["repeats", "classifier-entry", "C", "kind", "balance", "seed", "p",
         "curve", "curve-float", "curve-bool", "curve-strings",
         "plan-windows-float", "plan-windows-string", "plan-levels-float",
-        "plan-levels-bool", "plan-levels-string", "threads"])
+        "plan-levels-bool", "plan-levels-string", "threads", "invalid-yaml"])
 def test_pipeline_config_rejects_ill_typed_values_before_ingest(
         tmp_path, capsys, old, new, message):
     _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
@@ -606,21 +653,19 @@ def test_bad_window_depth_or_family_fails_before_ingest(
     ("depth: 9", "depth: 1", "depth 1 does not fit window length 512: wang "
      "needs it in 2..9"),
     ("  curve_repeats: 10", "  curve_repeats: 0",
-     "features.curve_repeats: n_repeats must be >= 1, got 0"),
+     "features.curve_repeats must be >= 1, got 0"),
     ("  repeats: 20", "  repeats: 0",
-     "split.repeats: n_repeats must be >= 1, got 0"),
+     "split.repeats must be >= 1, got 0"),
     ("  repeats: 20", "  repeats: 20\n  train_fraction: 1.5",
-     "split.train_fraction: train_fraction must be in (0, 1), got 1.5"),
+     "split.train_fraction must be in (0, 1), got 1.5"),
     ("method: wang", "method: wang\nthreads: 0",
      "thread count must be >= 1, got 0"),
     ("  - kind: knn\n    k: 5", "  - kind: logistic",
      "classifiers[1]: repeated classifier kind 'logistic'"),
     ("  - kind: knn\n    k: 5", "  - kind: foo",
-     "classifiers[1]: unknown classifier kind 'foo'; known kinds: logistic, "
-     "knn"),
+     "classifiers[1] must be one of ('logistic', 'knn'), got 'foo'"),
     ("  - kind: knn\n    k: 5", "  - foo",
-     "classifiers[1]: unknown classifier kind 'foo'; known kinds: logistic, "
-     "knn"),
+     "classifiers[1] must be one of ('logistic', 'knn'), got 'foo'"),
     ("classifiers:\n  - kind: logistic\n    C: 1.0\n  - kind: knn\n    k: 5",
      "classifiers: []", "classifiers: no classifiers requested"),
     ("method: wang", "  tag: bogus\nmethod: jones",
@@ -912,27 +957,28 @@ def test_classify_curve_is_the_first_curve_repeats_splits(tmp_path):
 @pytest.mark.parametrize("flags, message, reads_features", [
     (["--curve", "1..7"], "p must be in 1..6, got 7", True),
     (["--curve", "1..3", "--curve-repeats", "0"],
-     "n_repeats must be >= 1, got 0", False),
+     "--curve-repeats must be >= 1, got 0", False),
     (["--curve", "1..3", "--curve-repeats", "0", "--repeats", "5"],
-     "--curve-repeats: n_repeats must be >= 1, got 0", False),
+     "--curve-repeats must be >= 1, got 0", False),
     (["--curve", "1..3", "--curve-repeats", "5", "--repeats", "0"],
-     "--repeats: n_repeats must be >= 1, got 0", False),
+     "--repeats must be >= 1, got 0", False),
     (["--train-fraction", "1.5"],
-     "--train-fraction: train_fraction must be in (0, 1), got 1.5", False),
+     "--train-fraction must be in (0, 1), got 1.5", False),
     (["--p", "0"], "--p must be >= 1, got 0", False),
     (["--curve", "0..3"], "--curve must be >= 1, got 0", False),
-    (["--classifiers", "foo"], "--classifiers: unknown classifier kind 'foo'; "
-     "known kinds: logistic, knn", False),
-    (["--classifiers", "knn, foo"], "--classifiers: unknown classifier kind "
-     "'foo'; known kinds: logistic, knn", False),
+    (["--classifiers", "foo"],
+     "--classifiers must be one of ('logistic', 'knn'), got 'foo'", False),
+    (["--classifiers", "knn, foo"],
+     "--classifiers must be one of ('logistic', 'knn'), got 'foo'", False),
     (["--classifiers", ","], "--classifiers: no classifiers requested", False),
+    (["--curve", ","], "--curve: no values in ','", False),
     (["--train-fraction", "0.3", "--classifiers", "logistic"],
      "train fraction 0.3 gives 3 training rows of 5 case and 5 control "
      "samples, which can never hold two samples of each class", True),
 ], ids=["curve", "curve-repeats", "curve-repeats-named", "repeats-named",
         "train-fraction-named", "p-named", "curve-low-named",
         "classifier-kind-named", "second-classifier-kind-named",
-        "no-classifiers-named", "undrawable-split"])
+        "no-classifiers-named", "curve-empty", "undrawable-split"])
 def test_classify_checks_the_curve_before_evaluating(tmp_path, capsys,
                                                      monkeypatch, flags,
                                                      message, reads_features):

@@ -3,6 +3,8 @@
 boundaries, the one-split calls of the batched kernels, and one shared
 pass for several classifiers against one-classifier calls."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,24 +113,35 @@ def test_logistic_per_repeat_identical_beyond_margin(fbm_slopes, fixture):
 
 def test_split_features_equal_the_one_split_composition(fbm_slopes):
     # what the classifiers see is bitwise what fisher_scores, select_top
-    # and standardize give each split on its own, for every p
+    # and standardize give each split on its own, for every p; a constant
+    # window is centered only, with a warning
     labels = fbm_slopes.labels
     n_train = 19
     perms, _ = classify._draw_splits(labels, n_train, 9, range(6))
     ps = [1, 2, 5, fbm_slopes.n_windows]
-    columns, _ = classify._split_features(fbm_slopes.slopes, labels, perms,
-                                          n_train, ps, True)
-    for i, perm in enumerate(perms):
-        train, test = perm[:n_train], perm[n_train:]
-        scores = fisher_scores(_features_from(fbm_slopes.slopes[train],
-                                              labels[train]))
-        for p, z in zip(ps, columns):
-            selected = select_top(scores, p)
-            x_train, x_test, _ = standardize(
-                fbm_slopes.slopes[np.ix_(train, selected)],
-                fbm_slopes.slopes[np.ix_(test, selected)])
-            np.testing.assert_array_equal(z[i, :n_train], x_train)
-            np.testing.assert_array_equal(z[i, n_train:], x_test)
+    constant = fbm_slopes.slopes.copy()
+    constant[:, 3] = 0.25
+    for slopes in (fbm_slopes.slopes, constant):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            columns, _ = classify._split_features(slopes, labels, perms,
+                                                  n_train, ps, True)
+        assert [str(w.message) for w in caught] == (
+            ["zero training std; feature centered only"]
+            if slopes is constant else [])
+        for i, perm in enumerate(perms):
+            train, test = perm[:n_train], perm[n_train:]
+            scores = fisher_scores(_features_from(slopes[train],
+                                                  labels[train]))
+            for p, z in zip(ps, columns):
+                selected = select_top(scores, p)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # the constant window
+                    x_train, x_test, _ = standardize(
+                        slopes[np.ix_(train, selected)],
+                        slopes[np.ix_(test, selected)])
+                np.testing.assert_array_equal(z[i, :n_train], x_train)
+                np.testing.assert_array_equal(z[i, n_train:], x_test)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "knn"])
@@ -244,7 +257,7 @@ def _batch(seed, c=9, n=24, p=4):
     return x, y
 
 
-def test_train_logistic_is_the_batched_row_bitwise():
+def test_train_logistic_is_the_batched_row_bitwise(monkeypatch):
     x, y = _batch(9)
     w, b, converged, iters = classify._fit_logistic(x, y, 1.0, 500, 1e-6)
     w_sub, b_sub, _, _ = classify._fit_logistic(x[3:7], y[3:7], 1.0, 500,
@@ -261,6 +274,24 @@ def test_train_logistic_is_the_batched_row_bitwise():
         np.testing.assert_array_equal(labels, batch_labels[i])
     np.testing.assert_array_equal(w_sub, w[3:7])
     np.testing.assert_array_equal(b_sub, b[3:7])
+    # a problem whose Newton steps are halved by the line search
+    x1 = np.random.default_rng(184).standard_normal((6, 2))
+    y1 = (x1[:, 0] > np.median(x1[:, 0])).astype(float)
+    objective = classify._objective
+    calls = []
+    monkeypatch.setattr(classify, "_objective",
+                        lambda *args: calls.append(1) or objective(*args))
+    model = train_logistic(x1, y1, l2_c=1e8)
+    assert len(calls) > 1 + model.n_iters  # one more per halving
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([x1[None], rng.standard_normal((3, 6, 2))])
+    ys = np.concatenate([y1[None], rng.standard_normal((3, 6)) > 0]) * 1.0
+    w, b, converged, iters = classify._fit_logistic(xs, ys, 1e8, 500, 1e-6)
+    for i in range(len(xs)):
+        model = train_logistic(xs[i], ys[i], l2_c=1e8)
+        np.testing.assert_array_equal(model.weights, w[i])
+        assert model.bias == b[i]
+        assert (model.converged, model.n_iters) == (converged[i], iters[i])
 
 
 def test_knn_predict_is_the_batched_row():

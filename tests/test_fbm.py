@@ -183,18 +183,20 @@ def test_benchmark_rejects_bad_grid_before_drawing(monkeypatch, h_grid, reps,
         run_estimator_benchmark(h_grid, n_reps=reps, length=64)
 
 
-@pytest.mark.parametrize("methods", [("dwt", "dwt"),
-                                     ("jones", "wang", "jones")])
-def test_benchmark_rejects_repeated_method_before_drawing(monkeypatch,
-                                                          methods):
-    # a repeated method would compute and report the same cells twice
+@pytest.mark.parametrize("h_grid, methods, text", [
+    ([0.5], ("dwt", "dwt"), "repeated method 'dwt'"),
+    ([0.5], ("jones", "wang", "jones"), "repeated method 'jones'"),
+    ([0.3, 0.7, 0.3], ("dwt",), "repeated H 0.3"),
+], ids=["methods0", "methods1", "h_grid"])
+def test_benchmark_rejects_repeated_method_before_drawing(monkeypatch, h_grid,
+                                                          methods, text):
+    # a repeated method or H would compute and report the same cells twice
     def no_draws(*args, **kwargs):
         raise AssertionError("a path was drawn")
 
     monkeypatch.setattr(fbm_mod, "_fgn_rows", no_draws)
-    with pytest.raises(ConfigurationError,
-                       match=f"repeated method '{methods[0]}'"):
-        run_estimator_benchmark([0.5], n_reps=4, length=64, methods=methods)
+    with pytest.raises(ConfigurationError, match=text):
+        run_estimator_benchmark(h_grid, n_reps=4, length=64, methods=methods)
 
 
 def test_benchmark_csv_bytes_deterministic(tmp_path):
