@@ -20,7 +20,6 @@ the one-split calls of the same kernels.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationError
 from .pipeline import FeatureMatrix, fisher_ratio, fisher_scores
-from .utils import map_ordered, write_csv
+from .utils import check_count, is_integer, map_ordered, write_csv
 
 SELECTION_MODES = ("per-split", "global")
 _KINDS = ("logistic", "knn")
@@ -72,37 +71,45 @@ class ClassifierSpec:
         return f"knn(k={self.k})"
 
 
-# The rules shared by several settings: (test, requirement).
-_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
-_FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+def _rule(test, requirement: str):
+    """The check ``(value, source) -> value`` of the rule ``test``, whose
+    error states ``requirement``."""
+    def check(value, source):
+        if not test(value):
+            raise ConfigurationError(
+                f"{source} must be {requirement}, got {value!r}")
+        return value
+    return check
 
-# Each classification setting: (default, test, requirement).  A flag, a
-# config key and a spec field of one setting share its row.
+
+_FINITE_POSITIVE = _rule(lambda v: math.isfinite(v) and v > 0,
+                         "finite and > 0")
+
+# Each classification setting: (default, check).  A flag, a config key
+# and a spec field of one setting share its row; every count's check is
+# check_count.
 _SETTINGS = {
-    "train_fraction": (SplitSpec.train_fraction, lambda v: 0.0 < v < 1.0,
-                       "in (0, 1)"),
-    "n_repeats": (SplitSpec.n_repeats, *_AT_LEAST_1),
-    "curve_repeats": (1000, *_AT_LEAST_1),  # the splits of each curve point
-    "p": (10, *_AT_LEAST_1),  # check_evaluation caps it at the window count
-    "selection": (SELECTION_MODES[0], lambda v: v in SELECTION_MODES,
-                  f"one of {SELECTION_MODES}"),
-    "kind": (ClassifierSpec.kind, lambda v: v in _KINDS, f"one of {_KINDS}"),
-    "l2_c": (ClassifierSpec.l2_c, *_FINITE_POSITIVE),
-    "max_iters": (ClassifierSpec.max_iters, *_AT_LEAST_1),
-    "tol": (ClassifierSpec.tol, *_FINITE_POSITIVE),
-    "k": (ClassifierSpec.k, *_AT_LEAST_1),
+    "train_fraction": (SplitSpec.train_fraction,
+                       _rule(lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+    "n_repeats": (SplitSpec.n_repeats, check_count),
+    "curve_repeats": (1000, check_count),  # the splits of each curve point
+    "p": (10, check_count),  # check_evaluation caps it at the window count
+    "selection": (SELECTION_MODES[0], _rule(lambda v: v in SELECTION_MODES,
+                                            f"one of {SELECTION_MODES}")),
+    "kind": (ClassifierSpec.kind, _rule(lambda v: v in _KINDS,
+                                        f"one of {_KINDS}")),
+    "l2_c": (ClassifierSpec.l2_c, _FINITE_POSITIVE),
+    "max_iters": (ClassifierSpec.max_iters, check_count),
+    "tol": (ClassifierSpec.tol, _FINITE_POSITIVE),
+    "k": (ClassifierSpec.k, check_count),
 }
 
 
 def check_setting(name: str, value, source: str):
     """``value`` of the setting ``name`` (its default when None), if it
     meets the setting's rule; the error names the flag or key ``source``."""
-    default, test, requirement = _SETTINGS[name]
-    value = default if value is None else value
-    if not test(value):
-        raise ConfigurationError(
-            f"{source} must be {requirement}, got {value!r}")
-    return value
+    default, check = _SETTINGS[name]
+    return check(default if value is None else value, source)
 
 
 def _check_fields(spec, names) -> None:
@@ -489,7 +496,7 @@ def check_evaluation(classifiers, ps, n_windows: int, n_case: int,
     can run it as soon as it knows the window and class counts.
     """
     for p in ps:
-        if not 1 <= p <= n_windows:
+        if not (is_integer(p) and 1 <= p <= n_windows):
             raise ConfigurationError(f"p must be in 1..{n_windows}, got {p}")
     n_train = _training_rows(n_case + n_control, split)
     for spec in classifiers:
@@ -503,17 +510,6 @@ def check_evaluation(classifiers, ps, n_windows: int, n_case: int,
             f"train fraction {split.train_fraction} gives {n_train} training "
             f"rows of {n_case} case and {n_control} control samples, which "
             f"can never hold two samples of each class")
-
-
-def _integers(values, source: str) -> list:
-    """``values`` as a list of ints; an entry that is not an integer (a
-    numpy integer is one, a bool is not) is an error naming ``source[j]``."""
-    values = list(values)
-    for j, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ConfigurationError(
-                f"{source}[{j}] must be an integer, got {v!r}")
-    return [int(v) for v in values]
 
 
 def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
@@ -534,10 +530,11 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
     selection_mode = check_setting("selection", selection_mode,
                                    "selection_mode")
     classifiers = list(classifiers)
-    ps = _integers(ps, "ps")
-    counts = [split.n_repeats] * len(ps) if repeats is None else [
-        check_setting("n_repeats", r, "repeats")
-        for r in _integers(repeats, "repeats")]
+    # each entry by its setting's rule, where None is an error, not the
+    # default; the reports get Python ints
+    ps = [int(check_count(p, f"ps[{j}]")) for j, p in enumerate(ps)]
+    counts = [int(check_count(r, f"repeats[{j}]")) for j, r in enumerate(
+        [split.n_repeats] * len(ps) if repeats is None else repeats)]
     if len(counts) != len(ps):
         raise ConfigurationError(f"{len(counts)} repeats for {len(ps)} ps")
     labels = features.labels.astype(np.int8)

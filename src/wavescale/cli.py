@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, EstimationError, IngestionError, ShapeError
 from .estimators import METHODS
-from .utils import check_threads, write_csv
+from .utils import check_count, write_csv
 
 # Each cmd_* imports the modules it runs, so a subcommand loads only those.
 
@@ -192,18 +192,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _extract(matrix, labels, method, settings, threads, out, meta,
-             prepare=lambda dataset, grid: dataset):
-    """The features of ``extract_settings``' ``settings``, written to
-    ``out`` with the window table in ``meta``.  ``prepare(dataset, grid)``
-    returns the dataset to extract from, before any extraction."""
-    from .pipeline import (extract_features, load_dataset, make_windows,
-                           write_window_metadata_csv)
+def _extract(dataset, grid, method, method_config, threads, out, meta):
+    """The features of ``dataset`` on the windows ``grid``, written to
+    ``out`` with the window table in ``meta``."""
+    from .pipeline import extract_features, write_window_metadata_csv
 
-    method_config, window_len, stride = settings
-    dataset = load_dataset(matrix, labels)
-    grid = make_windows(dataset.n_bins, window_len, stride)
-    dataset = prepare(dataset, grid)
     features = extract_features(dataset, method, grid, method_config,
                                 threads=threads)
     features.write_csv(out)
@@ -212,15 +205,17 @@ def _extract(matrix, labels, method, settings, threads, out, meta,
 
 
 def cmd_extract(args) -> int:
-    from .pipeline import extract_settings
+    from .pipeline import extract_settings, load_dataset, make_windows
 
-    settings = extract_settings(  # before minutes of ingest
+    method_config, window_len, stride = extract_settings(  # before ingest
         args.method, args.dataset_tag, args.wavelet, args.depth,
         window_len=args.window_len, stride=args.stride,
         stride_source="--stride")
     meta = args.meta or str(Path(args.out).with_suffix("")) + "_windows.csv"
     with _output_set([args.out, meta]) as (out, staged_meta):
-        features = _extract(args.matrix, args.labels, args.method, settings,
+        dataset = load_dataset(args.matrix, args.labels)
+        grid = make_windows(dataset.n_bins, window_len, stride)
+        features = _extract(dataset, grid, args.method, method_config,
                             args.threads, out, staged_meta)
     print(f"wrote {args.out} ({features.slopes.shape[0]} samples x "
           f"{features.n_windows} windows) and {meta}")
@@ -322,15 +317,17 @@ def cmd_pipeline(args) -> int:
     from .classify import check_evaluation
     from .config import load_run_config
     from .pipeline import (balance_classes, check_rank_sum_sizes,
-                           write_screen_csv)
+                           load_dataset, make_windows, write_screen_csv)
 
     cfg = load_run_config(args.config)
     curve = None if cfg.curve is None else range(cfg.curve[0], cfg.curve[1] + 1)
     outputs = [cfg.output_dir / name for name in
                ["features.csv", "windows.csv", "rank_sum_screen.csv",
                 *_classify_outputs(cfg.classifiers, curve, cfg.per_repeat_log)]]
-
-    def prepare(dataset, grid):
+    with _output_set(outputs, cfg.output_dir) as (
+            features_csv, windows_csv, screen_csv, *staged):
+        dataset = load_dataset(cfg.matrix_path, cfg.labels_path)
+        grid = make_windows(dataset.n_bins, cfg.window_len, cfg.stride)
         if cfg.balance:
             dataset = balance_classes(dataset, cfg.seed)
         # the checks of the screen and of the evaluation core, made before
@@ -340,14 +337,8 @@ def cmd_pipeline(args) -> int:
         check_rank_sum_sizes(n_case, n_control)
         check_evaluation(cfg.classifiers, [cfg.p, *(curve or ())],
                          grid.count, n_case, n_control, cfg.split)
-        return dataset
-
-    with _output_set(outputs, cfg.output_dir) as (
-            features_csv, windows_csv, screen_csv, *staged):
-        features = _extract(
-            cfg.matrix_path, cfg.labels_path, cfg.method,
-            (cfg.method_config, cfg.window_len, cfg.stride), cfg.threads,
-            features_csv, windows_csv, prepare)
+        features = _extract(dataset, grid, cfg.method, cfg.method_config,
+                            cfg.threads, features_csv, windows_csv)
         write_screen_csv(features, screen_csv)
         _classify(features, cfg.classifiers, cfg.p, cfg.split, curve,
                   cfg.curve_repeats, cfg.standardize, cfg.selection_mode,
@@ -367,7 +358,7 @@ def main(argv=None) -> int:
     }
     try:
         if hasattr(args, "threads"):  # pipeline checks its config's count
-            check_threads(args.threads)
+            check_count(args.threads, "--threads")
         return handlers[args.command](args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

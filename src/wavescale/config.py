@@ -17,7 +17,7 @@ from .classify import (ClassifierSpec, SplitSpec, check_classifiers,
                        check_setting, make_split)
 from .errors import ConfigurationError
 from .pipeline import MethodConfig, extract_settings
-from .utils import check_threads
+from .utils import check_count
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def load_run_config(path) -> RunConfig:
                                      _get(raw, "selection", "", str),
                                      "selection"),
         seed=seed,
-        threads=check_threads(_get(raw, "threads", "", int, 1)),
+        threads=check_count(_get(raw, "threads", "", int, 1), "threads"),
         output_dir=Path(_get(raw, "output_dir", "", str, ".")),
         per_repeat_log=_get(raw, "per_repeat_log", "", bool, False),
     )

@@ -162,14 +162,11 @@ def fit_slope(points) -> SlopeFit:
 
     Requires at least two points at distinct levels.
     """
-    if len(points) < 2:
-        raise EstimationError(
-            f"slope fit needs at least 2 spectrum points, got {len(points)}")
     xs = np.array([p.level for p in points], dtype=float)
     ys = np.array([p.log_energy for p in points], dtype=float)
-    if np.unique(xs).size < 2:
+    if len(xs) >= 2 and np.unique(xs).size < 2:
         raise EstimationError("slope fit needs points at distinct levels")
-    return _ols(xs, ys)
+    return _level_fit((xs, ys))
 
 
 def _ols(xs: np.ndarray, ys: np.ndarray) -> SlopeFit:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationError
 from .estimators import METHODS, default_decomposition, scaling_descriptors
-from .utils import map_ordered, write_csv
+from .utils import check_count, is_integer, map_ordered, write_csv
 from .wavelets import make_filter
 
 _EIGENVALUE_FLOOR = -1e-9
@@ -48,7 +48,7 @@ class FbmSpec:
             raise ConfigurationError(
                 f"hurst must lie strictly inside (0, 1), got {self.hurst}")
         n = self.length
-        if n < 8 or n & (n - 1):
+        if not is_integer(n) or n < 8 or n & (n - 1):
             raise ConfigurationError(
                 f"length must be a power of two >= 8, got {n}")
 
@@ -160,9 +160,7 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = None,
         FbmSpec(hurst=h, length=length, seed=0)  # validate before drawing
         if h in h_grid[:i]:  # one cell per (H, method)
             raise ConfigurationError(f"repeated H {h!r}")
-    if n_reps < 2:
-        raise ConfigurationError(
-            f"n_reps must be >= 2 for a standard deviation, got {n_reps}")
+    check_count(n_reps, "n_reps", least=2)  # for a standard deviation
     if not methods:
         raise ConfigurationError("no methods requested")
     decompositions = {}

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EstimationError, IngestionError
 from .estimators import default_decomposition, scaling_descriptors
-from .utils import map_ordered, write_csv
+from .utils import check_count, is_integer, map_ordered, write_csv
 from .wavelets import make_filter
 
 LABEL_ALIASES = {"case": 1, "control": 0, "1": 1, "0": 0}
@@ -109,7 +109,8 @@ class MethodConfig:
         window.  ``extract`` and ``pipeline`` call it before any input is
         read."""
         make_filter(self.family)
-        if window_len < 2 or window_len & (window_len - 1):
+        if (not is_integer(window_len) or window_len < 2
+                or window_len & (window_len - 1)):
             raise ConfigurationError(
                 f"window length {window_len} is not a power of two")
         J = window_len.bit_length() - 1
@@ -118,7 +119,7 @@ class MethodConfig:
             raise ConfigurationError(
                 f"window length {window_len} is too short for the default "
                 f"{method} depth, {self.depth}: it must be at least {least}")
-        if not least <= self.depth <= J:
+        if not (is_integer(self.depth) and least <= self.depth <= J):
             raise ConfigurationError(
                 f"depth {self.depth} does not fit window length "
                 f"{window_len}: {method} needs it in {least}..{J}")
@@ -176,9 +177,9 @@ def extract_settings(method: str, dataset_tag: str = None, wavelet=None,
     """The checked (MethodConfig, window length, stride) of ``extract``'s
     flags or a run config's keys, None taking the default of 1024-bin
     windows, a stride of 500 or ``default_method_config`` at the window
-    length; a stride below 1 is an error naming ``stride_source``, and a
-    level plan for jones, which fits the whole best basis, one naming
-    ``levels``."""
+    length; a stride that is not an integer >= 1 is an error naming
+    ``stride_source``, and a level plan for jones, which fits the whole
+    best basis, one naming ``levels``."""
     window_len = _WINDOW_LEN if window_len is None else window_len
     base = default_method_config(method, dataset_tag, window_len)
     if method == "jones" and level_plan:
@@ -188,11 +189,8 @@ def extract_settings(method: str, dataset_tag: str = None, wavelet=None,
         family=base.family if wavelet is None else wavelet,
         depth=base.depth if depth is None else depth,
         level_plan=base.level_plan if level_plan is None else level_plan)
-    stride = _STRIDE if stride is None else stride
     method_config.check(method, window_len, default_depth=depth is None)
-    if stride < 1:
-        raise ConfigurationError(
-            f"{stride_source} must be >= 1, got {stride}")
+    stride = check_count(_STRIDE if stride is None else stride, stride_source)
     return method_config, window_len, stride
 
 
@@ -421,11 +419,10 @@ def make_windows(n_bins: int, window_len: int = _WINDOW_LEN,
     Produces floor((n_bins - window_len) / stride + 1) windows; bins past
     the last window are not covered.
     """
-    if window_len < 1 or window_len > n_bins:
+    if not (is_integer(window_len) and 1 <= window_len <= n_bins):
         raise ConfigurationError(
             f"window_len {window_len} does not fit {n_bins} bins")
-    if stride < 1:
-        raise ConfigurationError(f"stride must be >= 1, got {stride}")
+    check_count(stride, "stride")
     count = (n_bins - window_len) // stride + 1
     windows = tuple((w * stride, w * stride + window_len) for w in range(count))
     return WindowGrid(window_len=window_len, stride=stride, windows=windows)
@@ -521,7 +518,7 @@ def select_top(scores: np.ndarray, p: int) -> np.ndarray:
     """Indices of the p largest scores, best first; ties keep lower index."""
     scores = np.asarray(scores, dtype=float)
     w = len(scores)
-    if not 1 <= p <= w:
+    if not (is_integer(p) and 1 <= p <= w):
         raise ConfigurationError(f"p must be in 1..{w}, got {p}")
     return np.argsort(-scores, kind="stable")[:p]
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .fbm import FbmSpec, fbm_from_fgn, fgn_sample
 from .pipeline import SpectraDataset
+from .utils import check_count
 
 
 def two_class_fbm_dataset(n_per_class: int = 50, hurst_control: float = 0.3,
@@ -24,8 +24,7 @@ def two_class_fbm_dataset(n_per_class: int = 50, hurst_control: float = 0.3,
     truncated.  Sample ids are ctrl001.. and case001..; deterministic per
     seed.
     """
-    if n_per_class < 1:
-        raise ConfigurationError("need at least one sample per class")
+    check_count(n_per_class, "n_per_class")
     gen_len = 1 << max(3, int(np.ceil(np.log2(n_bins))))
     rows = []
     ids = []

@@ -9,11 +9,19 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def check_threads(threads: int) -> int:
-    """``threads``, checked to be a usable thread count."""
-    if threads < 1:
-        raise ConfigurationError(f"thread count must be >= 1, got {threads}")
-    return threads
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(value, source: str, least: int = 1):
+    """``value``, checked to be an integer of at least ``least``; the
+    error names ``source``, the parameter, flag or key that set it."""
+    if not is_integer(value):
+        raise ConfigurationError(f"{source} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigurationError(f"{source} must be >= {least}, got {value!r}")
+    return value
 
 
 def map_ordered(fn, items, threads: int = 1) -> list:
@@ -22,7 +30,7 @@ def map_ordered(fn, items, threads: int = 1) -> list:
     Results come back in input order, so output is identical for any
     thread count as long as ``fn`` is deterministic per item.
     """
-    check_threads(threads)
+    check_count(threads, "threads")
     items = list(items)
     if threads == 1 or len(items) <= 1:
         return [fn(it) for it in items]

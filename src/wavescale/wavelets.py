@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
+from .utils import is_integer
 
 SQRT2 = np.sqrt(2.0)
 
@@ -200,7 +201,7 @@ def packet_cascade(rows: np.ndarray, f: FilterPair, depth: int,
     Requires 1 <= depth <= J.
     """
     J = _check_dyadic(rows.shape[1])
-    if not 1 <= depth <= J:
+    if not (is_integer(depth) and 1 <= depth <= J):
         raise ConfigurationError(f"depth must be in 1..{J}, got {depth}")
     level = rows[:, None, :]
     for _ in range(depth):

@@ -264,7 +264,7 @@ def test_evaluate_deterministic_and_thread_invariant():
 
 def test_evaluate_rejects_a_thread_count_below_1():
     with pytest.raises(ConfigurationError,
-                       match="thread count must be >= 1, got 0"):
+                       match="threads must be >= 1, got 0"):
         evaluate(_gaussian_blobs(), ClassifierSpec(kind="knn"), p=3,
                  split=SplitSpec(n_repeats=4), threads=0)
 
@@ -366,6 +366,17 @@ def test_accuracy_vs_feature_count_shape():
     assert reports[-1] == single
 
 
+def test_accuracy_vs_feature_count_defaults():
+    """Without ``p_range`` and ``split`` the curve covers 1..W on 1,000
+    splits."""
+    fm = _gaussian_blobs(n_per_class=6, n_features=3, seed=4)
+    spec = ClassifierSpec(kind="knn", k=3)
+    reports = accuracy_vs_feature_count(fm, spec)
+    assert [r.n_repeats for r in reports] == [1000] * 3
+    assert reports == accuracy_vs_feature_count(
+        fm, spec, range(1, 4), SplitSpec(n_repeats=1000))
+
+
 @pytest.mark.parametrize("mode", ["per-split", "global"])
 @pytest.mark.parametrize("curve_repeats", [5, 9, 23])
 def test_per_p_repeat_counts_equal_separate_calls(monkeypatch, mode,
@@ -396,7 +407,7 @@ def test_repeat_counts_are_checked():
     fm = _gaussian_blobs()
     split = SplitSpec(n_repeats=2)
     with pytest.raises(ConfigurationError,
-                       match=r"^repeats must be >= 1, got 0$"):
+                       match=r"^repeats\[1\] must be >= 1, got 0$"):
         evaluate_classifiers(fm, [ClassifierSpec()], [1, 2], split,
                              repeats=[2, 0])
     with pytest.raises(ConfigurationError,

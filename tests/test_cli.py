@@ -80,8 +80,14 @@ def _no_draws(monkeypatch):
     (["--h", "0.5", "--methods", "dwt,hurst"],
      "unknown method 'hurst'; known methods: dwt, wang, jones"),
     (["--h", "0.5", "--methods", ","], "no methods requested"),
+    (["--h", "0.9..0.1"], "bad range '0.9..0.1'"),
+    (["--h", "0.1..x"], "bad range '0.1..x'"),
+    (["--h", "0.1..0.9:0"], "bad range '0.1..0.9:0'"),
+    (["--h", "0.1,abc"], "bad value list '0.1,abc'"),
 ], ids=["h-above-1", "h-closed-range", "h-empty", "one-rep",
-        "repeated-method", "repeated-h", "unknown-method", "no-methods"])
+        "repeated-method", "repeated-h", "unknown-method", "no-methods",
+        "h-descending-range", "h-range-not-a-number", "h-range-zero-step",
+        "h-list-not-a-number"])
 def test_simulate_bad_grid_or_reps_exit_2_before_drawing(
         tmp_path, capsys, monkeypatch, flags, message):
     _no_draws(monkeypatch)
@@ -659,7 +665,7 @@ def test_bad_window_depth_or_family_fails_before_ingest(
     ("  repeats: 20", "  repeats: 20\n  train_fraction: 1.5",
      "split.train_fraction must be in (0, 1), got 1.5"),
     ("method: wang", "method: wang\nthreads: 0",
-     "thread count must be >= 1, got 0"),
+     "threads must be >= 1, got 0"),
     ("  - kind: knn\n    k: 5", "  - kind: logistic",
      "classifiers[1]: repeated classifier kind 'logistic'"),
     ("  - kind: knn\n    k: 5", "  - kind: foo",
@@ -766,7 +772,8 @@ def test_threads_env_checked_before_ingest(tmp_path, capsys, monkeypatch,
             tmp_path, matrix, labels, tmp_path / "out",
             extra=f"threads: {value}\n"))],
     }[command]
-    message = {"0": "thread count must be >= 1, got 0",
+    message = {"0": ("threads must be >= 1, got 0" if command == "pipeline"
+                     else "--threads must be >= 1, got 0"),
                "abc": ("threads: expected an integer, got 'abc'"
                        if command == "pipeline"
                        else "argument --threads: invalid int value: 'abc'")}
@@ -975,10 +982,15 @@ def test_classify_curve_is_the_first_curve_repeats_splits(tmp_path):
     (["--train-fraction", "0.3", "--classifiers", "logistic"],
      "train fraction 0.3 gives 3 training rows of 5 case and 5 control "
      "samples, which can never hold two samples of each class", True),
+    (["--curve", "5..1"], "bad range '5..1'", False),
+    (["--curve", "a..3"], "bad range 'a..3'", False),
+    (["--curve", "1,x"], "bad value list '1,x'", False),
 ], ids=["curve", "curve-repeats", "curve-repeats-named", "repeats-named",
         "train-fraction-named", "p-named", "curve-low-named",
         "classifier-kind-named", "second-classifier-kind-named",
-        "no-classifiers-named", "curve-empty", "undrawable-split"])
+        "no-classifiers-named", "curve-empty", "undrawable-split",
+        "curve-descending-range", "curve-range-not-a-number",
+        "curve-list-not-a-number"])
 def test_classify_checks_the_curve_before_evaluating(tmp_path, capsys,
                                                      monkeypatch, flags,
                                                      message, reads_features):
