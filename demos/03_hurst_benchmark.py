@@ -5,8 +5,6 @@ Runs a small version of the estimator benchmark (the CLI command
 (H, method) cell.  Increase reps for tighter aggregates.
 """
 
-import numpy as np
-
 from wavescale import (
     FbmSpec,
     fbm_from_fgn,

@@ -5,8 +5,6 @@ window separates the classes, so Fisher ranking and the rank-sum screen
 both light up across the board.
 """
 
-import numpy as np
-
 from wavescale import (
     extract_features,
     fisher_scores,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationError
 from .pipeline import FeatureMatrix, fisher_ratio, fisher_scores
-from .utils import check_count, is_integer, map_ordered, write_csv
+from .utils import check_count, is_integer, is_real, map_ordered, write_csv
 
 SELECTION_MODES = ("per-split", "global")
 _KINDS = ("logistic", "knn")
@@ -82,7 +82,7 @@ def _rule(test, requirement: str):
     return check
 
 
-_FINITE_POSITIVE = _rule(lambda v: math.isfinite(v) and v > 0,
+_FINITE_POSITIVE = _rule(lambda v: is_real(v) and math.isfinite(v) and v > 0,
                          "finite and > 0")
 
 # Each classification setting: (default, check).  A flag, a config key
@@ -90,7 +90,7 @@ _FINITE_POSITIVE = _rule(lambda v: math.isfinite(v) and v > 0,
 # check_count.
 _SETTINGS = {
     "train_fraction": (SplitSpec.train_fraction,
-                       _rule(lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+                       _rule(lambda v: is_real(v) and 0 < v < 1, "in (0, 1)")),
     "n_repeats": (SplitSpec.n_repeats, check_count),
     "curve_repeats": (1000, check_count),  # the splits of each curve point
     "p": (10, check_count),  # check_evaluation caps it at the window count
@@ -541,8 +541,6 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
     n_case = int(labels.sum())
     check_evaluation(classifiers, ps, features.n_windows, n_case,
                      len(labels) - n_case, split)
-    if not ps:
-        return [[] for _ in classifiers]
     n_train = _training_rows(len(labels), split)
     order = None
     if selection_mode == "global":
@@ -558,12 +556,13 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
         return (live, *_score_splits(columns, labels[perms], n_train,
                                      classifiers), redraws)
 
-    bounds = sorted({*range(0, max(counts), _CHUNK), *counts})
+    n_splits = max(counts, default=0)
+    bounds = sorted({*range(0, n_splits, _CHUNK), *counts})
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     # cells past a p's own count are never set and never read
-    test_acc = np.empty((len(classifiers), len(ps), bounds[-1]))
+    test_acc = np.empty((len(classifiers), len(ps), n_splits))
     train_acc = np.empty_like(test_acc)
-    redraws = np.empty(bounds[-1], dtype=int)
+    redraws = np.empty(n_splits, dtype=int)
     for reps, (live, test, train, redrawn) in zip(
             chunks, map_ordered(one_chunk, chunks, threads=threads)):
         test_acc[:, live, reps.start:reps.stop] = test * 100.0

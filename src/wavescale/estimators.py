@@ -27,7 +27,7 @@ import numpy as np
 
 from .best_basis import best_basis_rows
 from .errors import ConfigurationError, EstimationError
-from .wavelets import FilterPair, PacketTree, packet_cascade
+from .wavelets import FilterPair, PacketTree, dyadic_level, packet_cascade
 
 # Each method's default decomposition: its wavelet family and how many
 # levels short of the full depth log2(signal length) it stops.
@@ -42,11 +42,11 @@ def _check_method(method: str) -> None:
 
 
 def default_decomposition(method: str, length: int) -> tuple:
-    """The (wavelet family, depth) ``method`` uses on a ``length``-point
-    signal unless told otherwise; an unknown method is a ConfigurationError."""
+    """The (wavelet family, depth) ``method`` uses by default on a
+    ``length``-point signal; a bad method or length is a ConfigurationError."""
     _check_method(method)
     family, short = _DEFAULTS[method]
-    return family, length.bit_length() - 1 - short
+    return family, dyadic_level(length, "length", ConfigurationError) - short
 
 
 @dataclass(frozen=True)
@@ -300,7 +300,7 @@ def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
     are those of the full ``depth``.
     """
     rows = np.asarray(rows, dtype=float)
-    J = rows.shape[1].bit_length() - 1
+    J = dyadic_level(rows.shape[1])
     if level_sets is None:
         level_sets = [None] * len(rows)
     elif method != "jones" and None not in level_sets and depth <= J:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationError
 from .estimators import METHODS, default_decomposition, scaling_descriptors
-from .utils import check_count, is_integer, map_ordered, write_csv
-from .wavelets import make_filter
+from .utils import check_count, is_real, map_ordered, write_csv
+from .wavelets import dyadic_level, make_filter
 
 _EIGENVALUE_FLOOR = -1e-9
 
@@ -44,13 +44,12 @@ class FbmSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
+        if not (is_real(self.hurst) and 0.0 < self.hurst < 1.0):
             raise ConfigurationError(
-                f"hurst must lie strictly inside (0, 1), got {self.hurst}")
-        n = self.length
-        if not is_integer(n) or n < 8 or n & (n - 1):
+                f"hurst must lie strictly inside (0, 1), got {self.hurst!r}")
+        if dyadic_level(self.length, "length", ConfigurationError) < 3:
             raise ConfigurationError(
-                f"length must be a power of two >= 8, got {n}")
+                f"length must be >= 8, got {self.length!r}")
 
 
 @dataclass(frozen=True)
@@ -151,13 +150,13 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = None,
     size, execution order or thread count.  Estimator failures are counted
     per cell and excluded from the aggregates.
     """
-    h_grid = [float(h) for h in h_grid]
     length = 1024 if length is None else length
+    h_grid = [float(FbmSpec(hurst=h, length=length, seed=0).hurst)
+              for h in h_grid]  # each H checked as given, before drawing
     methods = METHODS if methods is None else tuple(methods)
     if not h_grid:
         raise ConfigurationError("empty H grid")
     for i, h in enumerate(h_grid):
-        FbmSpec(hurst=h, length=length, seed=0)  # validate before drawing
         if h in h_grid[:i]:  # one cell per (H, method)
             raise ConfigurationError(f"repeated H {h!r}")
     check_count(n_reps, "n_reps", least=2)  # for a standard deviation

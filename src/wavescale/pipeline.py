@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, EstimationError, IngestionError
 from .estimators import default_decomposition, scaling_descriptors
 from .utils import check_count, is_integer, map_ordered, write_csv
-from .wavelets import make_filter
+from .wavelets import dyadic_level, make_filter
 
 LABEL_ALIASES = {"case": 1, "control": 0, "1": 1, "0": 0}
 
@@ -109,11 +109,7 @@ class MethodConfig:
         window.  ``extract`` and ``pipeline`` call it before any input is
         read."""
         make_filter(self.family)
-        if (not is_integer(window_len) or window_len < 2
-                or window_len & (window_len - 1)):
-            raise ConfigurationError(
-                f"window length {window_len} is not a power of two")
-        J = window_len.bit_length() - 1
+        J = dyadic_level(window_len, "window length", ConfigurationError)
         least = 1 if method == "jones" else 2
         if default_depth and self.depth < least:
             raise ConfigurationError(
@@ -161,7 +157,8 @@ def default_method_config(method: str, dataset_tag: str = None,
                           window_len: int = _WINDOW_LEN) -> MethodConfig:
     """The method's ``default_decomposition`` of ``window_len``-bin windows
     with the level plan ``dataset_tag`` selects, e.g. "ovarian-8-7-02": none
-    for ``jones``, and an unknown tag is a ConfigurationError."""
+    for ``jones``; a bad window length or tag is a ConfigurationError."""
+    dyadic_level(window_len, "window length", ConfigurationError)
     family, depth = default_decomposition(method, window_len)
     tags = sorted({tag for tag, _ in LEVEL_PLANS})
     if dataset_tag is not None and dataset_tag not in tags:

@@ -14,6 +14,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy integer or float; a bool is not one."""
+    return is_integer(value) or isinstance(value, (float, np.floating))
+
+
 def check_count(value, source: str, least: int = 1):
     """``value``, checked to be an integer of at least ``least``; the
     error names ``source``, the parameter, flag or key that set it."""

@@ -60,9 +60,7 @@ class PacketTree:
     itself.  Rows are read-only views shared across threads safely.
     """
 
-    filter: FilterPair
     depth: int
-    signal_length: int
     data_level: int
     levels: tuple = field(repr=False)
 
@@ -87,8 +85,6 @@ class DwtDecomposition:
     j = approx_level .. data_level - 1; ``approx`` sits at ``approx_level``.
     """
 
-    filter: FilterPair
-    signal_length: int
     data_level: int
     approx_level: int
     approx: np.ndarray
@@ -182,10 +178,12 @@ def synthesis_step(approx: np.ndarray, detail: np.ndarray, f: FilterPair) -> np.
     return x
 
 
-def _check_dyadic(n: int) -> int:
-    if n < 2 or n & (n - 1):
-        raise ShapeError(f"signal length {n} is not a power of two")
-    return n.bit_length() - 1
+def dyadic_level(n, source: str = "signal length", error=ShapeError) -> int:
+    """log2(n) for a power of two n >= 2 given as a Python or numpy
+    integer; anything else raises ``error`` naming the length ``source``."""
+    if not is_integer(n) or n < 2 or n & (n - 1):
+        raise error(f"{source} {n!r} is not a power of two")
+    return int(n).bit_length() - 1
 
 
 def packet_cascade(rows: np.ndarray, f: FilterPair, depth: int,
@@ -200,7 +198,7 @@ def packet_cascade(rows: np.ndarray, f: FilterPair, depth: int,
     split and each level holds just nodes 0 and 1 (the DWT pyramid).
     Requires 1 <= depth <= J.
     """
-    J = _check_dyadic(rows.shape[1])
+    J = dyadic_level(rows.shape[1])
     if not (is_integer(depth) and 1 <= depth <= J):
         raise ConfigurationError(f"depth must be in 1..{J}, got {depth}")
     level = rows[:, None, :]
@@ -224,14 +222,12 @@ def dwt_forward(x: np.ndarray, f: FilterPair, depth: int) -> DwtDecomposition:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ShapeError("dwt_forward expects a 1-D vector")
-    J = _check_dyadic(len(x))
+    J = dyadic_level(len(x))
     details = {}
     pyramid = packet_cascade(x[None], f, depth, pyramid=True)
     for step, level in enumerate(pyramid, 1):
         details[J - step] = _freeze(level[0, 1])
     return DwtDecomposition(
-        filter=f,
-        signal_length=len(x),
         data_level=J,
         approx_level=J - depth,
         approx=_freeze(level[0, 0]),
@@ -249,13 +245,11 @@ def wpd_full(x: np.ndarray, f: FilterPair, depth: int) -> PacketTree:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ShapeError("wpd_full expects a 1-D vector")
-    J = _check_dyadic(len(x))
+    J = dyadic_level(len(x))
     levels = [x[None, :].copy()]
     levels += [lv[0] for lv in packet_cascade(x[None], f, depth)]
     return PacketTree(
-        filter=f,
         depth=depth,
-        signal_length=len(x),
         data_level=J,
         levels=tuple(_freeze(lv) for lv in levels),
     )

@@ -101,9 +101,7 @@ def test_single_packet_signal_selected_exactly():
 
 def test_depth_zero_tree_returns_root():
     x = np.arange(4.0)
-    f = make_filter("haar")
-    tree = PacketTree(filter=f, depth=0, signal_length=4, data_level=2,
-                      levels=(x[None, :],))
+    tree = PacketTree(depth=0, data_level=2, levels=(x[None, :],))
     sel = best_basis(tree)
     assert sel.nodes == ((2, 0),)
     assert sel.total_cost == pytest.approx(shannon_cost(x))

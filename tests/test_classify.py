@@ -176,14 +176,21 @@ def test_predict_logistic_trivials():
     ({"tol": float("nan")}, "tol must be finite and > 0, got nan"),
     ({"tol": float("inf")}, "tol must be finite and > 0, got inf"),
     ({"tol": 0.0}, "tol must be finite and > 0, got 0.0"),
-], ids=["C-nan", "C-tiny", "max-iters", "tol-nan", "tol-inf", "tol-zero"])
+    ({"l2_c": "1"}, "l2_c must be finite and > 0, got '1'"),
+    ({"l2_c": True}, "l2_c must be finite and > 0, got True"),
+    ({"tol": "1e-6"}, "tol must be finite and > 0, got '1e-6'"),
+    ({"tol": True}, "tol must be finite and > 0, got True"),
+    ({"train_fraction": "a"}, "train_fraction must be in (0, 1), got 'a'"),
+], ids=["C-nan", "C-tiny", "max-iters", "tol-nan", "tol-inf", "tol-zero",
+        "C-string", "C-bool", "tol-string", "tol-bool", "train-fraction"])
 def test_logistic_settings_checked_by_the_spec(kwargs, message):
     x = np.zeros((4, 2))
     y = np.array([0, 1, 0, 1.0])
-    with pytest.raises(ConfigurationError, match=re.escape(message)):
-        train_logistic(x, y, **kwargs)
-    with pytest.raises(ConfigurationError, match=re.escape(message)):
-        ClassifierSpec(kind="logistic", **kwargs)
+    calls = ([SplitSpec] if "train_fraction" in kwargs else
+             [lambda **kw: train_logistic(x, y, **kw), ClassifierSpec])
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            call(**kwargs)
 
 
 # -------------------------------------------------------------------- knn

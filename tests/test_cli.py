@@ -84,10 +84,12 @@ def _no_draws(monkeypatch):
     (["--h", "0.1..x"], "bad range '0.1..x'"),
     (["--h", "0.1..0.9:0"], "bad range '0.1..0.9:0'"),
     (["--h", "0.1,abc"], "bad value list '0.1,abc'"),
+    (["--h", "0.5", "--n", "100"], "length 100 is not a power of two"),
+    (["--h", "0.5", "--n", "4"], "length must be >= 8, got 4"),
 ], ids=["h-above-1", "h-closed-range", "h-empty", "one-rep",
         "repeated-method", "repeated-h", "unknown-method", "no-methods",
         "h-descending-range", "h-range-not-a-number", "h-range-zero-step",
-        "h-list-not-a-number"])
+        "h-list-not-a-number", "n-not-a-power-of-two", "n-below-8"])
 def test_simulate_bad_grid_or_reps_exit_2_before_drawing(
         tmp_path, capsys, monkeypatch, flags, message):
     _no_draws(monkeypatch)

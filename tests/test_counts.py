@@ -10,11 +10,12 @@ import wavescale.classify as classify
 import wavescale.fbm as fbm
 from wavescale import (ClassifierSpec, ConfigurationError, FbmSpec,
                        FeatureMatrix, MethodConfig, SpectraDataset, SplitSpec,
-                       evaluate, evaluate_classifiers, extract_features,
-                       fgn_sample, make_filter, make_windows,
-                       run_estimator_benchmark, select_top,
+                       default_method_config, evaluate, evaluate_classifiers,
+                       extract_features, fgn_sample, make_filter,
+                       make_windows, run_estimator_benchmark, select_top,
                        two_class_fbm_dataset)
 from wavescale.classify import check_evaluation
+from wavescale.pipeline import extract_settings
 from wavescale.wavelets import packet_cascade
 
 _RNG = np.random.default_rng(3)
@@ -46,6 +47,9 @@ _ENTRIES = {
     "evaluate_classifiers.threads": ("threads", 2, lambda v:
                                      evaluate_classifiers(
         _FEATURES, [_KNN], [2], _SPLIT, threads=v)),
+    "evaluate_classifiers.threads.no_ps": ("threads", 2, lambda v:
+                                           evaluate_classifiers(
+        _FEATURES, [_KNN], [], _SPLIT, threads=v)),
     "extract_features.threads": ("threads", 2, lambda v: extract_features(
         _SPECTRA, "dwt", make_windows(64, 32, 16), threads=v).slopes),
     "run_estimator_benchmark.n_reps": ("n_reps", 2, lambda v:
@@ -54,6 +58,9 @@ _ENTRIES = {
     "run_estimator_benchmark.threads": ("threads", 2, lambda v:
                                         run_estimator_benchmark(
         [0.5], 2, 64, methods=["dwt"], threads=v)),
+    "run_estimator_benchmark.length": ("length", 64, lambda v:
+                                       run_estimator_benchmark(
+        [0.5], 2, v, methods=["dwt"])),
     "make_windows.window_len": ("window_len", 32, lambda v: make_windows(
         64, v, 16)),
     "make_windows.stride": ("stride", 16, lambda v: make_windows(64, 32, v)),
@@ -62,6 +69,15 @@ _ENTRIES = {
         [_KNN], [v], 4, 10, 10, _SPLIT)),
     "MethodConfig.check": ("depth", 4, lambda v: MethodConfig(
         "haar", v).check("dwt", 64)),
+    "MethodConfig.check.window_len": ("window length", 64, lambda v:
+                                      MethodConfig("haar", 4).check("dwt", v)),
+    "default_method_config": ("window length", 64, lambda v:
+                              default_method_config("dwt", window_len=v)),
+    "extract_settings": ("window length", 64, lambda v: extract_settings(
+        "dwt", window_len=v, stride_source="stride")),
+    "extract_features.window_len": ("window_len", 32, lambda v:
+                                    extract_features(
+        _SPECTRA, "dwt", make_windows(64, v, 16)).slopes),
     "FbmSpec.length": ("length", 64, lambda v: fgn_sample(FbmSpec(
         0.5, v, 0))),
     "packet_cascade": ("depth", 3, lambda v: list(packet_cascade(
@@ -69,6 +85,9 @@ _ENTRIES = {
     "two_class_fbm_dataset": ("n_per_class", 2, lambda v:
                               two_class_fbm_dataset(
         v, n_bins=64).intensities),
+    "two_class_fbm_dataset.n_bins": ("n_bins", 64, lambda v:
+                                     two_class_fbm_dataset(
+        2, n_bins=v).intensities),
 }
 
 

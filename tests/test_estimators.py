@@ -210,7 +210,7 @@ def test_hurst_jones_on_hand_built_tree():
     detail = np.arange(1, n // 2 + 1, dtype=float) ** -1.5
     approx = np.zeros(n // 2)
     root = synthesis_step(approx, detail, f)
-    tree = PacketTree(filter=f, depth=1, signal_length=n, data_level=10,
+    tree = PacketTree(depth=1, data_level=10,
                       levels=(root[None, :], np.vstack([approx, detail])))
     d = scaling_descriptor("jones", tree)
     assert d.slope == pytest.approx(-1.5, abs=1e-12)

@@ -172,6 +172,8 @@ def test_benchmark_rejects_bad_arguments():
     ([0.0, 0.5], 5, "got 0.0"),
     ([float("nan")], 5, "got nan"),
     ([0.5], 1, "got 1"),
+    (["0.3"], 5, "got '0.3'"),
+    ([True], 5, "got True"),
 ])
 def test_benchmark_rejects_bad_grid_before_drawing(monkeypatch, h_grid, reps,
                                                    text):
