@@ -43,7 +43,7 @@ class SplitSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        _check_fields(self, ("train_fraction", "n_repeats"))
+        _check_fields(self, ("train_fraction", "n_repeats", "master_seed"))
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ _FINITE_POSITIVE = _rule(lambda v: is_real(v) and math.isfinite(v) and v > 0,
 
 # Each classification setting: (default, check).  A flag, a config key
 # and a spec field of one setting share its row; every count's check is
-# check_count.
+# check_count, from 0 for the seed.
 _SETTINGS = {
     "train_fraction": (SplitSpec.train_fraction,
                        _rule(lambda v: is_real(v) and 0 < v < 1, "in (0, 1)")),
@@ -102,6 +102,8 @@ _SETTINGS = {
     "max_iters": (ClassifierSpec.max_iters, check_count),
     "tol": (ClassifierSpec.tol, _FINITE_POSITIVE),
     "k": (ClassifierSpec.k, check_count),
+    "master_seed": (SplitSpec.master_seed,
+                    lambda value, source: check_count(value, source, least=0)),
 }
 
 
@@ -122,11 +124,11 @@ def _check_fields(spec, names) -> None:
 def make_split(train_fraction, n_repeats, master_seed: int,
                sources) -> SplitSpec:
     """The SplitSpec of a run's settings; ``sources`` names the train
-    fraction's and the repeats' flag or key."""
+    fraction's, the repeats' and the seed's flag or key."""
     return SplitSpec(check_setting("train_fraction", train_fraction,
                                    sources[0]),
                      check_setting("n_repeats", n_repeats, sources[1]),
-                     master_seed)
+                     check_setting("master_seed", master_seed, sources[2]))
 
 
 def check_classifiers(classifiers, source: str, entry: str = None) -> tuple:

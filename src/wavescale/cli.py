@@ -181,6 +181,7 @@ def cmd_simulate(args) -> int:
     from .fbm import run_estimator_benchmark
 
     h_grid = parse_float_range(args.h)
+    check_count(args.seed, "--seed", least=0)
     methods = None if args.methods is None else tuple(
         m.strip() for m in args.methods.split(",") if m.strip())
     with _output_set([args.out]) as (out,):
@@ -295,7 +296,7 @@ def cmd_classify(args) -> int:
             raise ConfigurationError(f"--curve: no values in {args.curve!r}")
         check_setting("p", min(curve), "--curve")
     split = make_split(args.train_fraction, args.repeats, args.seed,
-                       ("--train-fraction", "--repeats"))
+                       ("--train-fraction", "--repeats", "--seed"))
     curve_repeats = check_setting("curve_repeats", args.curve_repeats,
                                   "--curve-repeats")
     selection = check_setting("selection", args.selection, "--selection")

@@ -182,7 +182,7 @@ def load_run_config(path) -> RunConfig:
     split_raw = _known(raw.get("split", {}), "split", "train_fraction repeats")
     split = make_split(_get(split_raw, "train_fraction", "split", float),
                        _get(split_raw, "repeats", "split", int), seed,
-                       ("split.train_fraction", "split.repeats"))
+                       ("split.train_fraction", "split.repeats", "seed"))
 
     features = _known(raw.get("features", {}), "features", "p curve curve_repeats")
     p = check_setting("p", _get(features, "p", "features", int), "features.p")

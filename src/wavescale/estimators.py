@@ -22,11 +22,13 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .best_basis import best_basis_rows
 from .errors import ConfigurationError, EstimationError
+from .utils import is_integer
 from .wavelets import FilterPair, PacketTree, dyadic_level, packet_cascade
 
 # Each method's default decomposition: its wavelet family and how many
@@ -88,59 +90,141 @@ def _level_energies(method: str, level: np.ndarray) -> np.ndarray:
     return per_node.sum(axis=1) / nodes
 
 
-def _energy_table(method: str, levels, data_level: int):
-    """Level -> column map, the (R, n_levels) level energies of the
-    (R, 2**d, m) level arrays ``levels`` (d = 0, 1, ...), and their log2."""
-    energies = {data_level - d: _level_energies(method, lv)
-                for d, lv in enumerate(levels) if d > 0}
-    table = np.array(list(energies.values())).T
-    with np.errstate(divide="ignore"):  # zero energies are dropped later
-        log_table = np.log2(table)
-    return {j: c for c, j in enumerate(energies)}, table, log_table
-
-
-def _row_spectrum(request, columns: dict, energies: np.ndarray,
-                  log_energies: np.ndarray):
-    """Levels (as floats) and log2 energies of one row's spectrum.
-
-    ``request`` lists the levels to keep (None: every level of
-    ``columns``, which maps a level to its column of the row's
-    ``energies``); zero-energy levels are dropped with a warning.
-    """
-    levels = sorted(columns if request is None
-                    else set(int(j) for j in request))
+def _spectrum_levels(request, columns: dict) -> list:
+    """The sorted levels of a request (None: every level of ``columns``),
+    each checked to be a distinct integer level of ``columns``."""
+    request = sorted(columns) if request is None else list(request)
+    for j in request:
+        if not is_integer(j):
+            raise ConfigurationError(f"level {j!r} is not an integer")
+    levels = sorted(map(int, request))
     if not levels:
         raise ConfigurationError("no spectrum levels requested")
-    for j in levels:
+    for i, j in enumerate(levels):
         if j not in columns:
-            raise ConfigurationError(
-                f"level {j} not present (decomposed levels: "
-                f"{sorted(columns)})")
-    row, kept = energies.tolist(), []
+            raise ConfigurationError(f"level {j} not present (decomposed "
+                                     f"levels: {sorted(columns)})")
+        if i and levels[i - 1] == j:
+            raise ConfigurationError(f"repeated level {j}")
+    return levels
+
+
+def _level_groups(method: str, levels, data_level: int, level_sets):
+    """The dwt or wang spectra of the rows of the (R, 2**d, m) level
+    arrays ``levels`` (d = 0, 1, ...), from one (R, n_levels) table of
+    level energies and one log2 over it: groups (rows, xs, ys) of the
+    rows that keep the levels xs, ys their log2 energies, and the
+    zero-energy levels each row drops from its request in ``level_sets``."""
+    energies = {data_level - d: _level_energies(method, lv)
+                for d, lv in enumerate(levels) if d > 0}
+    columns = {j: c for c, j in enumerate(energies)}
+    energies = np.array(list(energies.values())).T
+    with np.errstate(divide="ignore"):  # zero energies are dropped
+        log_energies = np.log2(energies)
+    resolved, groups, dropped = {}, {}, []
+    for request, row in zip(level_sets, energies.tolist()):
+        # keyed by identity, as a request may hold unhashable entries
+        if id(request) not in resolved:
+            resolved[id(request)] = _spectrum_levels(request, columns)
+        wanted = resolved[id(request)]
+        kept = tuple(j for j in wanted if not row[columns[j]] <= 0.0)
+        dropped.append([j for j in wanted if j not in kept])
+        groups.setdefault(kept, []).append(len(dropped) - 1)
+    return [(np.array(rows), np.array(kept, dtype=float),
+             log_energies[np.ix_(rows, [columns[j] for j in kept])])
+            for kept, rows in groups.items()], dropped
+
+
+def _rank_groups(coeffs: np.ndarray) -> list:
+    """Groups (rows, xs, ys) of the (R, N) coefficient rows: ys the logs
+    of a row's magnitudes in descending order, xs the logs of their ranks
+    1..k.  Zeros sort last and are left out; a NaN sorts first and stays."""
+    c = np.sort(np.abs(coeffs), axis=1)[:, ::-1]
+    n = np.count_nonzero(~(c <= 0.0), axis=1)
+    return [(np.flatnonzero(n == k), np.log(np.arange(1.0, k + 1)),
+             np.log(c[n == k, :k])) for k in np.unique(n)]
+
+
+def _warn_dropped(levels) -> None:
     for j in levels:
-        if row[columns[j]] <= 0.0:
-            warnings.warn(
-                f"level {j} has zero energy; point dropped", RuntimeWarning,
-                stacklevel=4)
-        else:
-            kept.append(j)
-    return (np.array(kept, dtype=float),
-            log_energies[[columns[j] for j in kept]])
+        warnings.warn(f"level {j} has zero energy; point dropped",
+                      RuntimeWarning, stacklevel=3)
+
+
+class LineFits(NamedTuple):
+    """Least-squares lines of a batch of rows, one entry per row; an
+    error slot is None or the row's EstimationError."""
+
+    slope: np.ndarray
+    intercept: np.ndarray
+    r_squared: np.ndarray
+    n_points: np.ndarray
+    errors: list
+    dropped: list
+    hurst: np.ndarray = None
+
+    def row_errors(self):
+        """Each row's error slot in row order, after the row's warnings."""
+        for levels, error in zip(self.dropped, self.errors):
+            _warn_dropped(levels)
+            yield error
+
+    def one(self) -> SlopeFit:
+        """The SlopeFit of a one-row batch; the row's error is raised."""
+        (error,) = self.row_errors()
+        if error is not None:
+            raise error
+        return SlopeFit(float(self.slope[0]), float(self.intercept[0]),
+                        int(self.n_points[0]), float(self.r_squared[0]))
+
+
+_TOO_FEW_LEVELS = "slope fit needs at least 2 spectrum points, got {}"
+_TOO_FEW_COEFFS = "rank-size fit needs at least 2 nonzero coefficients"
+
+
+def _line_fits(groups, too_few: str, dropped) -> LineFits:
+    """The fits of the rows of ``dropped``, a group (rows, xs, ys) of rows
+    sharing their x values at a time, each bitwise its row's fit alone
+    (tests/test_batched_equivalence.py pins the order).  Fewer than two
+    points fail with ``too_few``; a non-finite slope fails too."""
+    slope, intercept, r2 = np.full((3, len(dropped)), np.nan)
+    n_points, errors = np.zeros(len(dropped), dtype=int), [None] * len(dropped)
+    for rows, xs, ys in groups:
+        n_points[rows] = len(xs)
+        if len(xs) < 2:
+            for r in rows:
+                errors[r] = EstimationError(too_few.format(len(xs)))
+            continue
+        xm, ym = xs.mean(), ys.mean(axis=1)
+        dx, dy = xs - xm, ys - ym[:, None]
+        sxx = np.dot(dx, dx)
+        sxy = np.matmul(dy[:, None, :], dx[None, :, None])[:, 0, 0]
+        syy = np.matmul(dy[:, None, :], dy[:, :, None])[:, 0, 0]
+        slope[rows] = sxy / sxx
+        intercept[rows] = ym - slope[rows] * xm
+        with np.errstate(all="ignore"):  # r² is 1 where syy is 0
+            r2[rows] = np.where(syy > 0.0,
+                                np.fmin(1.0, sxy * sxy / (sxx * syy)), 1.0)
+    for r in np.flatnonzero(~np.isfinite(slope)):
+        errors[r] = errors[r] or EstimationError(
+            f"fitted slope is not finite: {slope[r]}")
+    return LineFits(slope, intercept, r2, n_points, errors, dropped)
 
 
 def _tree_spectrum(method: str, tree: PacketTree, levels) -> list:
-    columns, energies, log_energies = _energy_table(
-        method, [lv[None] for lv in tree.levels], tree.data_level)
-    xs, ys = _row_spectrum(levels, columns, energies[0], log_energies[0])
+    (((_, xs, ys),), (dropped,)) = _level_groups(
+        method, [lv[None] for lv in tree.levels], tree.data_level, [levels])
+    _warn_dropped(dropped)
     return [SpectrumPoint(level=int(j), log_energy=y)
-            for j, y in zip(xs, ys.tolist())]
+            for j, y in zip(xs, ys[0].tolist())]
 
 
 def spectrum_dwt(tree: PacketTree, levels=None) -> list:
     """Log energies of the pyramid detail node (j, 1) per requested level.
 
-    ``levels`` defaults to every decomposed level.  Zero-energy levels are
-    dropped with a warning; an empty request raises ConfigurationError.
+    ``levels`` defaults to every decomposed level; a request must name
+    distinct integer levels.  Zero-energy levels are dropped with a
+    warning; an empty request raises ConfigurationError.
     """
     return _tree_spectrum("dwt", tree, levels)
 
@@ -160,39 +244,14 @@ def spectrum_wang(tree: PacketTree, levels=None) -> list:
 def fit_slope(points) -> SlopeFit:
     """Least-squares slope of log energy against level index.
 
-    Requires at least two points at distinct levels.
+    Requires at least two points at distinct levels and a finite slope.
     """
     xs = np.array([p.level for p in points], dtype=float)
     ys = np.array([p.log_energy for p in points], dtype=float)
     if len(xs) >= 2 and np.unique(xs).size < 2:
         raise EstimationError("slope fit needs points at distinct levels")
-    return _level_fit((xs, ys))
-
-
-def _ols(xs: np.ndarray, ys: np.ndarray) -> SlopeFit:
-    xm, ym = xs.mean(), ys.mean()
-    dx, dy = xs - xm, ys - ym
-    sxx = float(np.dot(dx, dx))
-    sxy = float(np.dot(dx, dy))
-    syy = float(np.dot(dy, dy))
-    slope = sxy / sxx
-    intercept = ym - slope * xm
-    if syy > 0.0:
-        r2 = min(1.0, sxy * sxy / (sxx * syy))
-    else:
-        r2 = 1.0
-    return SlopeFit(slope=slope, intercept=intercept,
-                    n_points=len(xs), r_squared=r2)
-
-
-def _level_fit(spectrum) -> SlopeFit:
-    """Line through one row's (levels, log energies) from _row_spectrum,
-    whose levels are distinct; needs at least two of them."""
-    xs, ys = spectrum
-    if len(xs) < 2:
-        raise EstimationError(
-            f"slope fit needs at least 2 spectrum points, got {len(xs)}")
-    return _ols(xs, ys)
+    return _line_fits([(np.array([0]), xs, ys[None])], _TOO_FEW_LEVELS,
+                      [()]).one()
 
 
 def hurst_dwt(slope: float) -> float:
@@ -217,32 +276,22 @@ def rank_size_fit(values) -> SlopeFit:
     1..N, so an exceedance law count(value > a) ~ a**(-delta) shows up as
     a straight line of ln(value) against ln(rank).  Zero entries (a
     measure-zero event for real-valued coefficients) are excluded since
-    their logs are undefined.
+    their logs are undefined; a NaN is not, and fails the fit.
 
-    Raises EstimationError when fewer than two nonzero values exist.
+    Raises EstimationError when fewer than two nonzero values exist or
+    the slope is not finite.
     """
-    magnitudes = np.abs(np.asarray(values, dtype=float))
-    return _rank_size_sorted(np.sort(magnitudes)[::-1])
-
-
-def _rank_size_sorted(c: np.ndarray) -> SlopeFit:
-    ranks = np.arange(1, len(c) + 1, dtype=float)
-    nz = c > 0.0
-    if np.count_nonzero(nz) < 2:
-        raise EstimationError(
-            "rank-size fit needs at least 2 nonzero coefficients")
-    return _ols(np.log(ranks[nz]), np.log(c[nz]))
+    values = np.asarray(values, dtype=float)[None]
+    return _line_fits(_rank_groups(values), _TOO_FEW_COEFFS, [()]).one()
 
 
 _HURST = {"dwt": hurst_dwt, "wang": hurst_wang, "jones": hurst_jones}
 
 
-def _descriptors(method: str, levels, data_level: int, level_sets):
-    """One outcome per row of the (R, 2**d, m) level arrays ``levels``
-    (d = 0, 1, ...), with ``level_sets[r]`` restricting row r's spectrum:
-    the row's descriptor, or an EstimationError: the one its fit raised,
-    or one for a slope that is not finite (as when level energies
-    overflow)."""
+def _descriptors(method: str, levels, data_level: int,
+                 level_sets) -> LineFits:
+    """The fits of the rows of the (R, 2**d, m) level arrays ``levels``
+    (d = 0, 1, ...), ``level_sets[r]`` restricting row r's spectrum."""
     _check_method(method)
     if method == "jones":
         levels = list(levels)
@@ -250,24 +299,13 @@ def _descriptors(method: str, levels, data_level: int, level_sets):
         coeffs = np.empty((len(levels[0]), levels[0].shape[2]))
         for lv, mask in zip(levels, selected):
             np.copyto(coeffs.reshape(lv.shape), lv, where=mask[:, :, None])
-        fit, args = _rank_size_sorted, np.sort(np.abs(coeffs), axis=1)[:, ::-1]
+        fits = _line_fits(_rank_groups(coeffs), _TOO_FEW_COEFFS,
+                          [()] * len(coeffs))
     else:
-        columns, energies, log_energies = _energy_table(method, levels,
-                                                        data_level)
-        fit, args = _level_fit, (
-            _row_spectrum(lv_set, columns, energies[r], log_energies[r])
-            for r, lv_set in enumerate(level_sets))
-    for a in args:
-        try:
-            line = fit(a)
-            if not np.isfinite(line.slope):
-                raise EstimationError(
-                    f"fitted slope is not finite: {line.slope}")
-        except EstimationError as exc:
-            yield exc
-        else:
-            yield ScalingDescriptor(method, line.slope,
-                                    _HURST[method](line.slope), line)
+        groups, dropped = _level_groups(method, levels, data_level,
+                                        level_sets)
+        fits = _line_fits(groups, _TOO_FEW_LEVELS, dropped)
+    return fits._replace(hurst=_HURST[method](fits.slope))
 
 
 def scaling_descriptor(method: str, tree: PacketTree, levels=None) -> ScalingDescriptor:
@@ -276,18 +314,17 @@ def scaling_descriptor(method: str, tree: PacketTree, levels=None) -> ScalingDes
     ``levels`` restricts the spectrum regression for the dwt and wang
     methods and is ignored by jones, which always uses the whole basis.
     """
-    d = next(_descriptors(
-        method, [lv[None] for lv in tree.levels], tree.data_level, [levels]))
-    if isinstance(d, EstimationError):
-        raise d
-    return d
+    line = _descriptors(method, [lv[None] for lv in tree.levels],
+                        tree.data_level, [levels]).one()
+    return ScalingDescriptor(method, line.slope, _HURST[method](line.slope),
+                             line)
 
 
 def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
-                        level_sets=None):
-    """Yield ``scaling_descriptor(method, wpd_full(row, f, depth), levels)``
-    for every row of the (R, N) matrix ``rows``, bit for bit, computed as
-    one batch; a row whose fit fails yields its EstimationError instead.
+                        level_sets=None) -> LineFits:
+    """``scaling_descriptor(method, wpd_full(row, f, depth), levels)``
+    for every row of the (R, N) matrix ``rows`` as the LineFits of one
+    batch, bit for bit; ``row_errors`` issues a row's warnings.
 
     ``level_sets[r]`` restricts row r's spectrum (default: all levels).
     Only what a method needs is kept: dwt runs the pyramid alone, wang
@@ -303,10 +340,11 @@ def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
     J = dyadic_level(rows.shape[1])
     if level_sets is None:
         level_sets = [None] * len(rows)
-    elif method != "jones" and None not in level_sets and depth <= J:
-        wanted = {int(j) for s in level_sets for j in s}
-        if wanted and wanted <= set(range(J - depth, J)):
+    elif method != "jones" and is_integer(depth) and None not in level_sets:
+        wanted = [j for s in level_sets for j in s]
+        if wanted and all(is_integer(j) and J - depth <= j < J
+                          for j in wanted):
             depth = J - min(wanted)
     cascade = packet_cascade(rows, f, depth, pyramid=method == "dwt")
-    yield from _descriptors(method, itertools.chain([rows[:, None, :]], cascade),
-                            J, level_sets)
+    return _descriptors(method, itertools.chain([rows[:, None, :]], cascade),
+                        J, level_sets)

@@ -160,6 +160,7 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = None,
         if h in h_grid[:i]:  # one cell per (H, method)
             raise ConfigurationError(f"repeated H {h!r}")
     check_count(n_reps, "n_reps", least=2)  # for a standard deviation
+    check_count(master_seed, "master_seed", least=0)
     if not methods:
         raise ConfigurationError("no methods requested")
     decompositions = {}
@@ -181,8 +182,9 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = None,
                           axis=1)
         out = {}
         for m, (f, depth) in decompositions.items():
-            out[m] = [d.hurst for d in scaling_descriptors(m, paths, f, depth)
-                      if not isinstance(d, EstimationError)]
+            fits = scaling_descriptors(m, paths, f, depth)
+            fitted = [error is None for error in fits.row_errors()]
+            out[m] = fits.hurst[fitted].tolist()
         return out
 
     tasks = [(ih, start, min(start + _CHUNK, n_reps))

@@ -103,7 +103,8 @@ class MethodConfig:
         least..log2(window_len) and every level of the plan is one the
         decomposition produces.  ``least`` is 1 for jones and 2 for dwt
         and wang, whose slope fit needs two levels, so each of their plan
-        entries must also name two distinct levels.  With
+        entries must also name two distinct levels.  No entry may name a
+        level twice.  With
         ``default_depth`` the depth is ``method``'s default for the
         window length, and a too small one is reported as a too short
         window.  ``extract`` and ``pipeline`` call it before any input is
@@ -130,6 +131,9 @@ class MethodConfig:
                 raise ConfigurationError(
                     f"levels entry {i}: {method} fits a slope through at "
                     f"least 2 distinct levels, got {list(levels)}")
+            if len(set(levels)) < len(levels):
+                raise ConfigurationError(
+                    f"levels entry {i}: a level is repeated in {list(levels)}")
 
     def levels_for(self, window_number: int):
         for lo, hi, levels in self.level_plan:
@@ -432,11 +436,13 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
 
     The window length must be a power of two compatible with the depth of
     ``method_config`` (default: ``default_method_config`` at that length).
+    Each sample's windows are fitted as one batch (scaling_descriptors).
     A failed estimate aborts the run (naming the sample and window)
-    rather than leaving holes in the matrix.  When the level plan gives every window of a dwt or wang run
-    a level set, the decomposition stops at the deepest level the plan
-    reads (see scaling_descriptors), with the descriptors and zero-energy
-    warnings of the full ``method_config.depth``.
+    rather than leaving holes in the matrix, after the zero-energy
+    warnings of the windows up to it.  When the level plan gives every
+    window of a dwt or wang run a level set, the decomposition stops at
+    the deepest level the plan reads, with the slopes and warnings of
+    the full ``method_config.depth``.
     """
     wl = grid.window_len
     default_depth = method_config is None
@@ -449,18 +455,14 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
     def one_sample(s):
         # every window of the sample as one (windows, window_len) view
         rows = sliding_window_view(dataset.intensities[s], wl)[::grid.stride]
-        descriptors = scaling_descriptors(method, rows[:grid.count], f,
-                                          method_config.depth, level_sets)
-        slopes = np.empty(grid.count)
-        hurst = np.empty(grid.count)
-        for w, d in enumerate(descriptors):
-            if isinstance(d, EstimationError):
+        fits = scaling_descriptors(method, rows[:grid.count], f,
+                                   method_config.depth, level_sets)
+        for w, error in enumerate(fits.row_errors()):
+            if error is not None:
                 raise EstimationError(
                     f"estimate failed for sample {dataset.sample_ids[s]!r}, "
-                    f"window {w + 1}: {d}") from d
-            slopes[w] = d.slope
-            hurst[w] = d.hurst
-        return slopes, hurst
+                    f"window {w + 1}: {error}") from error
+        return fits.slope, fits.hurst
 
     results = map_ordered(one_sample, range(dataset.n_samples), threads=threads)
     slopes = np.vstack([r[0] for r in results])
@@ -576,6 +578,7 @@ def rank_sum_test(a, b):
 
 
 def _balanced_row_indices(labels: np.ndarray, seed: int) -> np.ndarray:
+    check_count(seed, "seed", least=0)
     idx1 = np.flatnonzero(labels == 1)
     idx0 = np.flatnonzero(labels == 0)
     if len(idx0) == len(idx1):

@@ -26,6 +26,7 @@ def two_class_fbm_dataset(n_per_class: int = 50, hurst_control: float = 0.3,
     """
     check_count(n_per_class, "n_per_class")
     check_count(n_bins, "n_bins")
+    check_count(seed, "seed", least=0)
     gen_len = 1 << max(3, int(np.ceil(np.log2(n_bins))))
     rows = []
     ids = []

@@ -255,12 +255,32 @@ def reference_best_basis(levels, data_level):
 
 
 def _reference_ols(xs, ys):
-    dx, dy = xs - xs.mean(), ys - ys.mean()
-    return float(np.dot(dx, dy)) / float(np.dot(dx, dx))
+    """(slope, intercept, n_points, r²) of one row, as the former per-row
+    fit computed them; a non-finite slope fails."""
+    from wavescale import EstimationError
+
+    xm, ym = xs.mean(), ys.mean()
+    dx, dy = xs - xm, ys - ym
+    sxx = float(np.dot(dx, dx))
+    sxy = float(np.dot(dx, dy))
+    syy = float(np.dot(dy, dy))
+    slope = sxy / sxx
+    if not np.isfinite(slope):
+        raise EstimationError(f"fitted slope is not finite: {slope}")
+    r2 = min(1.0, sxy * sxy / (sxx * syy)) if syy > 0.0 else 1.0
+    return slope, float(ym - slope * xm), len(xs), r2
 
 
-def reference_slope(method, x, f, depth, levels=None):
-    """Fitted slope of one window, warning and failing as the old path did."""
+def reference_level_energy(method, lev):
+    """One level's energy from its (2**d, m) node matrix."""
+    if method == "dwt":
+        return float(np.mean(lev[1] * lev[1]))
+    return float(np.mean(np.mean(lev[1::2] * lev[1::2], axis=1)))
+
+
+def reference_fit(method, x, f, depth, levels=None):
+    """(slope, intercept, n_points, r²) of one window, warning and failing
+    as the old path did."""
     from wavescale import EstimationError
 
     tree = reference_wpd_levels(x, f, depth)
@@ -279,11 +299,7 @@ def reference_slope(method, x, f, depth, levels=None):
         levels = range(J - depth, J)
     pts = []
     for j in sorted(set(levels)):
-        lev = tree[J - j]
-        if method == "dwt":
-            e = float(np.mean(lev[1] * lev[1]))
-        else:
-            e = float(np.mean(np.mean(lev[1::2] * lev[1::2], axis=1)))
+        e = reference_level_energy(method, tree[J - j])
         if e <= 0.0:
             warnings.warn(f"level {j} has zero energy; point dropped",
                           RuntimeWarning)
@@ -305,7 +321,7 @@ def reference_extract_slopes(dataset, method, grid, method_config):
     for s in range(dataset.n_samples):
         for w, (lo, hi) in enumerate(grid.windows):
             try:
-                slopes[s, w] = reference_slope(
+                slopes[s, w], *_ = reference_fit(
                     method, dataset.intensities[s, lo:hi], f,
                     method_config.depth, method_config.levels_for(w + 1))
             except EstimationError as exc:
@@ -479,9 +495,10 @@ def reference_fgn(hurst, n, rng):
 
 def reference_estimator_benchmark(h_grid, n_reps, length, methods,
                                   master_seed):
-    """(H, method) -> (mean, std, n, failures), one replicate at a time."""
-    from wavescale import (EstimationError, make_filter, scaling_descriptor,
-                           wpd_full)
+    """(H, method) -> (mean, std, n, failures), one replicate at a time,
+    through this module's own transform, spectrum and line fit."""
+    import wavescale
+    from wavescale import EstimationError, make_filter
 
     family = {"dwt": "haar", "wang": "haar", "jones": "symmlet4"}
     J = length.bit_length() - 1
@@ -493,14 +510,13 @@ def reference_estimator_benchmark(h_grid, n_reps, length, methods,
             rng = np.random.default_rng(
                 np.random.SeedSequence(master_seed, spawn_key=(ih, rep)))
             path = np.cumsum(reference_fgn(h, length, rng))
-            trees = {fam: wpd_full(path, make_filter(fam), depth[fam])
-                     for fam in {family[m] for m in methods}}
             for m in methods:
                 try:
-                    hurst[m].append(
-                        scaling_descriptor(m, trees[family[m]]).hurst)
+                    slope, *_ = reference_fit(m, path, make_filter(family[m]),
+                                              depth[family[m]])
                 except EstimationError:
-                    pass
+                    continue
+                hurst[m].append(getattr(wavescale, f"hurst_{m}")(slope))
         for m in methods:
             vals = np.array(hurst[m])
             cells[h, m] = (float(vals.mean()), float(vals.std(ddof=1)),

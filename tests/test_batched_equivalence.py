@@ -1,5 +1,5 @@
-"""The row-batched transform, best basis and estimators against the former
-per-window, per-node path kept in ``oracles``."""
+"""The row-batched transform, best basis, estimators and line fits against
+the former per-window, per-node, per-row path kept in ``oracles``."""
 
 import warnings
 
@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _reference_ols,
     packet_basis_vector,
     reference_best_basis,
     reference_extract_slopes,
+    reference_fit,
     reference_wpd_levels,
 )
 from wavescale import (
@@ -176,8 +178,8 @@ def test_scaling_descriptors_stop_at_the_deepest_requested_level(
     scaling_descriptors, depths = _spy_cascade_depths(monkeypatch)
     rows = np.random.default_rng(3).standard_normal((2, 1024)).cumsum(axis=1)
     f = make_filter("haar")
-    got = [(d.slope, d.hurst)
-           for d in scaling_descriptors(method, rows, f, 4, sets)]
+    fits = scaling_descriptors(method, rows, f, 4, sets)
+    got = list(zip(fits.slope.tolist(), fits.hurst.tolist()))
     want = [(d.slope, d.hurst) for d in (
         scaling_descriptor(method, wpd_full(r, f, 4), s)
         for r, s in zip(rows, sets))]
@@ -219,3 +221,94 @@ def test_best_basis_matches_per_node_path_on_zero_subtrees():
             reference_wpd_levels(x, f, depth), 6)
         assert sel.nodes == nodes
         assert sel.total_cost == pytest.approx(total, rel=0, abs=1e-12)
+
+
+# ------------------------------------------------------------ line fits
+
+def test_row_reductions_bitwise_equal_to_one_row_calls():
+    """The grouped line fit relies on three reductions taking each row of
+    a C-ordered (rows, n) array in the order a one-row call does: the row
+    means, the stacked matmul (not the gemv form ``dy @ dx``) and the
+    elementwise log.  A numpy build whose order differs fails here."""
+    rng = np.random.default_rng(26)
+    for n in range(2, 1025):
+        xs = np.log(np.arange(1.0, n + 1))
+        ys = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-3, 4)
+        dx = xs - xs.mean()
+        ym = ys.mean(axis=1)
+        dy = ys - ym[:, None]
+        sxy = np.matmul(dy[:, None, :], dx[None, :, None])[:, 0, 0]
+        syy = np.matmul(dy[:, None, :], dy[:, :, None])[:, 0, 0]
+        logs = np.log(np.abs(ys))
+        for r, row in enumerate(ys):
+            row = row.copy()
+            assert ym[r] == row.mean(), n
+            d = row - row.mean()
+            assert sxy[r] == np.dot(dx, d) and syy[r] == np.dot(d, d), n
+            assert logs[r].tobytes() == np.log(np.abs(row)).tobytes(), n
+
+
+def test_line_fits_bitwise_equal_to_one_row_fits_at_every_width():
+    from wavescale.estimators import _TOO_FEW_COEFFS, _line_fits
+
+    rng = np.random.default_rng(27)
+    for n in range(2, 1025):
+        xs = np.log(np.arange(1.0, n + 1))
+        ys = np.log(np.abs(rng.standard_normal((3, n))))
+        fits = _line_fits([(np.arange(3), xs, ys)], _TOO_FEW_COEFFS, [()] * 3)
+        got = np.column_stack([fits.slope, fits.intercept, fits.r_squared])
+        want = np.array([[s, i, r2] for s, i, _, r2 in (
+            _reference_ols(xs, row.copy()) for row in ys)])
+        assert got.tobytes() == want.tobytes(), n
+        assert fits.n_points.tolist() == [n] * 3
+
+
+def _window_rows(ds, stride, cfg):
+    """Every window of ``ds`` as one row, and each row's level set."""
+    grid = make_windows(ds.n_bins, 1024, stride)
+    rows = np.vstack([ds.intensities[s, lo:hi] for s in range(ds.n_samples)
+                      for lo, hi in grid.windows])
+    sets = [cfg.levels_for(w + 1)
+            for _ in range(ds.n_samples) for w in range(grid.count)]
+    return rows, sets
+
+
+@pytest.mark.parametrize("rows_of", ["fbm", "degenerate"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_line_fit_arrays_bitwise_equal_to_per_row_fits(fbm_dataset, name,
+                                                       rows_of):
+    """Slope, intercept, r² and point count of every row equal the former
+    one-row fit's bit for bit; a failed row holds that fit's error, and
+    the zero-energy warnings come in the same order."""
+    from wavescale.estimators import scaling_descriptors
+
+    method, cfg = name.split("-")[0], CONFIGS[name]
+    if rows_of == "fbm":
+        rows, sets = _window_rows(fbm_dataset, 500, cfg)
+    else:
+        step, mixed, half_zero, spiky = _degenerate_rows()
+        rows, sets = _window_rows(_dataset(
+            [[step, mixed, half_zero, spiky],
+             [np.full(1024, 3.0), np.zeros(1024), spiky, step]]), 1024, cfg)
+    f = make_filter(cfg.family)
+    fits, at_fit = _run(lambda: scaling_descriptors(
+        method, rows, f, cfg.depth, sets))
+    errors, got_warned = _run(lambda: list(fits.row_errors()))
+    assert at_fit == []  # a row warns as row_errors reaches it
+    want_warned = []
+    for r, (row, levels) in enumerate(zip(rows, sets)):
+        want, warned = _run(lambda: reference_fit(method, row, f, cfg.depth,
+                                                  levels))
+        want_warned += warned
+        if isinstance(want, str):
+            assert str(errors[r]) == want
+            continue
+        assert errors[r] is None
+        slope, intercept, n_points, r2 = want
+        assert fits.n_points[r] == n_points
+        assert (np.array([fits.slope[r], fits.intercept[r],
+                          fits.r_squared[r]]).tobytes()
+                == np.array([slope, intercept, r2]).tobytes())
+    assert got_warned == want_warned
+    if rows_of == "degenerate":
+        assert any(errors) and (method == "jones" or got_warned)

@@ -86,10 +86,12 @@ def _no_draws(monkeypatch):
     (["--h", "0.1,abc"], "bad value list '0.1,abc'"),
     (["--h", "0.5", "--n", "100"], "length 100 is not a power of two"),
     (["--h", "0.5", "--n", "4"], "length must be >= 8, got 4"),
+    (["--h", "0.5", "--seed", "-1"], "--seed must be >= 0, got -1"),
 ], ids=["h-above-1", "h-closed-range", "h-empty", "one-rep",
         "repeated-method", "repeated-h", "unknown-method", "no-methods",
         "h-descending-range", "h-range-not-a-number", "h-range-zero-step",
-        "h-list-not-a-number", "n-not-a-power-of-two", "n-below-8"])
+        "h-list-not-a-number", "n-not-a-power-of-two", "n-below-8",
+        "negative-seed"])
 def test_simulate_bad_grid_or_reps_exit_2_before_drawing(
         tmp_path, capsys, monkeypatch, flags, message):
     _no_draws(monkeypatch)
@@ -658,6 +660,9 @@ def test_bad_window_depth_or_family_fails_before_ingest(
     ("seed: 11", "seed: 11\nlevels:\n  - windows: [1, 29]\n    levels: [7, 7]",
      "levels entry 0: wang fits a slope through at least 2 distinct levels, "
      "got [7, 7]"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: [1, 29]\n    levels: [7, 8, 7]",
+     "levels entry 0: a level is repeated in [7, 8, 7]"),
+    ("seed: 11", "seed: -1", "seed must be >= 0, got -1"),
     ("depth: 9", "depth: 1", "depth 1 does not fit window length 512: wang "
      "needs it in 2..9"),
     ("  curve_repeats: 10", "  curve_repeats: 0",
@@ -702,7 +707,8 @@ def test_bad_window_depth_or_family_fails_before_ingest(
 ], ids=["stride", "plan-windows-order", "plan-windows-zero", "plan-level-high",
         "plan-level-low", "p", "curve-order", "curve-zero", "curve-triple",
         "plan-windows-single", "plan-windows-missing", "plan-one-level",
-        "plan-repeated-level", "depth-one-level", "curve-repeats",
+        "plan-repeated-level", "plan-level-named-twice", "seed-negative",
+        "depth-one-level", "curve-repeats",
         "split-repeats", "split-train-fraction", "threads", "repeated-kind",
         "unknown-kind", "unknown-kind-name", "no-classifiers",
         "jones-unknown-tag", "jones-level-plan", "C-nan", "C-inf", "C-tiny",
@@ -987,12 +993,14 @@ def test_classify_curve_is_the_first_curve_repeats_splits(tmp_path):
     (["--curve", "5..1"], "bad range '5..1'", False),
     (["--curve", "a..3"], "bad range 'a..3'", False),
     (["--curve", "1,x"], "bad value list '1,x'", False),
+    (["--seed", "-1"], "--seed must be >= 0, got -1", False),
+    (["--seed", "-1", "--balance"], "--seed must be >= 0, got -1", False),
 ], ids=["curve", "curve-repeats", "curve-repeats-named", "repeats-named",
         "train-fraction-named", "p-named", "curve-low-named",
         "classifier-kind-named", "second-classifier-kind-named",
         "no-classifiers-named", "curve-empty", "undrawable-split",
         "curve-descending-range", "curve-range-not-a-number",
-        "curve-list-not-a-number"])
+        "curve-list-not-a-number", "seed-named", "balance-seed-named"])
 def test_classify_checks_the_curve_before_evaluating(tmp_path, capsys,
                                                      monkeypatch, flags,
                                                      message, reads_features):

@@ -1,5 +1,6 @@
-"""The count rule: every public entry that takes a count refuses a float or
-a bool by name, before any work, and takes a numpy integer as an int."""
+"""The count rule: every public entry that takes a count refuses a float, a
+bool or a negative by name, before any work, and takes a numpy integer as
+an int.  A seed is a count from 0."""
 
 import re
 
@@ -10,12 +11,12 @@ import wavescale.classify as classify
 import wavescale.fbm as fbm
 from wavescale import (ClassifierSpec, ConfigurationError, FbmSpec,
                        FeatureMatrix, MethodConfig, SpectraDataset, SplitSpec,
-                       default_method_config, evaluate, evaluate_classifiers,
-                       extract_features, fgn_sample, make_filter,
-                       make_windows, run_estimator_benchmark, select_top,
-                       two_class_fbm_dataset)
+                       balance_classes, default_method_config, evaluate,
+                       evaluate_classifiers, extract_features, fgn_sample,
+                       make_filter, make_windows, run_estimator_benchmark,
+                       select_top, two_class_fbm_dataset)
 from wavescale.classify import check_evaluation
-from wavescale.pipeline import extract_settings
+from wavescale.pipeline import balance_feature_rows, extract_settings
 from wavescale.wavelets import packet_cascade
 
 _RNG = np.random.default_rng(3)
@@ -28,6 +29,7 @@ _SPECTRA = SpectraDataset(
     intensities=_RNG.standard_normal((4, 64)).cumsum(axis=1),
     labels=np.array([0, 1, 0, 1], dtype=np.int8),
     sample_ids=("a", "b", "c", "d"))
+_UNEVEN = np.array([0, 1, 1, 1, 0, 1], dtype=np.int8)  # 2 vs 4 samples
 _SPLIT = SplitSpec(n_repeats=3)
 _KNN = ClassifierSpec("knn", k=3)
 
@@ -89,6 +91,22 @@ _ENTRIES = {
                                      two_class_fbm_dataset(
         2, n_bins=v).intensities),
 }
+_ENTRIES.update({  # a seed is a count from 0
+    "SplitSpec.master_seed": ("master_seed", 3, lambda v: evaluate(
+        _FEATURES, _KNN, 2, SplitSpec(n_repeats=3, master_seed=v))),
+    "run_estimator_benchmark.master_seed": ("master_seed", 3, lambda v:
+                                            run_estimator_benchmark(
+        [0.5], 2, 64, methods=["dwt"], master_seed=v)),
+    "two_class_fbm_dataset.seed": ("seed", 3, lambda v: two_class_fbm_dataset(
+        2, n_bins=64, seed=v).intensities),
+    "balance_classes": ("seed", 3, lambda v: balance_classes(SpectraDataset(
+        intensities=_RNG.standard_normal((6, 8)), labels=_UNEVEN,
+        sample_ids=tuple("abcdef")), v).sample_ids),
+    "balance_feature_rows": ("seed", 3, lambda v: balance_feature_rows(
+        FeatureMatrix(method="dwt", slopes=np.zeros((6, 2)),
+                      hurst=np.zeros((6, 2)), labels=_UNEVEN,
+                      sample_ids=tuple("abcdef")), v).sample_ids),
+})
 
 
 @pytest.mark.parametrize("entry", list(_ENTRIES))
@@ -100,8 +118,9 @@ def test_counts_are_integers(monkeypatch, entry):
 
         m.setattr(classify, "_draw_splits", fail)
         m.setattr(fbm, "_fgn_rows", fail)
-        for bad in (2.5, True, np.float64(2.0)):
+        for bad in (2.5, True, np.float64(2.0), -1):
             with pytest.raises(ConfigurationError,
                                match=f"^{re.escape(name)} "):
                 call(bad)
     np.testing.assert_equal(call(np.int64(valid)), call(valid))
+

@@ -47,6 +47,32 @@ def test_fit_slope_needs_two_distinct_levels():
         fit_slope([SpectrumPoint(1, -1.0)])
 
 
+@pytest.mark.parametrize("fit", [
+    lambda: fit_slope([SpectrumPoint(1, np.nan), SpectrumPoint(2, 1.0)]),
+    lambda: fit_slope([SpectrumPoint(1, 1.0), SpectrumPoint(2, np.inf),
+                       SpectrumPoint(3, 1.0)]),
+    lambda: rank_size_fit([np.nan, 1.0, 2.0]),
+    lambda: rank_size_fit([1.0, 2.0, np.inf, 0.0]),
+], ids=["nan-point", "inf-point", "nan-magnitude", "inf-magnitude"])
+def test_non_finite_fit_is_an_estimation_error(fit):
+    """A NaN or infinite point is fitted, not dropped, and its non-finite
+    slope is refused as in a batched extraction."""
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(EstimationError,
+                           match=r"^fitted slope is not finite: nan$"):
+            fit()
+
+
+def test_slope_fit_fields_are_python_numbers():
+    x = fbm_from_fgn(fgn_sample(FbmSpec(0.6, 256, 7)))
+    for fit in (fit_slope([SpectrumPoint(1, -3.0), SpectrumPoint(2, -4.5)]),
+                rank_size_fit([3.0, 1.0, 2.0]),
+                scaling_descriptor("wang", wpd_full(x, make_filter("haar"),
+                                                    8)).fit):
+        assert [type(v) for v in (fit.slope, fit.intercept, fit.n_points,
+                                  fit.r_squared)] == [float, float, int, float]
+
+
 # ------------------------------------------------------------ affine maps
 
 def test_hurst_map_examples():
@@ -137,6 +163,41 @@ def test_empty_level_set_rejected():
     tree = wpd_full(np.ones(8), f, 3)
     with pytest.raises(ConfigurationError):
         spectrum_dwt(tree, [])
+
+
+@pytest.mark.parametrize("levels, message", [
+    ([6.9, 5], "level 6.9 is not an integer"),
+    ([6.5, 5.2], "level 6.5 is not an integer"),
+    ([6.0, 5], "level 6.0 is not an integer"),
+    ([True, 5], "level True is not an integer"),
+    (["6", 5], "level '6' is not an integer"),
+    ([[6], 5], r"level \[6\] is not an integer"),
+    ([6, 6], "repeated level 6"),
+    ([5, 6, 5], "repeated level 5"),
+    ([7, 5], r"level 7 not present \(decomposed levels: \[0, 1, 2, 3, 4, 5, "
+     r"6\]\)"),
+], ids=["float", "floats", "integral-float", "bool", "string", "list",
+        "twice", "twice-apart", "missing"])
+@pytest.mark.parametrize("call", ["spectrum_dwt", "spectrum_wang",
+                                  "scaling_descriptor", "scaling_descriptors"])
+def test_level_request_holds_distinct_integer_levels(call, levels, message):
+    """A level request names distinct integer levels; anything else is
+    refused by name, as a repeated H is, never truncated or merged."""
+    from wavescale.estimators import scaling_descriptors
+
+    f = make_filter("haar")
+    x = np.random.default_rng(5).standard_normal(128).cumsum()
+    calls = {
+        "spectrum_dwt": lambda lv: spectrum_dwt(wpd_full(x, f, 7), lv),
+        "spectrum_wang": lambda lv: spectrum_wang(wpd_full(x, f, 7), lv),
+        "scaling_descriptor": lambda lv: scaling_descriptor(
+            "dwt", wpd_full(x, f, 7), lv).slope,
+        "scaling_descriptors": lambda lv: scaling_descriptors(
+            "wang", np.vstack([x, -x]), f, 7, [lv, (5, 6)]).slope.tolist(),
+    }
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        calls[call](levels)
+    assert calls[call]([np.int64(6), np.int32(5)]) == calls[call]([5, 6])
 
 
 def test_constant_signal_drops_all_points_then_fit_fails():

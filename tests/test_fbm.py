@@ -141,15 +141,17 @@ def test_benchmark_thread_count_does_not_change_results():
 
 def test_benchmark_counts_failures(monkeypatch):
     calls = {"n": 0}
-    real = estimators_mod._level_fit
+    real = estimators_mod._descriptors
 
-    def flaky(spectrum):
-        calls["n"] += 1
-        if calls["n"] % 3 == 0:
-            raise EstimationError("synthetic failure")
-        return real(spectrum)
+    def flaky(*args):
+        fits = real(*args)
+        for r in range(len(fits.errors)):
+            calls["n"] += 1
+            if calls["n"] % 3 == 0:
+                fits.errors[r] = EstimationError("synthetic failure")
+        return fits
 
-    monkeypatch.setattr(estimators_mod, "_level_fit", flaky)
+    monkeypatch.setattr(estimators_mod, "_descriptors", flaky)
     report = run_estimator_benchmark([0.5], n_reps=12, length=64,
                                      methods=("dwt",), master_seed=1)
     cell = report.cell(0.5, "dwt")

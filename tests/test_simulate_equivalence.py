@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 import wavescale.estimators as estimators
 import wavescale.fbm as fbm
 from oracles import reference_estimator_benchmark, reference_fgn
@@ -50,15 +51,21 @@ def test_partial_last_chunk(monkeypatch, threads):
 
 def test_zero_energy_warnings_and_failures_match(monkeypatch):
     # zero every level energy below a threshold, so some rows drop points
-    # and some fall under two points and fail; both paths use the same
-    # energies, so they must drop and fail the same rows
-    real = estimators._level_energies
+    # and some fall under two points and fail; both paths apply the same
+    # threshold to the same energies, so they must drop and fail the same
+    # rows
+    real, reference = estimators._level_energies, oracles.reference_level_energy
 
     def sparse(method, level):
         e = real(method, level)
         return np.where(e < 1.0, 0.0, e)
 
+    def reference_sparse(method, lev):
+        e = reference(method, lev)
+        return 0.0 if e < 1.0 else e
+
     monkeypatch.setattr(estimators, "_level_energies", sparse)
+    monkeypatch.setattr(oracles, "reference_level_energy", reference_sparse)
     monkeypatch.setattr(fbm, "_CHUNK", 7)
     h_grid = [0.2, 0.6]
     report, got = _with_warnings(lambda: run_estimator_benchmark(
