@@ -361,15 +361,10 @@ def main(argv=None) -> int:
         if hasattr(args, "threads"):  # pipeline checks its config's count
             check_count(args.threads, "--threads")
         return handlers[args.command](args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, IngestionError, EstimationError,
+            ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IngestionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (EstimationError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

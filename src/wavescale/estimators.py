@@ -29,7 +29,8 @@ import numpy as np
 from .best_basis import best_basis_rows
 from .errors import ConfigurationError, EstimationError
 from .utils import is_integer
-from .wavelets import FilterPair, PacketTree, dyadic_level, packet_cascade
+from .wavelets import (FilterPair, PacketTree, check_depth, dyadic_level,
+                       packet_cascade)
 
 # Each method's default decomposition: its wavelet family and how many
 # levels short of the full depth log2(signal length) it stops.
@@ -90,23 +91,29 @@ def _level_energies(method: str, level: np.ndarray) -> np.ndarray:
     return per_node.sum(axis=1) / nodes
 
 
-def _spectrum_levels(request, columns: dict) -> list:
-    """The sorted levels of a request (None: every level of ``columns``),
-    each checked to be a distinct integer level of ``columns``."""
-    request = sorted(columns) if request is None else list(request)
+def resolve_levels(method: str, request, lo: int, hi: int,
+                   source: str = "") -> tuple:
+    """The sorted levels of a request (None: all) in the decomposed range
+    ``lo..hi``, each an integer named once; else, and for any jones
+    request, a ConfigurationError whose message starts with ``source``."""
+    if request is None:
+        return tuple(range(lo, hi + 1))
+    if method == "jones":
+        raise ConfigurationError(f"{source}jones fits the whole best basis "
+                                 f"and takes no level request")
     for j in request:
         if not is_integer(j):
-            raise ConfigurationError(f"level {j!r} is not an integer")
+            raise ConfigurationError(f"{source}level {j!r} is not an integer")
     levels = sorted(map(int, request))
     if not levels:
-        raise ConfigurationError("no spectrum levels requested")
+        raise ConfigurationError(f"{source}no spectrum levels requested")
     for i, j in enumerate(levels):
-        if j not in columns:
-            raise ConfigurationError(f"level {j} not present (decomposed "
-                                     f"levels: {sorted(columns)})")
+        if not lo <= j <= hi:
+            raise ConfigurationError(f"{source}level {j} outside the "
+                                     f"decomposed levels {lo}..{hi}")
         if i and levels[i - 1] == j:
-            raise ConfigurationError(f"repeated level {j}")
-    return levels
+            raise ConfigurationError(f"{source}repeated level {j}")
+    return tuple(levels)
 
 
 def _level_groups(method: str, levels, data_level: int, level_sets):
@@ -114,24 +121,18 @@ def _level_groups(method: str, levels, data_level: int, level_sets):
     arrays ``levels`` (d = 0, 1, ...), from one (R, n_levels) table of
     level energies and one log2 over it: groups (rows, xs, ys) of the
     rows that keep the levels xs, ys their log2 energies, and the
-    zero-energy levels each row drops from its request in ``level_sets``."""
-    energies = {data_level - d: _level_energies(method, lv)
-                for d, lv in enumerate(levels) if d > 0}
-    columns = {j: c for c, j in enumerate(energies)}
-    energies = np.array(list(energies.values())).T
+    zero-energy levels each row drops from its levels in ``level_sets``."""
+    energies = np.array([_level_energies(method, lv)
+                         for lv in itertools.islice(levels, 1, None)]).T
     with np.errstate(divide="ignore"):  # zero energies are dropped
         log_energies = np.log2(energies)
-    resolved, groups, dropped = {}, {}, []
-    for request, row in zip(level_sets, energies.tolist()):
-        # keyed by identity, as a request may hold unhashable entries
-        if id(request) not in resolved:
-            resolved[id(request)] = _spectrum_levels(request, columns)
-        wanted = resolved[id(request)]
-        kept = tuple(j for j in wanted if not row[columns[j]] <= 0.0)
+    groups, dropped = {}, []
+    for wanted, row in zip(level_sets, energies.tolist()):
+        kept = tuple(j for j in wanted if not row[data_level - 1 - j] <= 0.0)
         dropped.append([j for j in wanted if j not in kept])
         groups.setdefault(kept, []).append(len(dropped) - 1)
     return [(np.array(rows), np.array(kept, dtype=float),
-             log_energies[np.ix_(rows, [columns[j] for j in kept])])
+             log_energies[np.ix_(rows, [data_level - 1 - j for j in kept])])
             for kept, rows in groups.items()], dropped
 
 
@@ -211,9 +212,16 @@ def _line_fits(groups, too_few: str, dropped) -> LineFits:
     return LineFits(slope, intercept, r2, n_points, errors, dropped)
 
 
+def _one_tree(method: str, tree: PacketTree, levels) -> tuple:
+    """The level arrays, data level and resolved ``levels`` of ``tree``."""
+    J = tree.data_level
+    return ([lv[None] for lv in tree.levels], J,
+            [resolve_levels(method, levels, J - tree.depth, J - 1)])
+
+
 def _tree_spectrum(method: str, tree: PacketTree, levels) -> list:
     (((_, xs, ys),), (dropped,)) = _level_groups(
-        method, [lv[None] for lv in tree.levels], tree.data_level, [levels])
+        method, *_one_tree(method, tree, levels))
     _warn_dropped(dropped)
     return [SpectrumPoint(level=int(j), log_energy=y)
             for j, y in zip(xs, ys[0].tolist())]
@@ -222,9 +230,9 @@ def _tree_spectrum(method: str, tree: PacketTree, levels) -> list:
 def spectrum_dwt(tree: PacketTree, levels=None) -> list:
     """Log energies of the pyramid detail node (j, 1) per requested level.
 
-    ``levels`` defaults to every decomposed level; a request must name
-    distinct integer levels.  Zero-energy levels are dropped with a
-    warning; an empty request raises ConfigurationError.
+    ``levels`` defaults to every decomposed level; a request is checked by
+    ``resolve_levels`` against the levels ``tree`` decomposes.
+    Zero-energy levels are dropped with a warning.
     """
     return _tree_spectrum("dwt", tree, levels)
 
@@ -291,7 +299,7 @@ _HURST = {"dwt": hurst_dwt, "wang": hurst_wang, "jones": hurst_jones}
 def _descriptors(method: str, levels, data_level: int,
                  level_sets) -> LineFits:
     """The fits of the rows of the (R, 2**d, m) level arrays ``levels``
-    (d = 0, 1, ...), ``level_sets[r]`` restricting row r's spectrum."""
+    (d = 0, 1, ...), ``level_sets[r]`` holding row r's resolved levels."""
     _check_method(method)
     if method == "jones":
         levels = list(levels)
@@ -312,10 +320,9 @@ def scaling_descriptor(method: str, tree: PacketTree, levels=None) -> ScalingDes
     """Run one named estimator on a decomposed signal.
 
     ``levels`` restricts the spectrum regression for the dwt and wang
-    methods and is ignored by jones, which always uses the whole basis.
+    methods and is refused for jones, which always uses the whole basis.
     """
-    line = _descriptors(method, [lv[None] for lv in tree.levels],
-                        tree.data_level, [levels]).one()
+    line = _descriptors(method, *_one_tree(method, tree, levels)).one()
     return ScalingDescriptor(method, line.slope, _HURST[method](line.slope),
                              line)
 
@@ -326,25 +333,26 @@ def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
     for every row of the (R, N) matrix ``rows`` as the LineFits of one
     batch, bit for bit; ``row_errors`` issues a row's warnings.
 
-    ``level_sets[r]`` restricts row r's spectrum (default: all levels).
+    ``level_sets[r]`` restricts row r's spectrum (default: all levels);
+    the depth and each distinct request are checked before any transform.
     Only what a method needs is kept: dwt runs the pyramid alone, wang
     keeps one level's energies at a time, and jones keeps every level for
     the best-basis search and sorts all rows' selected coefficients in one
-    call.  When every row of a dwt or wang run has a level set and each
-    requested level is one of the ``depth`` decomposed levels, the cascade
-    stops at the deepest requested level: a level's energy does not depend
-    on the levels below it, so the outcomes and the zero-energy warnings
-    are those of the full ``depth``.
+    call.  A dwt or wang cascade stops at the deepest resolved level: a
+    level's energy does not depend on the levels below it, so the outcomes
+    and the zero-energy warnings are those of the full ``depth``.
     """
     rows = np.asarray(rows, dtype=float)
     J = dyadic_level(rows.shape[1])
+    check_depth(depth, J)
     if level_sets is None:
         level_sets = [None] * len(rows)
-    elif method != "jones" and is_integer(depth) and None not in level_sets:
-        wanted = [j for s in level_sets for j in s]
-        if wanted and all(is_integer(j) and J - depth <= j < J
-                          for j in wanted):
-            depth = J - min(wanted)
+    requests = {id(s): s for s in level_sets}  # a list is unhashable
+    resolved = {k: resolve_levels(method, s, J - depth, J - 1)
+                for k, s in requests.items()}
+    level_sets = [resolved[id(s)] for s in level_sets]
+    if method != "jones":
+        depth = J - min((s[0] for s in level_sets), default=J - depth)
     cascade = packet_cascade(rows, f, depth, pyramid=method == "dwt")
     return _descriptors(method, itertools.chain([rows[:, None, :]], cascade),
                         J, level_sets)

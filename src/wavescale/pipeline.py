@@ -20,7 +20,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EstimationError, IngestionError
-from .estimators import default_decomposition, scaling_descriptors
+from .estimators import (default_decomposition, resolve_levels,
+                         scaling_descriptors)
 from .utils import check_count, is_integer, map_ordered, write_csv
 from .wavelets import dyadic_level, make_filter
 
@@ -100,15 +101,12 @@ class MethodConfig:
               default_depth: bool = False) -> None:
         """Raise ConfigurationError naming the bad value unless the family
         is known, ``window_len`` is a power of two, the depth lies in
-        least..log2(window_len) and every level of the plan is one the
-        decomposition produces.  ``least`` is 1 for jones and 2 for dwt
-        and wang, whose slope fit needs two levels, so each of their plan
-        entries must also name two distinct levels.  No entry may name a
-        level twice.  With
-        ``default_depth`` the depth is ``method``'s default for the
-        window length, and a too small one is reported as a too short
-        window.  ``extract`` and ``pipeline`` call it before any input is
-        read."""
+        least..log2(window_len) and the plan's entries cover disjoint
+        windows with levels ``resolve_levels`` takes, two or more: dwt and
+        wang fit a slope (``least`` 2), jones the whole basis (``least``
+        1, no plan).  With ``default_depth`` the depth is ``method``'s
+        default for the window length, and a too small one is reported as
+        a too short window.  Called before any input is read."""
         make_filter(self.family)
         J = dyadic_level(window_len, "window length", ConfigurationError)
         least = 1 if method == "jones" else 2
@@ -120,20 +118,20 @@ class MethodConfig:
             raise ConfigurationError(
                 f"depth {self.depth} does not fit window length "
                 f"{window_len}: {method} needs it in {least}..{J}")
-        for i, (_, _, levels) in enumerate(self.level_plan):
-            outside = [j for j in levels if not J - self.depth <= j <= J - 1]
-            if outside:
-                raise ConfigurationError(
-                    f"levels entry {i}: level(s) {outside} outside the "
-                    f"decomposed levels {J - self.depth}..{J - 1} (window "
-                    f"length {window_len}, depth {self.depth})")
-            if method != "jones" and len(set(levels)) < 2:
+        for i, (lo, hi, levels) in enumerate(self.level_plan):
+            for k, (lo_k, hi_k, _) in enumerate(self.level_plan[:i]):
+                if lo <= hi_k and lo_k <= hi:
+                    raise ConfigurationError(
+                        f"levels entry {i}: windows [{lo}, {hi}] overlap "
+                        f"levels entry {k}'s windows [{lo_k}, {hi_k}]")
+            levels = resolve_levels(
+                method, levels, J - self.depth, J - 1,
+                f"levels entry {i} (window length {window_len}, depth "
+                f"{self.depth}): ")
+            if len(levels) < 2:
                 raise ConfigurationError(
                     f"levels entry {i}: {method} fits a slope through at "
                     f"least 2 distinct levels, got {list(levels)}")
-            if len(set(levels)) < len(levels):
-                raise ConfigurationError(
-                    f"levels entry {i}: a level is repeated in {list(levels)}")
 
     def levels_for(self, window_number: int):
         for lo, hi, levels in self.level_plan:
@@ -179,13 +177,9 @@ def extract_settings(method: str, dataset_tag: str = None, wavelet=None,
     flags or a run config's keys, None taking the default of 1024-bin
     windows, a stride of 500 or ``default_method_config`` at the window
     length; a stride that is not an integer >= 1 is an error naming
-    ``stride_source``, and a level plan for jones, which fits the whole
-    best basis, one naming ``levels``."""
+    ``stride_source``."""
     window_len = _WINDOW_LEN if window_len is None else window_len
     base = default_method_config(method, dataset_tag, window_len)
-    if method == "jones" and level_plan:
-        raise ConfigurationError(
-            "levels: jones fits the whole best basis and takes no level plan")
     method_config = MethodConfig(
         family=base.family if wavelet is None else wavelet,
         depth=base.depth if depth is None else depth,
@@ -439,10 +433,9 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
     Each sample's windows are fitted as one batch (scaling_descriptors).
     A failed estimate aborts the run (naming the sample and window)
     rather than leaving holes in the matrix, after the zero-energy
-    warnings of the windows up to it.  When the level plan gives every
-    window of a dwt or wang run a level set, the decomposition stops at
-    the deepest level the plan reads, with the slopes and warnings of
-    the full ``method_config.depth``.
+    warnings of the windows up to it.  A dwt or wang decomposition stops
+    at the deepest level the windows read, with the slopes and warnings
+    of the full ``method_config.depth``.
     """
     wl = grid.window_len
     default_depth = method_config is None

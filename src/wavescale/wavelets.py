@@ -186,6 +186,12 @@ def dyadic_level(n, source: str = "signal length", error=ShapeError) -> int:
     return int(n).bit_length() - 1
 
 
+def check_depth(depth, J: int) -> None:
+    """Raise ConfigurationError unless ``depth`` is an integer in 1..J."""
+    if not (is_integer(depth) and 1 <= depth <= J):
+        raise ConfigurationError(f"depth must be in 1..{J}, got {depth}")
+
+
 def packet_cascade(rows: np.ndarray, f: FilterPair, depth: int,
                    pyramid: bool = False):
     """Yield levels d = 1..depth of the packet tables of every row at once.
@@ -198,9 +204,7 @@ def packet_cascade(rows: np.ndarray, f: FilterPair, depth: int,
     split and each level holds just nodes 0 and 1 (the DWT pyramid).
     Requires 1 <= depth <= J.
     """
-    J = dyadic_level(rows.shape[1])
-    if not (is_integer(depth) and 1 <= depth <= J):
-        raise ConfigurationError(f"depth must be in 1..{J}, got {depth}")
+    check_depth(depth, dyadic_level(rows.shape[1]))
     level = rows[:, None, :]
     for _ in range(depth):
         parents = level[:, :1] if pyramid else level

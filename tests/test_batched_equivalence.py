@@ -1,6 +1,7 @@
 """The row-batched transform, best basis, estimators and line fits against
 the former per-window, per-node, per-row path kept in ``oracles``."""
 
+import re
 import warnings
 
 import numpy as np
@@ -171,13 +172,26 @@ def _spy_cascade_depths(monkeypatch):
     ("wang", [(7, 9), (8, 9)], 3),
     ("dwt", [(9, 8), (8, 9)], 2),
     ("wang", [(7, 9), None], 4),  # a row without a set reads every level
-    ("jones", [(8, 9), (8, 9)], 4),  # the best basis reads every level
+    ("jones", [(8, 9), (8, 9)], None),  # the best basis takes no request
+    ("wang", [(8, 9), (8, 8.5)], None),
+    ("dwt", [(8, 9), ()], None),
 ])
 def test_scaling_descriptors_stop_at_the_deepest_requested_level(
         monkeypatch, method, sets, cascade_depth):
+    """A cascade depth of None: a request is refused, as the one-tree call
+    refuses it, before any cascade runs."""
     scaling_descriptors, depths = _spy_cascade_depths(monkeypatch)
     rows = np.random.default_rng(3).standard_normal((2, 1024)).cumsum(axis=1)
     f = make_filter("haar")
+    if cascade_depth is None:
+        with pytest.raises(ConfigurationError) as refused:
+            for r, s in zip(rows, sets):
+                scaling_descriptor(method, wpd_full(r, f, 4), s)
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(str(refused.value))}$"):
+            scaling_descriptors(method, rows, f, 4, sets)
+        assert depths == []
+        return
     fits = scaling_descriptors(method, rows, f, 4, sets)
     got = list(zip(fits.slope.tolist(), fits.hurst.tolist()))
     want = [(d.slope, d.hurst) for d in (
@@ -189,14 +203,14 @@ def test_scaling_descriptors_stop_at_the_deepest_requested_level(
 
 def test_scaling_descriptors_keep_full_depth_for_a_missing_level(monkeypatch):
     """A requested level outside the decomposed ones is reported against
-    every level ``depth`` produces."""
+    every level ``depth`` produces, before any cascade runs."""
     scaling_descriptors, depths = _spy_cascade_depths(monkeypatch)
     rows = np.ones((2, 1024))
-    with pytest.raises(ConfigurationError, match=r"^level 5 not present "
-                       r"\(decomposed levels: \[6, 7, 8, 9\]\)$"):
-        list(scaling_descriptors("dwt", rows, make_filter("haar"), 4,
-                                 [(5, 9), (8,)]))
-    assert depths == [4]
+    with pytest.raises(ConfigurationError, match=r"^level 5 outside the "
+                       r"decomposed levels 6\.\.9$"):
+        scaling_descriptors("dwt", rows, make_filter("haar"), 4,
+                            [(5, 9), (8,)])
+    assert depths == []
 
 
 def _trees_with_zero_subtrees():

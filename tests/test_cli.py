@@ -640,9 +640,11 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "levels entry 0: windows must satisfy 1 <= lo <= hi, got [0, 1]"),
     ("seed: 11", "seed: 11\nlevels:\n  - windows: [1, 1]\n    levels: [5, 6]\n"
      "  - windows: [2, 3]\n    levels: [8, 9]",
-     "levels entry 1: level(s) [9] outside the decomposed levels 0..8"),
+     "levels entry 1 (window length 512, depth 9): level 9 outside the "
+     "decomposed levels 0..8"),
     ("depth: 9", "depth: 3\nlevels:\n  - windows: [1, 3]\n    levels: [5, 6]",
-     "levels entry 0: level(s) [5] outside the decomposed levels 6..8"),
+     "levels entry 0 (window length 512, depth 3): level 5 outside the "
+     "decomposed levels 6..8"),
     ("  p: 2", "  p: 0", "features.p must be >= 1, got 0"),
     ("  curve: [1, 3]", "  curve: [3, 1]",
      "features.curve must satisfy 1 <= lo <= hi, got [3, 1]"),
@@ -658,10 +660,9 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "levels entry 0: wang fits a slope through at least 2 distinct levels, "
      "got [7]"),
     ("seed: 11", "seed: 11\nlevels:\n  - windows: [1, 29]\n    levels: [7, 7]",
-     "levels entry 0: wang fits a slope through at least 2 distinct levels, "
-     "got [7, 7]"),
+     "levels entry 0 (window length 512, depth 9): repeated level 7"),
     ("seed: 11", "seed: 11\nlevels:\n  - windows: [1, 29]\n    levels: [7, 8, 7]",
-     "levels entry 0: a level is repeated in [7, 8, 7]"),
+     "levels entry 0 (window length 512, depth 9): repeated level 7"),
     ("seed: 11", "seed: -1", "seed must be >= 0, got -1"),
     ("depth: 9", "depth: 1", "depth 1 does not fit window length 512: wang "
      "needs it in 2..9"),
@@ -686,7 +687,8 @@ def test_bad_window_depth_or_family_fails_before_ingest(
      "ovarian-8-7-02"),
     ("method: wang",
      "method: jones\nlevels:\n  - windows: [1, 29]\n    levels: [7, 8]",
-     "levels: jones fits the whole best basis and takes no level plan"),
+     "levels entry 0 (window length 512, depth 9): jones fits the whole best "
+     "basis and takes no level request"),
     ("    C: 1.0", "    C: .nan",
      "classifiers[0].C must be finite and > 0, got nan"),
     ("    C: 1.0", "    C: .inf",
@@ -704,6 +706,10 @@ def test_bad_window_depth_or_family_fails_before_ingest(
     ("    C: 1.0", "    C: 1.0\n    tol: -1e-6",
      "classifiers[0].tol must be finite and > 0, got -1e-06"),
     ("    k: 5", "    k: 0", "classifiers[1].k must be >= 1, got 0"),
+    ("seed: 11", "seed: 11\nlevels:\n  - windows: [1, 10]\n    levels: [7, 8]\n"
+     "  - windows: [5, 29]\n    levels: [5, 6, 7]",
+     "levels entry 1: windows [5, 29] overlap levels entry 0's windows "
+     "[1, 10]"),
 ], ids=["stride", "plan-windows-order", "plan-windows-zero", "plan-level-high",
         "plan-level-low", "p", "curve-order", "curve-zero", "curve-triple",
         "plan-windows-single", "plan-windows-missing", "plan-one-level",
@@ -713,7 +719,7 @@ def test_bad_window_depth_or_family_fails_before_ingest(
         "unknown-kind", "unknown-kind-name", "no-classifiers",
         "jones-unknown-tag", "jones-level-plan", "C-nan", "C-inf", "C-tiny",
         "max-iters-negative", "max-iters-zero", "tol-nan", "tol-zero",
-        "tol-negative", "k-zero"])
+        "tol-negative", "k-zero", "plan-windows-overlap"])
 def test_pipeline_config_rejects_bad_values_before_ingest(tmp_path, capsys,
                                                           old, new, message):
     _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
@@ -735,8 +741,8 @@ def test_extract_checks_the_stored_plan_before_ingest(tmp_path, capsys,
                  "--method", "wang", "--dataset-tag", "ovarian-8-7-02",
                  "--depth", "3", "--window-len", "1024",
                  "--out", str(out_dir / "f.csv")]) == 2
-    assert ("levels entry 1: level(s) [5, 6] outside the decomposed levels "
-            "7..9 (window length 1024, depth 3)") in capsys.readouterr().err
+    assert ("levels entry 1 (window length 1024, depth 3): level 5 outside "
+            "the decomposed levels 7..9") in capsys.readouterr().err
     assert read == [] and not out_dir.exists()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,10 @@ from wavescale import (
     EstimationError,
     FbmSpec,
     PacketTree,
+    MethodConfig,
+    SpectraDataset,
     SpectrumPoint,
+    extract_features,
     fbm_from_fgn,
     fgn_sample,
     fit_slope,
@@ -18,6 +23,7 @@ from wavescale import (
     hurst_jones,
     hurst_wang,
     make_filter,
+    make_windows,
     rank_size_fit,
     scaling_descriptor,
     spectrum_dwt,
@@ -174,19 +180,24 @@ def test_empty_level_set_rejected():
     ([[6], 5], r"level \[6\] is not an integer"),
     ([6, 6], "repeated level 6"),
     ([5, 6, 5], "repeated level 5"),
-    ([7, 5], r"level 7 not present \(decomposed levels: \[0, 1, 2, 3, 4, 5, "
-     r"6\]\)"),
+    ([7, 5], "level 7 outside the decomposed levels 0..6"),
 ], ids=["float", "floats", "integral-float", "bool", "string", "list",
         "twice", "twice-apart", "missing"])
 @pytest.mark.parametrize("call", ["spectrum_dwt", "spectrum_wang",
-                                  "scaling_descriptor", "scaling_descriptors"])
-def test_level_request_holds_distinct_integer_levels(call, levels, message):
-    """A level request names distinct integer levels; anything else is
-    refused by name, as a repeated H is, never truncated or merged."""
+                                  "scaling_descriptor", "scaling_descriptors",
+                                  "MethodConfig.check", "extract_features"])
+def test_level_request_holds_distinct_integer_levels(monkeypatch, call, levels,
+                                                     message):
+    """A level request names distinct integer levels of the decomposed
+    range; anything else is refused by name, as a repeated H is, never
+    truncated or merged.  A plan entry is refused the same way, named by
+    its entry, before any transform."""
+    import wavescale.estimators as estimators
     from wavescale.estimators import scaling_descriptors
 
     f = make_filter("haar")
     x = np.random.default_rng(5).standard_normal(128).cumsum()
+    spectra = SpectraDataset(np.vstack([x, -x]), np.array([0, 1]), ("a", "b"))
     calls = {
         "spectrum_dwt": lambda lv: spectrum_dwt(wpd_full(x, f, 7), lv),
         "spectrum_wang": lambda lv: spectrum_wang(wpd_full(x, f, 7), lv),
@@ -194,9 +205,18 @@ def test_level_request_holds_distinct_integer_levels(call, levels, message):
             "dwt", wpd_full(x, f, 7), lv).slope,
         "scaling_descriptors": lambda lv: scaling_descriptors(
             "wang", np.vstack([x, -x]), f, 7, [lv, (5, 6)]).slope.tolist(),
+        "MethodConfig.check": lambda lv: MethodConfig(
+            "haar", 7, ((1, 1, lv),)).check("wang", 128),
+        "extract_features": lambda lv: extract_features(
+            spectra, "dwt", make_windows(128, 128, 128),
+            MethodConfig("haar", 7, ((1, 1, lv),))).slopes.tolist(),
     }
-    with pytest.raises(ConfigurationError, match=f"^{message}$"):
-        calls[call](levels)
+    prefix = (re.escape("levels entry 0 (window length 128, depth 7): ")
+              if call in ("MethodConfig.check", "extract_features") else "")
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "packet_cascade", None)  # no transform runs
+        with pytest.raises(ConfigurationError, match=f"^{prefix}{message}$"):
+            calls[call](levels)
     assert calls[call]([np.int64(6), np.int32(5)]) == calls[call]([5, 6])
 
 

@@ -1,6 +1,8 @@
 """What a fresh interpreter loads: each subcommand imports only what it runs,
-and every public name resolves to its owning module's object."""
+every public name resolves to its owning module's object, and no module
+imports another's private names."""
 
+import ast
 import json
 import os
 import subprocess
@@ -102,3 +104,17 @@ print(json.dumps([checks, wrong, sorted(set(wavescale.__all__)) ==
                       "best_basis after": True}
     assert wrong == []
     assert distinct
+
+
+def test_no_module_imports_another_modules_private_names():
+    """A name one module takes from another is public: no relative
+    ``from .x import _name`` (a dunder such as ``__version__`` aside)."""
+    private = []
+    for path in sorted(Path(wavescale.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [f"{path.name}: {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")
+                            and not alias.name.endswith("__")]
+    assert private == []

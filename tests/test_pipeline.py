@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -825,15 +826,25 @@ def test_extract_rejects_bad_window_len(small_two_class):
         extract_features(small_two_class, "dwt", grid, _small_config("dwt"))
 
 
-def test_level_plan_changes_fit(small_two_class):
+def test_level_plan_changes_fit(small_two_class, monkeypatch):
+    """A level plan changes a dwt fit; jones, which fits the whole best
+    basis, refuses one before any transform."""
+    import wavescale.estimators as estimators
+
     grid = make_windows(small_two_class.n_bins, 512, 512)
     full = extract_features(small_two_class, "dwt", grid,
                             _small_config("dwt"))
+    plan = ((1, 3, (4, 5, 6, 7, 8)),)
     planned = extract_features(
         small_two_class, "dwt", grid,
-        MethodConfig(family="haar", depth=9,
-                     level_plan=((1, 3, (4, 5, 6, 7, 8)),)))
+        MethodConfig(family="haar", depth=9, level_plan=plan))
     assert not np.allclose(full.slopes, planned.slopes)
+    monkeypatch.setattr(estimators, "packet_cascade", None)  # no transform
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "levels entry 0 (window length 512, depth 8): jones fits the "
+            "whole best basis and takes no level request")):
+        extract_features(small_two_class, "jones", grid,
+                         MethodConfig("symmlet4", 8, plan))
 
 
 def test_default_method_config_table():
