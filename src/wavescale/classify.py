@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError
-from .pipeline import FeatureMatrix, fisher_ratio, fisher_scores
+from .pipeline import FeatureMatrix, fisher_ratio, fisher_scores, select_top
 from .utils import check_count, is_integer, is_real, map_ordered, write_csv
 
 SELECTION_MODES = ("per-split", "global")
@@ -439,9 +439,9 @@ def _split_features(slopes, labels, perms, n_train, ps,
     """
     x = slopes[perms]
     if order is None:
-        order = np.argsort(-fisher_ratio(x[:, :n_train],
-                                         labels[perms[:, :n_train]]),
-                           axis=-1, kind="stable")
+        order = select_top(fisher_ratio(x[:, :n_train],
+                                        labels[perms[:, :n_train]]),
+                           x.shape[-1])
     else:
         order = np.broadcast_to(order, (len(perms), len(order)))
     pmax = max(ps)
@@ -546,7 +546,7 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
     n_train = _training_rows(len(labels), split)
     order = None
     if selection_mode == "global":
-        order = np.argsort(-fisher_scores(features), kind="stable")
+        order = select_top(fisher_scores(features), features.n_windows)
 
     def one_chunk(reps):
         live = [i for i, count in enumerate(counts) if count > reps.start]

@@ -25,7 +25,8 @@ from .utils import check_count, write_csv
 
 
 def parse_float_range(text: str, default_step: float = 0.1):
-    """Grid syntax: "0.3", "0.1,0.5,0.9", "0.1..0.9" or "0.1..0.9:0.2"."""
+    """Grid syntax: "0.3", "0.1,0.5,0.9", "0.1..0.9" or "0.1..0.9:0.2"; a
+    range's bounds and step are finite."""
     text = text.strip()
     if ".." in text:
         span, _, step = text.partition(":")
@@ -35,7 +36,8 @@ def parse_float_range(text: str, default_step: float = 0.1):
             step_v = float(step) if step else default_step
         except ValueError:
             raise ConfigurationError(f"bad range {text!r}") from None
-        if step_v <= 0 or hi < lo:
+        if not (np.isfinite([lo, hi, step_v]).all() and step_v > 0
+                and lo <= hi):
             raise ConfigurationError(f"bad range {text!r}")
         count = int(round((hi - lo) / step_v)) + 1
         vals = [round(lo + i * step_v, 12) for i in range(count)]
@@ -295,6 +297,9 @@ def cmd_classify(args) -> int:
         if not curve:
             raise ConfigurationError(f"--curve: no values in {args.curve!r}")
         check_setting("p", min(curve), "--curve")
+        for i, count in enumerate(curve):
+            if count in curve[:i]:  # one row per p
+                raise ConfigurationError(f"--curve: repeated p {count}")
     split = make_split(args.train_fraction, args.repeats, args.seed,
                        ("--train-fraction", "--repeats", "--seed"))
     curve_repeats = check_setting("curve_repeats", args.curve_repeats,

@@ -99,12 +99,17 @@ def _int_list(value, name: str) -> tuple:
                  for j, v in enumerate(_typed(value, list, name)))
 
 
+def _pair(value, name: str) -> tuple:
+    """The integer pair ``value = [lo, hi]``."""
+    pair = _int_list(value, name)
+    if len(pair) != 2:
+        raise ConfigurationError(f"{name} must be a [lo, hi] pair")
+    return pair
+
+
 def _span(value, name: str) -> tuple:
     """The integer pair ``value = [lo, hi]``, checked for 1 <= lo <= hi."""
-    span = _int_list(value, name)
-    if len(span) != 2:
-        raise ConfigurationError(f"{name} must be a [lo, hi] pair")
-    lo, hi = span
+    span = lo, hi = _pair(value, name)
     if not 1 <= lo <= hi:
         raise ConfigurationError(
             f"{name} must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")
@@ -116,7 +121,8 @@ def _parse_level_plan(raw) -> tuple:
     for i, entry in enumerate(raw):
         where = f"levels entry {i}"
         _known(entry, where, "windows levels")
-        lo, hi = _span(_require(entry, "windows", where), f"{where}: windows")
+        # MethodConfig.check holds the bounds to 1 <= lo <= hi
+        lo, hi = _pair(_require(entry, "windows", where), f"{where}: windows")
         plan.append((lo, hi, _int_list(_require(entry, "levels", where),
                                        f"{where}: levels")))
     return tuple(plan)

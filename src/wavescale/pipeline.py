@@ -102,11 +102,12 @@ class MethodConfig:
         """Raise ConfigurationError naming the bad value unless the family
         is known, ``window_len`` is a power of two, the depth lies in
         least..log2(window_len) and the plan's entries cover disjoint
-        windows with levels ``resolve_levels`` takes, two or more: dwt and
-        wang fit a slope (``least`` 2), jones the whole basis (``least``
-        1, no plan).  With ``default_depth`` the depth is ``method``'s
-        default for the window length, and a too small one is reported as
-        a too short window.  Called before any input is read."""
+        integer windows 1 <= lo <= hi with levels ``resolve_levels``
+        takes, two or more: dwt and wang fit a slope (``least`` 2), jones
+        the whole basis (``least`` 1, no plan).  With ``default_depth``
+        the depth is ``method``'s default for the window length, and a too
+        small one is reported as a too short window.  Called before any
+        input is read."""
         make_filter(self.family)
         J = dyadic_level(window_len, "window length", ConfigurationError)
         least = 1 if method == "jones" else 2
@@ -119,6 +120,14 @@ class MethodConfig:
                 f"depth {self.depth} does not fit window length "
                 f"{window_len}: {method} needs it in {least}..{J}")
         for i, (lo, hi, levels) in enumerate(self.level_plan):
+            for bound in (lo, hi):
+                if not is_integer(bound):
+                    raise ConfigurationError(f"levels entry {i}: window bound "
+                                             f"{bound!r} is not an integer")
+            if not 1 <= lo <= hi:
+                raise ConfigurationError(
+                    f"levels entry {i}: windows must satisfy 1 <= lo <= hi, "
+                    f"got [{lo}, {hi}]")
             for k, (lo_k, hi_k, _) in enumerate(self.level_plan[:i]):
                 if lo <= hi_k and lo_k <= hi:
                     raise ConfigurationError(
@@ -507,12 +516,13 @@ def fisher_scores(features: FeatureMatrix) -> np.ndarray:
 
 
 def select_top(scores: np.ndarray, p: int) -> np.ndarray:
-    """Indices of the p largest scores, best first; ties keep lower index."""
+    """Indices of the p largest scores along the last axis, best first;
+    ties keep the lower index.  (c, W) scores give one row per c."""
     scores = np.asarray(scores, dtype=float)
-    w = len(scores)
+    w = scores.shape[-1]
     if not (is_integer(p) and 1 <= p <= w):
         raise ConfigurationError(f"p must be in 1..{w}, got {p}")
-    return np.argsort(-scores, kind="stable")[:p]
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :p]
 
 
 def _normal_rank_sum(a: np.ndarray, b: np.ndarray):
@@ -522,26 +532,19 @@ def _normal_rank_sum(a: np.ndarray, b: np.ndarray):
     b = np.asarray(b, dtype=float)
     na, nb = len(a), len(b)
     pooled = np.concatenate([a, b])
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled))
-    ranks[order] = np.arange(1, len(pooled) + 1)
-    # midranks for ties
-    sorted_vals = pooled[order]
-    i = 0
-    tie_sizes = []
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            mid = (i + j) / 2.0 + 1.0
-            ranks[order[i:j + 1]] = mid
-            tie_sizes.append(j - i + 1)
-        i = j + 1
+    if np.isnan(pooled).any():
+        raise EstimationError("rank-sum test got a NaN observation")
+    # a value's tie group holds the sorted positions below..upto-1
+    ordered = np.sort(pooled)
+    below = np.searchsorted(ordered, pooled, "left")
+    upto = np.searchsorted(ordered, pooled, "right")
+    ranks = (below + upto + 1) / 2.0
     w_stat = float(ranks[:na].sum())
     n = na + nb
     mean = na * (n + 1) / 2.0
-    tie_term = sum(t ** 3 - t for t in tie_sizes) / ((n) * (n - 1))
+    # each of a group's t members adds t*t - 1: t**3 - t per group
+    t = upto - below
+    tie_term = int((t * t - 1).sum()) / ((n) * (n - 1))
     var = na * nb / 12.0 * ((n + 1) - tie_term)
     if var <= 0.0:
         return w_stat, 1.0
@@ -564,7 +567,8 @@ def rank_sum_test(a, b):
     """Wilcoxon rank-sum test, two-sided normal approximation.
 
     Returns (rank-sum statistic of ``a``, p-value).  Requires at least 5
-    observations per sample for the approximation to be trustworthy.
+    observations per sample for the approximation to be trustworthy, and
+    no NaN, which has no rank.
     """
     check_rank_sum_sizes(len(a), len(b))
     return _normal_rank_sum(a, b)

@@ -82,13 +82,14 @@ def packet_basis_vector(f, signal_length, level, index):
     return vec
 
 
-def exact_rank_sum_p(a, b):
-    """Exact two-sided rank-sum p-value by enumerating all assignments."""
-    pooled = np.concatenate([a, b])
+def _reference_midranks(pooled):
+    """1-based ranks of ``pooled`` with each tie group at its midrank, and
+    the tie group sizes above 1, by a scan of the stably sorted values."""
     order = np.argsort(pooled, kind="stable")
     ranks = np.empty(len(pooled))
     ranks[order] = np.arange(1, len(pooled) + 1)
     sorted_vals = pooled[order]
+    tie_sizes = []
     i = 0
     while i < len(sorted_vals):
         j = i
@@ -96,7 +97,35 @@ def exact_rank_sum_p(a, b):
             j += 1
         if j > i:
             ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+            tie_sizes.append(j - i + 1)
         i = j + 1
+    return ranks, tie_sizes
+
+
+def reference_rank_sum(a, b):
+    """Rank-sum statistic of ``a`` and its two-sided normal-approximation
+    p-value, tie- and continuity-corrected, from the scanned midranks."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    na, nb = len(a), len(b)
+    ranks, tie_sizes = _reference_midranks(np.concatenate([a, b]))
+    w_stat = float(ranks[:na].sum())
+    n = na + nb
+    mean = na * (n + 1) / 2.0
+    tie_term = sum(t ** 3 - t for t in tie_sizes) / ((n) * (n - 1))
+    var = na * nb / 12.0 * ((n + 1) - tie_term)
+    if var <= 0.0:
+        return w_stat, 1.0
+    diff = w_stat - mean
+    cc = min(0.5, abs(diff))
+    z = (abs(diff) - cc) / math.sqrt(var)
+    return w_stat, min(1.0, math.erfc(z / math.sqrt(2.0)))
+
+
+def exact_rank_sum_p(a, b):
+    """Exact two-sided rank-sum p-value by enumerating all assignments."""
+    pooled = np.concatenate([a, b])
+    ranks, _ = _reference_midranks(pooled)
     na = len(a)
     observed = ranks[:na].sum()
     mean = na * (len(pooled) + 1) / 2.0

@@ -83,6 +83,10 @@ def _no_draws(monkeypatch):
     (["--h", "0.9..0.1"], "bad range '0.9..0.1'"),
     (["--h", "0.1..x"], "bad range '0.1..x'"),
     (["--h", "0.1..0.9:0"], "bad range '0.1..0.9:0'"),
+    (["--h", "0.1..inf"], "bad range '0.1..inf'"),
+    (["--h", "nan..0.9"], "bad range 'nan..0.9'"),
+    (["--h", "0.1..0.9:nan"], "bad range '0.1..0.9:nan'"),
+    (["--h", "0.1..0.9:inf"], "bad range '0.1..0.9:inf'"),
     (["--h", "0.1,abc"], "bad value list '0.1,abc'"),
     (["--h", "0.5", "--n", "100"], "length 100 is not a power of two"),
     (["--h", "0.5", "--n", "4"], "length must be >= 8, got 4"),
@@ -90,6 +94,8 @@ def _no_draws(monkeypatch):
 ], ids=["h-above-1", "h-closed-range", "h-empty", "one-rep",
         "repeated-method", "repeated-h", "unknown-method", "no-methods",
         "h-descending-range", "h-range-not-a-number", "h-range-zero-step",
+        "h-range-infinite-bound", "h-range-nan-bound", "h-range-nan-step",
+        "h-range-infinite-step",
         "h-list-not-a-number", "n-not-a-power-of-two", "n-below-8",
         "negative-seed"])
 def test_simulate_bad_grid_or_reps_exit_2_before_drawing(
@@ -993,6 +999,8 @@ def test_classify_curve_is_the_first_curve_repeats_splits(tmp_path):
      "--classifiers must be one of ('logistic', 'knn'), got 'foo'", False),
     (["--classifiers", ","], "--classifiers: no classifiers requested", False),
     (["--curve", ","], "--curve: no values in ','", False),
+    (["--curve", "2,2"], "--curve: repeated p 2", False),
+    (["--curve", "1,3,1"], "--curve: repeated p 1", False),
     (["--train-fraction", "0.3", "--classifiers", "logistic"],
      "train fraction 0.3 gives 3 training rows of 5 case and 5 control "
      "samples, which can never hold two samples of each class", True),
@@ -1004,7 +1012,8 @@ def test_classify_curve_is_the_first_curve_repeats_splits(tmp_path):
 ], ids=["curve", "curve-repeats", "curve-repeats-named", "repeats-named",
         "train-fraction-named", "p-named", "curve-low-named",
         "classifier-kind-named", "second-classifier-kind-named",
-        "no-classifiers-named", "curve-empty", "undrawable-split",
+        "no-classifiers-named", "curve-empty", "curve-repeated-p",
+        "curve-repeated-p-apart", "undrawable-split",
         "curve-descending-range", "curve-range-not-a-number",
         "curve-list-not-a-number", "seed-named", "balance-seed-named"])
 def test_classify_checks_the_curve_before_evaluating(tmp_path, capsys,

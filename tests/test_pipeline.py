@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     exact_rank_sum_p,
+    reference_rank_sum,
     reference_fgn,
     reference_load_dataset,
     reference_read_feature_csv,
@@ -639,6 +640,19 @@ def test_select_top_bounds():
         select_top(np.array([1.0]), 2)
 
 
+def test_select_top_ranks_each_row_of_split_scores():
+    """(c, W) scores are ranked row by row, each row as its own call."""
+    rng = np.random.default_rng(6)
+    scores = np.round(rng.standard_normal((7, 29)), 1)  # rounding ties
+    scores[2] = 0.0
+    scores[3, ::4] = np.inf
+    for p in (1, 5, 29):
+        np.testing.assert_array_equal(
+            select_top(scores, p), [select_top(row, p) for row in scores])
+    with pytest.raises(ConfigurationError, match=r"p must be in 1\.\.29"):
+        select_top(scores, 30)
+
+
 # --------------------------------------------------------------- rank sum
 
 def test_rank_sum_identical_multisets():
@@ -680,6 +694,28 @@ def test_rank_sum_matches_scipy_asymptotic():
 def test_rank_sum_undersized():
     with pytest.raises(EstimationError):
         rank_sum_test([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, 5.0])
+
+
+def test_rank_sum_sorted_search_equals_the_tie_scan():
+    """The sorted-search midranks give bitwise the statistic and p-value of
+    a scan over the sorted values, with ties, signed zeros and infinities
+    in the samples and with every value equal."""
+    rng = np.random.default_rng(7)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf])
+    for trial in range(300):
+        na, nb = rng.integers(5, 20, size=2)
+        pooled = np.round(rng.standard_normal(na + nb), rng.integers(0, 3))
+        pooled[rng.random(na + nb) < 0.1] = rng.choice(specials)
+        if trial % 25 == 0:
+            pooled[:] = pooled[0]
+        a, b = pooled[:na], pooled[na:]
+        assert repr(_normal_rank_sum(a, b)) == repr(
+            reference_rank_sum(a, b)), trial
+
+
+def test_rank_sum_refuses_nan():
+    with pytest.raises(EstimationError, match="NaN"):
+        rank_sum_test([1.0, 2.0, np.nan, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0])
 
 
 def test_rank_sum_normal_approx_vs_exact_enumeration():
@@ -845,6 +881,35 @@ def test_level_plan_changes_fit(small_two_class, monkeypatch):
             "whole best basis and takes no level request")):
         extract_features(small_two_class, "jones", grid,
                          MethodConfig("symmlet4", 8, plan))
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    (3, 1, "windows must satisfy 1 <= lo <= hi, got [3, 1]"),
+    (0, 4, "windows must satisfy 1 <= lo <= hi, got [0, 4]"),
+    (2.5, 4, "window bound 2.5 is not an integer"),
+    (1, 4.0, "window bound 4.0 is not an integer"),
+    (True, 4, "window bound True is not an integer"),
+    ("x", 4, "window bound 'x' is not an integer"),
+], ids=["reversed", "zero", "float", "float-integral", "bool", "string"])
+def test_plan_window_bounds_checked_before_any_transform(
+        small_two_class, monkeypatch, lo, hi, message):
+    """A library plan entry's windows are integers 1 <= lo <= hi, as a
+    config's are, refused by ``check`` and so before any transform."""
+    import wavescale.estimators as estimators
+
+    grid = make_windows(small_two_class.n_bins, 512, 512)
+    plan = ((lo, hi, (7, 8)), (5, 6, (6, 7)))
+    config = MethodConfig("haar", 9, plan)
+    monkeypatch.setattr(estimators, "packet_cascade", None)  # no transform
+    for call in (lambda: config.check("wang", 512),
+                 lambda: extract_features(small_two_class, "wang", grid,
+                                          config)):
+        with pytest.raises(ConfigurationError,
+                           match="^" + re.escape(f"levels entry 0: {message}")
+                           + "$"):
+            call()
+    MethodConfig("haar", 9, ((np.int64(1), np.int32(4), (7, 8)),)).check(
+        "wang", 512)
 
 
 def test_default_method_config_table():
