@@ -19,14 +19,27 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, EstimationError, IngestionError, ShapeError
 from .estimators import METHODS
-from .utils import check_count, write_csv
+from .utils import check_count, check_distinct, write_csv
 
 # Each cmd_* imports the modules it runs, so a subcommand loads only those.
 
 
+_MAX_RANGE_VALUES = 10**6
+
+
+def _check_range_size(text: str, count: float) -> None:
+    """Refuse the range ``text``, before any value is built, if its
+    ``count`` values (a float, inf when counting overflowed) are more than
+    _MAX_RANGE_VALUES."""
+    if not count <= _MAX_RANGE_VALUES:
+        raise ConfigurationError(f"bad range {text!r}: {count:.7g} values, "
+                                 f"more than {_MAX_RANGE_VALUES}")
+
+
 def parse_float_range(text: str, default_step: float = 0.1):
     """Grid syntax: "0.3", "0.1,0.5,0.9", "0.1..0.9" or "0.1..0.9:0.2"; a
-    range's bounds and step are finite."""
+    range's bounds and step are finite, and it holds at most
+    _MAX_RANGE_VALUES values."""
     text = text.strip()
     if ".." in text:
         span, _, step = text.partition(":")
@@ -39,8 +52,9 @@ def parse_float_range(text: str, default_step: float = 0.1):
         if not (np.isfinite([lo, hi, step_v]).all() and step_v > 0
                 and lo <= hi):
             raise ConfigurationError(f"bad range {text!r}")
-        count = int(round((hi - lo) / step_v)) + 1
-        vals = [round(lo + i * step_v, 12) for i in range(count)]
+        count = np.round((hi - lo) / step_v) + 1  # inf if hi - lo overflows
+        _check_range_size(text, count)
+        vals = [round(lo + i * step_v, 12) for i in range(int(count))]
         return [v for v in vals if v <= hi + 1e-12]
     try:
         return [float(v) for v in text.split(",") if v.strip()]
@@ -49,16 +63,21 @@ def parse_float_range(text: str, default_step: float = 0.1):
 
 
 def parse_int_range(text: str):
-    """Grid syntax: "10", "1,5,10" or "1..29"."""
+    """Grid syntax: "10", "1,5,10" or "1..29"; a range holds at most
+    _MAX_RANGE_VALUES values."""
     text = text.strip()
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
         try:
             lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
+            # OverflowError for a bound past the float range; inf values
+            # for a span that overflows
+            count = float(hi) - float(lo) + 1
+        except (ValueError, OverflowError):
             raise ConfigurationError(f"bad range {text!r}") from None
         if hi < lo:
             raise ConfigurationError(f"bad range {text!r}")
+        _check_range_size(text, count)
         return list(range(lo, hi + 1))
     try:
         return [int(v) for v in text.split(",") if v.strip()]
@@ -155,7 +174,7 @@ def _output_set(paths, out_dir=None):
                 f"output directory {str(out_dir)!r} " + ("is an existing file"
                 if ancestor == out_dir else "lies under a file"))
         stage_in[out_dir] = ancestor
-    resolved = [p.resolve() for p in paths]
+    first = {}  # each resolved destination -> the index that first names it
     for i, path in enumerate(paths):
         if path.is_dir():
             raise ConfigurationError(f"output path {str(path)!r} is a directory")
@@ -163,9 +182,9 @@ def _output_set(paths, out_dir=None):
             raise ConfigurationError(
                 f"output directory {str(path.parent)!r} for {str(path)!r} does "
                 "not exist")
-        if resolved[i] in resolved[:i]:
-            first = paths[resolved.index(resolved[i])]
-            raise ConfigurationError(f"output paths {str(first)!r} and "
+        j = first.setdefault(path.resolve(), i)
+        if j != i:
+            raise ConfigurationError(f"output paths {str(paths[j])!r} and "
                                      f"{str(path)!r} name the same file")
     with ExitStack() as stack:
         stages = {parent: Path(stack.enter_context(tempfile.TemporaryDirectory(
@@ -297,9 +316,7 @@ def cmd_classify(args) -> int:
         if not curve:
             raise ConfigurationError(f"--curve: no values in {args.curve!r}")
         check_setting("p", min(curve), "--curve")
-        for i, count in enumerate(curve):
-            if count in curve[:i]:  # one row per p
-                raise ConfigurationError(f"--curve: repeated p {count}")
+        check_distinct(curve, "p", "--curve: ")  # one row per p
     split = make_split(args.train_fraction, args.repeats, args.seed,
                        ("--train-fraction", "--repeats", "--seed"))
     curve_repeats = check_setting("curve_repeats", args.curve_repeats,
@@ -341,8 +358,12 @@ def cmd_pipeline(args) -> int:
         n_case = int(np.sum(dataset.labels == 1))
         n_control = dataset.n_samples - n_case
         check_rank_sum_sizes(n_case, n_control)
-        check_evaluation(cfg.classifiers, [cfg.p, *(curve or ())],
-                         grid.count, n_case, n_control, cfg.split)
+        # a curve lo..hi is checked by its ends, the upper one no further
+        # than the first count past the windows, the count a scan would name
+        ends = () if curve is None else (curve[0], min(curve[-1],
+                                                       grid.count + 1))
+        check_evaluation(cfg.classifiers, [cfg.p, *ends], grid.count,
+                         n_case, n_control, cfg.split)
         features = _extract(dataset, grid, cfg.method, cfg.method_config,
                             cfg.threads, features_csv, windows_csv)
         write_screen_csv(features, screen_csv)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -17,7 +18,7 @@ from .classify import (ClassifierSpec, SplitSpec, check_classifiers,
                        check_setting, make_split)
 from .errors import ConfigurationError
 from .pipeline import MethodConfig, extract_settings
-from .utils import check_count
+from .utils import check_count, check_distinct
 
 
 @dataclass(frozen=True)
@@ -150,12 +151,33 @@ def _parse_classifiers(raw) -> tuple:
     return check_classifiers(specs, "classifiers", "classifiers[{}]")
 
 
+class _Loader(yaml.SafeLoader):
+    """yaml.safe_load's loader of the config ``path``, except that a key
+    written twice in one mapping, of which yaml.safe_load would keep the
+    last, is refused, naming the line where the mapping starts; a key that
+    a ``<<`` merge brings in may still be overridden."""
+
+    def __init__(self, text: str, path: Path):
+        super().__init__(text)
+        self.path = path
+
+    def construct_mapping(self, node, deep=False):
+        written = [key for key, _ in node.value
+                   if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)  # refuses unhashables
+        check_distinct(map(self.construct_object, written), "key",
+                       f"{self.path}: mapping at line "
+                       f"{node.start_mark.line + 1}: ")
+        return mapping
+
+
 def load_run_config(path) -> RunConfig:
     """Parse and check a YAML run configuration: key names, value types and
     every value that can be checked before any input is read."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"),
+                        partial(_Loader, path=path))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .best_basis import best_basis_rows
 from .errors import ConfigurationError, EstimationError
-from .utils import is_integer
+from .utils import check_distinct, is_integer
 from .wavelets import (FilterPair, PacketTree, check_depth, dyadic_level,
                        packet_cascade)
 
@@ -107,13 +107,11 @@ def resolve_levels(method: str, request, lo: int, hi: int,
     levels = sorted(map(int, request))
     if not levels:
         raise ConfigurationError(f"{source}no spectrum levels requested")
-    for i, j in enumerate(levels):
+    for j in levels:
         if not lo <= j <= hi:
             raise ConfigurationError(f"{source}level {j} outside the "
                                      f"decomposed levels {lo}..{hi}")
-        if i and levels[i - 1] == j:
-            raise ConfigurationError(f"{source}repeated level {j}")
-    return tuple(levels)
+    return tuple(check_distinct(levels, "level", source))
 
 
 def _level_groups(method: str, levels, data_level: int, level_sets):
@@ -143,7 +141,7 @@ def _rank_groups(coeffs: np.ndarray) -> list:
     c = np.sort(np.abs(coeffs), axis=1)[:, ::-1]
     n = np.count_nonzero(~(c <= 0.0), axis=1)
     return [(np.flatnonzero(n == k), np.log(np.arange(1.0, k + 1)),
-             np.log(c[n == k, :k])) for k in np.unique(n)]
+             np.log(c[n == k, :k])) for k in np.flatnonzero(np.bincount(n))]
 
 
 def _warn_dropped(levels) -> None:

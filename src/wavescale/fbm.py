@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationError
 from .estimators import METHODS, default_decomposition, scaling_descriptors
-from .utils import check_count, is_real, map_ordered, write_csv
+from .utils import (check_count, check_distinct, is_real, map_ordered,
+                    write_csv)
 from .wavelets import dyadic_level, make_filter
 
 _EIGENVALUE_FLOOR = -1e-9
@@ -156,19 +157,16 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = None,
     methods = METHODS if methods is None else tuple(methods)
     if not h_grid:
         raise ConfigurationError("empty H grid")
-    for i, h in enumerate(h_grid):
-        if h in h_grid[:i]:  # one cell per (H, method)
-            raise ConfigurationError(f"repeated H {h!r}")
+    check_distinct(h_grid, "H")  # one cell per (H, method)
     check_count(n_reps, "n_reps", least=2)  # for a standard deviation
     check_count(master_seed, "master_seed", least=0)
     if not methods:
         raise ConfigurationError("no methods requested")
     decompositions = {}
     for m in methods:
-        if m in decompositions:  # one cell per (H, method)
-            raise ConfigurationError(f"repeated method {m!r}")
         family, depth = default_decomposition(m, length)
         decompositions[m] = make_filter(family), depth
+    check_distinct(methods, "method")
 
     eigs = [_embedding_eigenvalues(length, h) for h in h_grid]
 

@@ -29,6 +29,19 @@ def check_count(value, source: str, least: int = 1):
     return value
 
 
+def check_distinct(values, what: str, source: str = "") -> list:
+    """``values`` as a list, checked to name each value once: the first
+    value equal to an earlier one (``0.0`` equals ``-0.0``, a numpy scalar
+    the equal float) raises ``ConfigurationError("<source>repeated <what>
+    <value!r>")``."""
+    values, seen = list(values), set()
+    for value in values:
+        if value in seen:
+            raise ConfigurationError(f"{source}repeated {what} {value!r}")
+        seen.add(value)
+    return values
+
+
 def map_ordered(fn, items, threads: int = 1) -> list:
     """Apply ``fn`` to items, optionally on a thread pool.
 

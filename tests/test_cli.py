@@ -1,9 +1,11 @@
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavescale
 import wavescale.classify as classify
 import wavescale.pipeline as pipeline
 from wavescale import (BenchmarkReport, ConfigurationError, EstimationError,
@@ -26,6 +28,19 @@ def test_parse_int_range():
     assert parse_int_range("1..5") == [1, 2, 3, 4, 5]
     assert parse_int_range("3,9") == [3, 9]
     assert parse_int_range("7") == [7]
+
+
+@pytest.mark.parametrize("parse, largest, text, count", [
+    (parse_float_range, "0..0.999999:1e-6", "0..1:1e-6", "1000001"),
+    (parse_int_range, "1..1000000", "1..1000001", "1000001"),
+    (parse_int_range, "1..1000000", f"-1{'0' * 308}..1{'0' * 308}", "inf"),
+], ids=["float", "int", "int-overflowing"])
+def test_a_range_holds_at_most_a_million_values(parse, largest, text, count):
+    assert len(parse(largest)) == 10**6
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"bad range {text!r}: {count} values, "
+                                       "more than 1000000")):
+        parse(text)
 
 
 # --------------------------------------------------------------- simulate
@@ -87,6 +102,11 @@ def _no_draws(monkeypatch):
     (["--h", "nan..0.9"], "bad range 'nan..0.9'"),
     (["--h", "0.1..0.9:nan"], "bad range '0.1..0.9:nan'"),
     (["--h", "0.1..0.9:inf"], "bad range '0.1..0.9:inf'"),
+    (["--h", "0.1..0.9:1e-300"],
+     "bad range '0.1..0.9:1e-300': 8e+299 values, more than 1000000"),
+    (["--h=-1e308..1e308:1e-300"],
+     "bad range '-1e308..1e308:1e-300': inf values, more than 1000000"),
+    (["--h", "0.5", "--methods", "foo,dwt,dwt"], "unknown method 'foo'"),
     (["--h", "0.1,abc"], "bad value list '0.1,abc'"),
     (["--h", "0.5", "--n", "100"], "length 100 is not a power of two"),
     (["--h", "0.5", "--n", "4"], "length must be >= 8, got 4"),
@@ -95,9 +115,9 @@ def _no_draws(monkeypatch):
         "repeated-method", "repeated-h", "unknown-method", "no-methods",
         "h-descending-range", "h-range-not-a-number", "h-range-zero-step",
         "h-range-infinite-bound", "h-range-nan-bound", "h-range-nan-step",
-        "h-range-infinite-step",
-        "h-list-not-a-number", "n-not-a-power-of-two", "n-below-8",
-        "negative-seed"])
+        "h-range-infinite-step", "h-range-too-many", "h-range-overflowing",
+        "unknown-before-repeated-method", "h-list-not-a-number",
+        "n-not-a-power-of-two", "n-below-8", "negative-seed"])
 def test_simulate_bad_grid_or_reps_exit_2_before_drawing(
         tmp_path, capsys, monkeypatch, flags, message):
     _no_draws(monkeypatch)
@@ -553,6 +573,30 @@ def _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message):
 
 
 @pytest.mark.parametrize("old,new,message", [
+    ("seed: 11", "seed: 11\nmethod: jones",
+     "run.yaml: mapping at line 2: repeated key 'method'"),
+    ("split:\n  repeats: 20", "split: {repeats: 5, repeats: 20}",
+     "run.yaml: mapping at line 16: repeated key 'repeats'"),
+    ("    k: 5", "    k: 5\n    k: 3",
+     "run.yaml: mapping at line 14: repeated key 'k'"),
+], ids=["top-level", "flow-mapping", "classifier-entry"])
+def test_pipeline_config_rejects_a_repeated_key_before_ingest(tmp_path, capsys,
+                                                              old, new,
+                                                              message):
+    _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message)
+
+
+def test_pipeline_config_merged_key_may_be_overridden(tmp_path):
+    matrix, labels = _write_dataset(tmp_path, n_per_class=2)
+    cfg = _write_config(tmp_path, matrix, labels, tmp_path / "out")
+    cfg.write_text(cfg.read_text().replace(
+        "split:\n", "split:\n  <<: {repeats: 5, train_fraction: 0.6}\n"),
+        encoding="utf-8")
+    split = load_run_config(cfg).split
+    assert (split.n_repeats, split.train_fraction) == (20, 0.6)
+
+
+@pytest.mark.parametrize("old,new,message", [
     ("  repeats: 20", "  repeats: ten",
      "split.repeats: expected an integer, got 'ten'"),
     ("  - kind: logistic\n    C: 1.0\n  - kind: knn\n    k: 5", "  - 5",
@@ -1001,6 +1045,8 @@ def test_classify_curve_is_the_first_curve_repeats_splits(tmp_path):
     (["--curve", ","], "--curve: no values in ','", False),
     (["--curve", "2,2"], "--curve: repeated p 2", False),
     (["--curve", "1,3,1"], "--curve: repeated p 1", False),
+    (["--curve", "1..1000000000"], "bad range '1..1000000000': 1e+09 values, "
+     "more than 1000000", False),
     (["--train-fraction", "0.3", "--classifiers", "logistic"],
      "train fraction 0.3 gives 3 training rows of 5 case and 5 control "
      "samples, which can never hold two samples of each class", True),
@@ -1013,7 +1059,7 @@ def test_classify_curve_is_the_first_curve_repeats_splits(tmp_path):
         "train-fraction-named", "p-named", "curve-low-named",
         "classifier-kind-named", "second-classifier-kind-named",
         "no-classifiers-named", "curve-empty", "curve-repeated-p",
-        "curve-repeated-p-apart", "undrawable-split",
+        "curve-repeated-p-apart", "curve-range-too-many", "undrawable-split",
         "curve-descending-range", "curve-range-not-a-number",
         "curve-list-not-a-number", "seed-named", "balance-seed-named"])
 def test_classify_checks_the_curve_before_evaluating(tmp_path, capsys,
@@ -1032,6 +1078,27 @@ def test_classify_checks_the_curve_before_evaluating(tmp_path, capsys,
                  "--repeats", "10", "--out-dir", str(out_dir)] + flags) == 2
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_classify_refuses_a_long_curve_in_linear_time(tmp_path):
+    """60000 curve counts are checked for repeats in one pass, then refused
+    at the first count past the 29 windows."""
+    import subprocess
+    import sys
+    feats = tmp_path / "f.csv"
+    rows = np.random.default_rng(0).standard_normal((10, 29)).tolist()
+    feats.write_text("sample_id,label," + ",".join(
+        f"w{j + 1}" for j in range(29)) + "\n" + "".join(
+        f"s{i},{i % 2}," + ",".join(map(repr, row)) + "\n"
+        for i, row in enumerate(rows)), encoding="utf-8")
+    src = str(Path(wavescale.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "wavescale.cli", "classify", "--features",
+         str(feats), "--curve", "1..60000", "--out-dir", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2
+    assert "p must be in 1..29, got 30" in done.stderr
 
 
 # ------------------------------------------------------- output directory
@@ -1110,6 +1177,10 @@ def test_missing_out_dir_is_created_only_by_a_successful_run(
 @pytest.mark.parametrize("n_per_class,old,new,code,message", [
     (5, "  p: 2", "  p: 25", 2, "p must be in 1..3, got 25"),
     (5, "  curve: [1, 3]", "  curve: [1, 9]", 2, "p must be in 1..3, got 4"),
+    (5, "  curve: [1, 3]", "  curve: [1, 8000000]", 2,
+     "p must be in 1..3, got 4"),
+    (5, "  curve: [1, 3]", "  curve: [5, 8000000]", 2,
+     "p must be in 1..3, got 5"),
     (5, "    k: 5", "    k: 8", 2, "k=8 exceeds 7 training rows"),
     (5, "  - kind: knn\n    k: 5\nsplit:\n  repeats: 20",
      "split:\n  repeats: 20\n  train_fraction: 0.3", 2,
@@ -1117,7 +1188,8 @@ def test_missing_out_dir_is_created_only_by_a_successful_run(
      "samples, which can never hold two samples of each class"),
     (3, "  p: 2", "  p: 2", 4,
      "rank-sum test needs at least 5 observations per sample"),
-], ids=["p", "curve", "knn-k", "undrawable-split", "rank-sum"])
+], ids=["p", "curve", "curve-long", "curve-past-the-windows", "knn-k",
+        "undrawable-split", "rank-sum"])
 def test_pipeline_fails_before_extraction(tmp_path, capsys, monkeypatch,
                                           n_per_class, old, new, code,
                                           message):

@@ -181,8 +181,11 @@ def test_empty_level_set_rejected():
     ([6, 6], "repeated level 6"),
     ([5, 6, 5], "repeated level 5"),
     ([7, 5], "level 7 outside the decomposed levels 0..6"),
+    ([7, 7], "level 7 outside the decomposed levels 0..6"),
+    ([5, 5, 7], "level 7 outside the decomposed levels 0..6"),
 ], ids=["float", "floats", "integral-float", "bool", "string", "list",
-        "twice", "twice-apart", "missing"])
+        "twice", "twice-apart", "missing", "missing-twice",
+        "missing-after-twice"])
 @pytest.mark.parametrize("call", ["spectrum_dwt", "spectrum_wang",
                                   "scaling_descriptor", "scaling_descriptors",
                                   "MethodConfig.check", "extract_features"])

@@ -36,7 +36,8 @@ rc = cli.main(["simulate", "--h", "0.3,0.7", "--reps", "4", "--n", "64",
                "--out", {str(out)!r}])
 print(json.dumps([rc, sorted(m for m in (
     "yaml", "wavescale.config", "wavescale.classify", "wavescale.pipeline",
-    "wavescale.synthetic", "concurrent.futures") if m in sys.modules)]))
+    "wavescale.synthetic", "concurrent.futures", "numpy.ma")
+    if m in sys.modules)]))
 """)
     assert rc == 0 and out.exists()
     assert loaded == []
@@ -118,3 +119,21 @@ def test_no_module_imports_another_modules_private_names():
                             if alias.name.startswith("_")
                             and not alias.name.endswith("__")]
     assert private == []
+
+
+def test_no_membership_test_scans_a_slice():
+    """A list is held to name each value once by ``utils.check_distinct``
+    alone: no ``x in y[:i]`` (or ``not in``) prefix scan, which is
+    quadratic when run for each i."""
+    scans = []
+    for path in sorted(Path(wavescale.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                scans += [f"{path.name}:{node.lineno}"
+                          for op, right in zip(node.ops, node.comparators)
+                          if isinstance(op, (ast.In, ast.NotIn))
+                          and isinstance(right, ast.Subscript)
+                          and isinstance(right.slice, ast.Slice)
+                          and right.slice.lower is None
+                          and right.slice.upper is not None]
+    assert scans == []
