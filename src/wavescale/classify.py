@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationError
 from .pipeline import FeatureMatrix, fisher_ratio, fisher_scores, select_top
-from .utils import check_count, is_integer, is_real, map_ordered, write_csv
+from .utils import (check_count, first_repeat, is_integer, is_real,
+                    map_ordered, write_csv)
 
 SELECTION_MODES = ("per-split", "global")
 _KINDS = ("logistic", "knn")
@@ -140,10 +141,11 @@ def check_classifiers(classifiers, source: str, entry: str = None) -> tuple:
         return (ClassifierSpec(kind="logistic"), ClassifierSpec(kind="knn"))
     if not classifiers:
         raise ConfigurationError(f"{source}: no classifiers requested")
-    for i, spec in enumerate(classifiers):
-        if any(prev.kind == spec.kind for prev in classifiers[:i]):
-            raise ConfigurationError(f"{(entry or source).format(i)}: "
-                                     f"repeated classifier kind {spec.kind!r}")
+    repeat = first_repeat(spec.kind for spec in classifiers)
+    if repeat:
+        i = repeat[1]
+        raise ConfigurationError(f"{(entry or source).format(i)}: repeated "
+                                 f"classifier kind {classifiers[i].kind!r}")
     return tuple(classifiers)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, EstimationError, IngestionError, ShapeError
 from .estimators import METHODS
-from .utils import check_count, check_distinct, write_csv
+from .utils import check_count, check_distinct, first_repeat, write_csv
 
 # Each cmd_* imports the modules it runs, so a subcommand loads only those.
 
@@ -174,18 +174,19 @@ def _output_set(paths, out_dir=None):
                 f"output directory {str(out_dir)!r} " + ("is an existing file"
                 if ancestor == out_dir else "lies under a file"))
         stage_in[out_dir] = ancestor
-    first = {}  # each resolved destination -> the index that first names it
-    for i, path in enumerate(paths):
+    repeat = first_repeat(path.resolve() for path in paths)
+    # each path is checked before a repeat at it, as if in one scan
+    for path in paths[:repeat[1] + 1] if repeat else paths:
         if path.is_dir():
             raise ConfigurationError(f"output path {str(path)!r} is a directory")
         if not (path.parent.is_dir() or path.parent in stage_in):
             raise ConfigurationError(
                 f"output directory {str(path.parent)!r} for {str(path)!r} does "
                 "not exist")
-        j = first.setdefault(path.resolve(), i)
-        if j != i:
-            raise ConfigurationError(f"output paths {str(paths[j])!r} and "
-                                     f"{str(path)!r} name the same file")
+    if repeat:
+        i, j = repeat
+        raise ConfigurationError(f"output paths {str(paths[i])!r} and "
+                                 f"{str(paths[j])!r} name the same file")
     with ExitStack() as stack:
         stages = {parent: Path(stack.enter_context(tempfile.TemporaryDirectory(
                       prefix=".wavescale-", dir=stage_in.get(parent, parent))))

@@ -18,7 +18,7 @@ from .classify import (ClassifierSpec, SplitSpec, check_classifiers,
                        check_setting, make_split)
 from .errors import ConfigurationError
 from .pipeline import MethodConfig, extract_settings
-from .utils import check_count, check_distinct
+from .utils import check_count, first_repeat
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,8 @@ def _parse_classifiers(raw) -> tuple:
 class _Loader(yaml.SafeLoader):
     """yaml.safe_load's loader of the config ``path``, except that a key
     written twice in one mapping, of which yaml.safe_load would keep the
-    last, is refused, naming the line where the mapping starts; a key that
-    a ``<<`` merge brings in may still be overridden."""
+    last, is refused, naming the line of its second writing; a key that a
+    ``<<`` merge brings in may still be overridden."""
 
     def __init__(self, text: str, path: Path):
         super().__init__(text)
@@ -165,9 +165,13 @@ class _Loader(yaml.SafeLoader):
         written = [key for key, _ in node.value
                    if key.tag != "tag:yaml.org,2002:merge"]
         mapping = super().construct_mapping(node, deep)  # refuses unhashables
-        check_distinct(map(self.construct_object, written), "key",
-                       f"{self.path}: mapping at line "
-                       f"{node.start_mark.line + 1}: ")
+        keys = [self.construct_object(key) for key in written]
+        repeat = first_repeat(keys)
+        if repeat:
+            j = repeat[1]
+            raise ConfigurationError(
+                f"{self.path}: line {written[j].start_mark.line + 1}: "
+                f"repeated key {keys[j]!r}")
         return mapping
 
 

@@ -332,7 +332,8 @@ def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
     batch, bit for bit; ``row_errors`` issues a row's warnings.
 
     ``level_sets[r]`` restricts row r's spectrum (default: all levels);
-    the depth and each distinct request are checked before any transform.
+    the depth, one set per row and each distinct request are checked
+    before any transform.
     Only what a method needs is kept: dwt runs the pyramid alone, wang
     keeps one level's energies at a time, and jones keeps every level for
     the best-basis search and sorts all rows' selected coefficients in one
@@ -345,6 +346,9 @@ def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
     check_depth(depth, J)
     if level_sets is None:
         level_sets = [None] * len(rows)
+    elif len(level_sets) != len(rows):
+        raise ConfigurationError(f"level_sets holds {len(level_sets)} "
+                                 f"entries for {len(rows)} rows")
     requests = {id(s): s for s in level_sets}  # a list is unhashable
     resolved = {k: resolve_levels(method, s, J - depth, J - 1)
                 for k, s in requests.items()}

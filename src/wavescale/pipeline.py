@@ -22,7 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, EstimationError, IngestionError
 from .estimators import (default_decomposition, resolve_levels,
                          scaling_descriptors)
-from .utils import check_count, is_integer, map_ordered, write_csv
+from .utils import (check_count, first_repeat, is_integer, map_ordered,
+                    write_csv)
 from .wavelets import dyadic_level, make_filter
 
 LABEL_ALIASES = {"case": 1, "control": 0, "1": 1, "0": 0}
@@ -333,23 +334,12 @@ def load_labels(labels_path) -> dict:
     return _label_map(labels_path, text)
 
 
-def _load_matrix_file(matrix_path):
-    head, _, values = _read_csv(matrix_path)
-    ids = head[1:]
-    if not ids:
-        raise IngestionError(f"{matrix_path}: header lists no sample columns")
-    where = [f"{matrix_path}: row 1 column {c + 2}" for c in range(len(ids))]
-    return ids, where, values[:, 0].copy(), values[:, 1:].T.copy()
-
-
-def _load_sample_dir(dir_path):
-    manifest = Path(dir_path) / "manifest.csv"
-    _, text, _ = _read_csv(manifest, ("sample_id", "filename"), 2, 2)
-    ids = [sid for sid, _ in text]
-    where = [f"{manifest}: row {line}" for line in range(2, len(ids) + 2)]
+def _read_samples(directory, names):
+    """The m/z grid and (samples, bins) intensities of the two-column
+    sample files ``names`` in ``directory``."""
     mz = intens = grid = None
-    for s, (sid, name) in enumerate(text):
-        fp = manifest.parent / name
+    for s, name in enumerate(names):
+        fp = directory / name
         if grid is not None:
             try:
                 _, _, values = _read_csv(fp, header=None, width=2, dtype=[
@@ -362,7 +352,7 @@ def _load_sample_dir(dir_path):
             grid = None  # the grids differ in text: read the rest as floats
         head, _, values = _read_csv(fp, header=None, width=2)
         if mz is None:
-            mz, intens = values[:, 0].copy(), np.empty((len(ids), len(values)))
+            mz, intens = values[:, 0].copy(), np.empty((len(names), len(values)))
             # one byte wider than the longest field, so that a longer field
             # of a later file cannot compare equal once cut to that width
             try:
@@ -379,7 +369,7 @@ def _load_sample_dir(dir_path):
                 f"{fp}: row {row}: m/z grid does not match the first "
                 f"sample's ({len(values)} bins, expected {len(mz)})")
         intens[s] = values[:, 1]
-    return ids, where, mz, intens
+    return mz, intens
 
 
 def load_dataset(matrix_path, labels_path) -> SpectraDataset:
@@ -391,6 +381,10 @@ def load_dataset(matrix_path, labels_path) -> SpectraDataset:
     ``manifest.csv`` with columns sample_id,filename.  ``labels_path`` is
     a CSV mapping sample_id to case/control (or 1/0).
 
+    The labels are read first, then the sample ids: a matrix's header, or
+    a directory's manifest, whose ids are checked, each labeled and none
+    repeated, before any sample file is opened.
+
     A directory's m/z grid is parsed once, from its first file: a later
     file whose m/z fields repeat the first file's byte for byte has them
     read as bytes and only its intensities parsed.  The first file whose
@@ -400,16 +394,32 @@ def load_dataset(matrix_path, labels_path) -> SpectraDataset:
 
     IngestionError names the file and row of the offending record.
     """
-    if Path(matrix_path).is_dir():
-        ids, where, mz, intens = _load_sample_dir(matrix_path)
-    else:
-        ids, where, mz, intens = _load_matrix_file(matrix_path)
     label_map = load_labels(labels_path)
-    for s, (sid, at) in enumerate(zip(ids, where)):
-        if ids.index(sid) < s:
-            raise IngestionError(f"{at}: duplicate sample id {sid!r}")
+    directory = Path(matrix_path).is_dir()
+    if directory:
+        manifest = Path(matrix_path) / "manifest.csv"
+        _, text, _ = _read_csv(manifest, ("sample_id", "filename"), 2, 2)
+        ids = [sid for sid, _ in text]
+        at = f"{manifest}: row "
+    else:
+        head, _, values = _read_csv(matrix_path)
+        ids = head[1:]
+        if not ids:
+            raise IngestionError(f"{matrix_path}: header lists no sample columns")
+        at = f"{matrix_path}: row 1 column "
+    # ids[s] is at row or column s + 2; every id up to a repeat is labeled
+    repeat = first_repeat(ids)
+    for s, sid in enumerate(ids[:repeat[1]] if repeat else ids):
         if sid not in label_map:
-            raise IngestionError(f"{at}: no label for {sid!r} in {labels_path}")
+            raise IngestionError(
+                f"{at}{s + 2}: no label for {sid!r} in {labels_path}")
+    if repeat:
+        raise IngestionError(f"{at}{repeat[1] + 2}: duplicate sample id "
+                             f"{ids[repeat[1]]!r}")
+    if directory:
+        mz, intens = _read_samples(manifest.parent, [name for _, name in text])
+    else:
+        mz, intens = values[:, 0].copy(), values[:, 1:].T.copy()
     labels = np.array([label_map[sid] for sid in ids], dtype=np.int8)
     return SpectraDataset(
         intensities=intens, labels=labels,
@@ -437,8 +447,9 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
                      threads: int = 1) -> FeatureMatrix:
     """Estimate one scaling descriptor per (sample, window).
 
-    The window length must be a power of two compatible with the depth of
-    ``method_config`` (default: ``default_method_config`` at that length).
+    The grid must fit the dataset's bins, and its window length must be a
+    power of two compatible with the depth of ``method_config`` (default:
+    ``default_method_config`` at that length).
     Each sample's windows are fitted as one batch (scaling_descriptors).
     A failed estimate aborts the run (naming the sample and window)
     rather than leaving holes in the matrix, after the zero-energy
@@ -446,6 +457,10 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
     at the deepest level the windows read, with the slopes and warnings
     of the full ``method_config.depth``.
     """
+    end = max((stop for _, stop in grid.windows), default=0)
+    if end > dataset.n_bins:
+        raise ConfigurationError(f"window grid ends at bin {end}, past the "
+                                 f"dataset's {dataset.n_bins} bins")
     wl = grid.window_len
     default_depth = method_config is None
     if default_depth:

@@ -29,16 +29,27 @@ def check_count(value, source: str, least: int = 1):
     return value
 
 
+def first_repeat(values):
+    """None, or the indices ``(i, j)``, i < j, of the first value equal to
+    an earlier one, found in one pass: ``0.0`` equals ``-0.0``, a numpy
+    scalar the equal float."""
+    first = {}
+    for j, value in enumerate(values):
+        i = first.setdefault(value, j)
+        if i != j:
+            return i, j
+    return None
+
+
 def check_distinct(values, what: str, source: str = "") -> list:
-    """``values`` as a list, checked to name each value once: the first
-    value equal to an earlier one (``0.0`` equals ``-0.0``, a numpy scalar
-    the equal float) raises ``ConfigurationError("<source>repeated <what>
-    <value!r>")``."""
-    values, seen = list(values), set()
-    for value in values:
-        if value in seen:
-            raise ConfigurationError(f"{source}repeated {what} {value!r}")
-        seen.add(value)
+    """``values`` as a list, checked by ``first_repeat`` to name each value
+    once: a repeat raises ``ConfigurationError("<source>repeated <what>
+    <value!r>")``, naming the later of the two values."""
+    values = list(values)
+    repeat = first_repeat(values)
+    if repeat:
+        raise ConfigurationError(
+            f"{source}repeated {what} {values[repeat[1]]!r}")
     return values
 
 

@@ -574,11 +574,11 @@ def _assert_config_rejected_before_ingest(tmp_path, capsys, old, new, message):
 
 @pytest.mark.parametrize("old,new,message", [
     ("seed: 11", "seed: 11\nmethod: jones",
-     "run.yaml: mapping at line 2: repeated key 'method'"),
+     "run.yaml: line 23: repeated key 'method'"),
     ("split:\n  repeats: 20", "split: {repeats: 5, repeats: 20}",
-     "run.yaml: mapping at line 16: repeated key 'repeats'"),
+     "run.yaml: line 16: repeated key 'repeats'"),
     ("    k: 5", "    k: 5\n    k: 3",
-     "run.yaml: mapping at line 14: repeated key 'k'"),
+     "run.yaml: line 16: repeated key 'k'"),
 ], ids=["top-level", "flow-mapping", "classifier-entry"])
 def test_pipeline_config_rejects_a_repeated_key_before_ingest(tmp_path, capsys,
                                                               old, new,

@@ -223,6 +223,21 @@ def test_level_request_holds_distinct_integer_levels(monkeypatch, call, levels,
     assert calls[call]([np.int64(6), np.int32(5)]) == calls[call]([5, 6])
 
 
+@pytest.mark.parametrize("level_sets", [[None], [None] * 4])
+def test_scaling_descriptors_take_one_level_set_per_row(monkeypatch,
+                                                        level_sets):
+    """A level_sets list longer or shorter than the rows is refused before
+    any transform, never zipped down to the shorter of the two."""
+    import wavescale.estimators as estimators
+    from wavescale.estimators import scaling_descriptors
+
+    rows = np.random.default_rng(3).standard_normal((3, 64)).cumsum(axis=1)
+    monkeypatch.setattr(estimators, "packet_cascade", None)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"level_sets holds {len(level_sets)} entries for 3 rows")):
+        scaling_descriptors("dwt", rows, make_filter("haar"), 6, level_sets)
+
+
 def test_constant_signal_drops_all_points_then_fit_fails():
     f = make_filter("haar")
     tree = wpd_full(np.full(64, 5.0), f, 6)

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import wavescale
 
@@ -121,19 +122,76 @@ def test_no_module_imports_another_modules_private_names():
     assert private == []
 
 
-def test_no_membership_test_scans_a_slice():
-    """A list is held to name each value once by ``utils.check_distinct``
-    alone: no ``x in y[:i]`` (or ``not in``) prefix scan, which is
-    quadratic when run for each i."""
+def _prefix_bound(node):
+    """The ``i`` of ``y[:i]``, or None if ``node`` is no prefix slice."""
+    if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+            and node.slice.lower is None):
+        return node.slice.upper
+    return None
+
+
+def repeat_scans(package_dir) -> list:
+    """``file:line`` of each hand-written repeat scan in the modules of
+    ``package_dir``, each quadratic when run for every i:
+    - an ``x in y[:i]`` (or ``not in``) test;
+    - a comprehension or generator over ``y[:i]``, ``i`` (or a name in
+      its expression) being a loop variable of the module;
+    - a comparison whose left side is a ``.index(...)`` call.
+    A ``for`` statement over a prefix slice is not one."""
     scans = []
-    for path in sorted(Path(wavescale.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path in sorted(Path(package_dir).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loop_names = {name.id for node in ast.walk(tree)
+                      if isinstance(node, (ast.For, ast.comprehension))
+                      for name in ast.walk(node.target)
+                      if isinstance(name, ast.Name)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Compare):
                 scans += [f"{path.name}:{node.lineno}"
                           for op, right in zip(node.ops, node.comparators)
                           if isinstance(op, (ast.In, ast.NotIn))
-                          and isinstance(right, ast.Subscript)
-                          and isinstance(right.slice, ast.Slice)
-                          and right.slice.lower is None
-                          and right.slice.upper is not None]
-    assert scans == []
+                          and _prefix_bound(right) is not None]
+                if (isinstance(node.left, ast.Call)
+                        and isinstance(node.left.func, ast.Attribute)
+                        and node.left.func.attr == "index"):
+                    scans.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                   ast.GeneratorExp)):
+                scans += [f"{path.name}:{node.lineno}"
+                          for gen in node.generators
+                          if _prefix_bound(gen.iter) is not None
+                          and any(isinstance(name, ast.Name)
+                                  and name.id in loop_names for name
+                                  in ast.walk(_prefix_bound(gen.iter)))]
+    return scans
+
+
+def test_no_membership_test_scans_a_slice():
+    """A list is held to name each value once by ``utils.first_repeat``
+    alone: no prefix scan, comprehension over a prefix or ``.index``
+    comparison, which is quadratic when run for each i."""
+    assert repeat_scans(Path(wavescale.__file__).parent) == []
+
+
+@pytest.mark.parametrize("scan", [
+    "found = x in y[:i]",
+    "found = x not in y[:i]",
+    "found = any(p == x for p in y[:i])",
+    "found = [p for p in y[:i + 1] if p == x]",
+    "found = {p: 1 for p in y[:i]}",
+    "found = y.index(x) < i",
+], ids=["in", "not-in", "generator", "list-comp", "dict-comp", "index"])
+def test_repeat_scan_guard_flags_a_hand_written_scan(tmp_path, scan):
+    (tmp_path / "m.py").write_text(
+        f"for i, x in enumerate(y):\n    {scan}\n", encoding="utf-8")
+    assert repeat_scans(tmp_path) == ["m.py:2"]
+
+
+def test_repeat_scan_guard_passes_a_scan_run_once(tmp_path):
+    """A ``for`` statement over a prefix, a comprehension over a prefix
+    whose bound is no loop variable, and a suffix slice are no scans."""
+    (tmp_path / "m.py").write_text(
+        "for lo, hi in plan[:i]:\n    found = lo <= x <= hi\n"
+        "head = [c.lower() for c in fields[:len(header)]]\n"
+        "found = x in y[1:]\n", encoding="utf-8")
+    assert repeat_scans(tmp_path) == []

@@ -1,4 +1,5 @@
 import re
+import time
 import warnings
 
 import numpy as np
@@ -323,7 +324,7 @@ def test_sample_dir_parses_a_repeated_grid_once(tmp_path, monkeypatch):
         sid: _sample_text(_GRID, [s, 2.0 * s, -1.0])
         for s, sid in enumerate("abcd")})
     load_dataset(path, labels)
-    assert floats == ["manifest.csv", "a.csv", "labels.csv"]
+    assert floats == ["labels.csv", "manifest.csv", "a.csv"]
     assert other == ["a.csv", "b.csv", "c.csv", "d.csv"]
 
 
@@ -338,7 +339,7 @@ def test_byte_order_marks_keep_the_repeated_grid_reader(tmp_path, monkeypatch,
         sid: "\ufeff" + _sample_text(_GRID, [s, 2.0 * s, -1.0], header=header)
         for s, sid in enumerate("abcd")})
     ds = load_dataset(path, labels)
-    assert floats == ["manifest.csv", "a.csv", "labels.csv"]
+    assert floats == ["labels.csv", "manifest.csv", "a.csv"]
     assert other == ["a.csv", "b.csv", "c.csv", "d.csv"]
     assert ds.mz_values.tolist() == [700.0, 700.25, 701.125]
     assert ds.intensities[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
@@ -357,7 +358,7 @@ def test_header_presence_keeps_the_repeated_grid_reader(
         "b": _sample_text(_GRID, [4.0, 5.5, -6.25], header=later_header),
         "c": _sample_text(_GRID, [0.1, 1e-300, 7.0], header=first_header)})
     ds = load_dataset(path, labels)
-    assert floats == ["manifest.csv", "a.csv", "labels.csv"]
+    assert floats == ["labels.csv", "manifest.csv", "a.csv"]
     assert other == ["a.csv", "b.csv", "c.csv"]
     _, _, mz, intens = reference_load_dataset(path, labels)
     assert ds.mz_values.tobytes() == mz.tobytes()
@@ -374,8 +375,8 @@ def test_sample_dir_reads_the_rest_in_full_after_a_grid_miss(tmp_path,
     bodies["c"] = _sample_text(["700.00", "700.25", "701.125"], [1, 2, 3])
     path, labels = _write_sample_dir(tmp_path, bodies)
     ds = load_dataset(path, labels)
-    assert floats == ["manifest.csv", "a.csv", "c.csv", "d.csv", "e.csv",
-                      "labels.csv"]
+    assert floats == ["labels.csv", "manifest.csv", "a.csv", "c.csv", "d.csv",
+                      "e.csv"]
     assert other == ["a.csv", "b.csv", "c.csv"]
     assert ds.intensities.tobytes() == reference_load_dataset(
         path, labels)[3].tobytes()
@@ -395,7 +396,7 @@ def test_sample_dir_without_a_bytes_grid_reads_every_file_as_floats(
         "a": first, "b": _sample_text(_GRID, [4.0, 5.5, -6.25]),
         "c": _sample_text(_GRID, [0.1, 1e-300, 7.0])})
     ds = load_dataset(path, labels)
-    assert floats == ["manifest.csv", "a.csv", "b.csv", "c.csv", "labels.csv"]
+    assert floats == ["labels.csv", "manifest.csv", "a.csv", "b.csv", "c.csv"]
     assert other == ["a.csv"]
     _, _, mz, intens = reference_load_dataset(path, labels)
     assert ds.mz_values.tobytes() == mz.tobytes()
@@ -524,6 +525,56 @@ def test_ingest_rejection_names_file_and_row(tmp_path, files, target,
             read_feature_csv(tmp_path / "f.csv")
         else:
             load_dataset(tmp_path / target, tmp_path / "labels.csv")
+
+
+def test_repeated_matrix_column_fails_fast(tmp_path):
+    """A 20 000-column matrix whose last id repeats the first is refused in
+    one pass over the ids, in well under the quadratic scan's seconds."""
+    n = 20_000
+    ids = [f"s{c}" for c in range(n - 1)] + ["s0"]
+    (tmp_path / "m.csv").write_text(
+        "mz," + ",".join(ids) + "\n1.0," + ",".join(["2.0"] * n) + "\n",
+        encoding="utf-8")
+    labels = _write_labels(tmp_path, {sid: c % 2
+                                      for c, sid in enumerate(ids[:-1])})
+    start = time.perf_counter()
+    with pytest.raises(IngestionError, match=re.escape(
+            f"m.csv: row 1 column {n + 1}: duplicate sample id 's0'")):
+        load_dataset(tmp_path / "m.csv", labels)
+    assert time.perf_counter() - start < 0.2
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ("a,a.csv\nb,b.csv\na,c.csv\n",
+     r"manifest\.csv: row 4: duplicate sample id 'a'$"),
+    ("a,a.csv\nz,b.csv\n",
+     r"manifest\.csv: row 3: no label for 'z' in .*labels\.csv$"),
+    ("a,a.csv\nz,b.csv\na,c.csv\n",
+     r"manifest\.csv: row 3: no label for 'z' in .*labels\.csv$"),
+], ids=["repeated", "unlabeled", "unlabeled-before-repeated"])
+def test_manifest_ids_are_checked_before_any_sample_file_is_read(
+        tmp_path, monkeypatch, manifest, message):
+    floats, other = _spy_readers(monkeypatch)
+    path, labels = _write_sample_dir(tmp_path, {
+        sid: _SAMPLE for sid in "abc"})
+    (path / "manifest.csv").write_text("sample_id,filename\n" + manifest,
+                                       encoding="utf-8")
+    with pytest.raises(IngestionError, match=message):
+        load_dataset(path, labels)
+    assert floats == ["labels.csv", "manifest.csv"] and other == []
+
+
+@pytest.mark.parametrize("target", ["m.csv", "d"])
+def test_a_bad_labels_file_wins_over_a_bad_data_file(tmp_path, target):
+    """The labels file is read first, so its fault is the one reported."""
+    (tmp_path / "labels.csv").write_text("sample_id,label\na,sick\n",
+                                         encoding="utf-8")
+    (tmp_path / "m.csv").write_text("mz,a\n1.0,x\n", encoding="utf-8")
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "manifest.csv").write_text("id\n", encoding="utf-8")
+    with pytest.raises(IngestionError,
+                       match=r"labels\.csv: row 2: .*unknown label 'sick'"):
+        load_dataset(tmp_path / target, tmp_path / "labels.csv")
 
 
 def test_non_finite_intensity_rejected_with_sample_and_bin():
@@ -854,6 +905,18 @@ def test_extract_constant_row_fails_with_context():
     with pytest.raises(EstimationError, match="flat1.*window 1"):
         with pytest.warns(RuntimeWarning):
             extract_features(ds, "dwt", grid, _small_config("dwt"))
+
+
+def test_extract_rejects_a_grid_past_the_dataset(monkeypatch):
+    """A grid made for more bins than the dataset holds would give fewer
+    slope columns than windows; it is refused before any transform."""
+    import wavescale.estimators as estimators
+
+    ds = two_class_fbm_dataset(n_per_class=2, n_bins=2048)
+    monkeypatch.setattr(estimators, "packet_cascade", None)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "window grid ends at bin 4096, past the dataset's 2048 bins")):
+        extract_features(ds, "dwt", make_windows(4096, 1024, 512))
 
 
 def test_extract_rejects_bad_window_len(small_two_class):

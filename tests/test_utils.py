@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavescale import ConfigurationError
-from wavescale.utils import check_distinct
+from wavescale.utils import check_distinct, first_repeat
 
 
 @pytest.mark.parametrize("values", [
@@ -24,3 +24,16 @@ def test_check_distinct_names_the_first_repeat(values, message):
     with pytest.raises(ConfigurationError) as exc:
         check_distinct(values, "p", "--curve: ")
     assert str(exc.value) == "--curve: " + message
+
+
+@pytest.mark.parametrize("values, repeat", [
+    ([], None),
+    ([3, 1, 2], None),
+    ([1, 2, 3, 2, 1], (1, 3)),
+    ((v for v in "abcb"), (1, 3)),
+    ([0.0, 1.0, -0.0], (0, 2)),
+    ([0.3, np.float64(0.3)], (0, 1)),
+], ids=["empty", "distinct", "first-repeat", "generator", "signed-zero",
+        "numpy-float"])
+def test_first_repeat_gives_the_first_repeated_pair(values, repeat):
+    assert first_repeat(values) == repeat
