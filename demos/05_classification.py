@@ -9,6 +9,7 @@ import numpy as np
 
 from wavescale import (
     ClassifierSpec,
+    EvalSpec,
     SplitSpec,
     accuracy_vs_feature_count,
     evaluate,
@@ -30,7 +31,7 @@ print("classifier          p   test acc %   train acc %")
 # one pass: both classifiers score the same splits, rankings and scalings
 for (rep,) in evaluate_classifiers(
         features, [ClassifierSpec(kind="logistic"), ClassifierSpec(kind="knn")],
-        ps=[4], split=split):
+        EvalSpec([4]), split):
     print(f"{rep.classifier:18s} {rep.p:3d}   {rep.mean_test_accuracy:7.2f}"
           f"      {rep.mean_train_accuracy:7.2f}")
 

@@ -21,10 +21,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "best_basis": ("BasisSelection", "basis_coefficients", "best_basis",
                    "shannon_cost"),
-    "classify": ("ClassifierSpec", "EvalReport", "LogisticModel", "SplitSpec",
-                 "StandardizeTransform", "accuracy_vs_feature_count",
-                 "evaluate", "evaluate_classifiers", "feature_correlation",
-                 "knn_predict", "logistic_gradient", "logistic_objective",
+    "classify": ("ClassifierSpec", "EvalReport", "EvalSpec", "LogisticModel",
+                 "SplitSpec", "StandardizeTransform",
+                 "accuracy_vs_feature_count", "evaluate",
+                 "evaluate_classifiers", "feature_correlation", "knn_predict",
+                 "logistic_gradient", "logistic_objective",
                  "predict_logistic", "standardize", "train_logistic"),
     "errors": ("ConfigurationError", "EstimationError", "IngestionError",
                "ShapeError"),
@@ -36,8 +37,8 @@ _EXPORTS = {
             "fgn_autocovariance", "fgn_sample", "run_estimator_benchmark"),
     "pipeline": ("LEVEL_PLANS", "FeatureMatrix", "MethodConfig",
                  "SpectraDataset", "WindowGrid", "balance_classes",
-                 "default_method_config", "extract_features", "fisher_scores",
-                 "load_dataset", "make_windows", "rank_sum_test", "select_top",
+                 "extract_features", "fisher_scores", "load_dataset",
+                 "make_windows", "rank_sum_test", "select_top",
                  "window_mz_ranges"),
     "synthetic": ("two_class_fbm_dataset",),
     "wavelets": ("DwtDecomposition", "FilterPair", "PacketTree",

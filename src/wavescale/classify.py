@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -37,20 +37,24 @@ _KINDS = ("logistic", "knn")
 @dataclass(frozen=True)
 class SplitSpec:
     """Repeated-holdout parameters, checked by ``check_setting``; None
-    takes the setting's default."""
+    takes the setting's default.  An error names the field, or its entry
+    in ``sources``: the flag or key that set it."""
 
     train_fraction: float = 0.67
     n_repeats: int = 10_000
     master_seed: int = 0
+    sources: InitVar[dict] = None
 
-    def __post_init__(self):
-        _check_fields(self, ("train_fraction", "n_repeats", "master_seed"))
+    def __post_init__(self, sources):
+        _check_fields(self, ("train_fraction", "n_repeats", "master_seed"),
+                      sources)
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
     """Classifier choice plus hyperparameters, checked by
-    ``check_setting``; None takes the setting's default.
+    ``check_setting`` and named as SplitSpec's are; None takes the
+    setting's default.
 
     ``kind`` is "logistic" (l2_c is the inverse regularization strength;
     a fit stops after max_iters steps or once the gradient norm is below
@@ -62,9 +66,11 @@ class ClassifierSpec:
     max_iters: int = 500
     tol: float = 1e-6
     k: int = 5
+    sources: InitVar[dict] = None
 
-    def __post_init__(self):
-        _check_fields(self, ("kind", "l2_c", "max_iters", "tol", "k"))
+    def __post_init__(self, sources):
+        _check_fields(self, ("kind", "l2_c", "max_iters", "tol", "k"),
+                      sources)
 
     def describe(self) -> str:
         if self.kind == "logistic":
@@ -95,8 +101,9 @@ _SETTINGS = {
     "n_repeats": (SplitSpec.n_repeats, check_count),
     "curve_repeats": (1000, check_count),  # the splits of each curve point
     "p": (10, check_count),  # check_evaluation caps it at the window count
-    "selection": (SELECTION_MODES[0], _rule(lambda v: v in SELECTION_MODES,
-                                            f"one of {SELECTION_MODES}")),
+    "selection_mode": (SELECTION_MODES[0],
+                       _rule(lambda v: v in SELECTION_MODES,
+                             f"one of {SELECTION_MODES}")),
     "kind": (ClassifierSpec.kind, _rule(lambda v: v in _KINDS,
                                         f"one of {_KINDS}")),
     "l2_c": (ClassifierSpec.l2_c, _FINITE_POSITIVE),
@@ -115,21 +122,39 @@ def check_setting(name: str, value, source: str):
     return check(default if value is None else value, source)
 
 
-def _check_fields(spec, names) -> None:
-    """Check each of ``spec``'s fields ``names`` as its own setting."""
+def _check_fields(spec, names, sources) -> None:
+    """Check each of ``spec``'s fields ``names`` as its own setting, named
+    by its entry in the mapping ``sources``, else by the field."""
     for name in names:
-        object.__setattr__(spec, name,
-                           check_setting(name, getattr(spec, name), name))
+        object.__setattr__(spec, name, check_setting(
+            name, getattr(spec, name), (sources or {}).get(name, name)))
 
 
-def make_split(train_fraction, n_repeats, master_seed: int,
-               sources) -> SplitSpec:
-    """The SplitSpec of a run's settings; ``sources`` names the train
-    fraction's, the repeats' and the seed's flag or key."""
-    return SplitSpec(check_setting("train_fraction", train_fraction,
-                                   sources[0]),
-                     check_setting("n_repeats", n_repeats, sources[1]),
-                     check_setting("master_seed", master_seed, sources[2]))
+@dataclass(frozen=True)
+class EvalSpec:
+    """What one evaluation pass scores: each feature count ``ps[i]`` on
+    the first ``repeats[i]`` splits (None: the split's ``n_repeats`` for
+    each), the windows ranked as ``selection_mode`` says (see ``evaluate``)
+    and standardized if ``apply_standardize``.  Checked when made; a None
+    count is an error, not the default."""
+
+    ps: tuple
+    repeats: tuple = None
+    selection_mode: str = None
+    apply_standardize: bool = True
+    sources: InitVar[dict] = None  # names selection_mode as SplitSpec's do
+
+    def __post_init__(self, sources):
+        _check_fields(self, ("selection_mode",), sources)
+        for name in ("ps", "repeats"):  # as Python ints, for the reports
+            counts = getattr(self, name)
+            if counts is not None:
+                object.__setattr__(self, name, tuple(
+                    int(check_count(v, f"{name}[{j}]"))
+                    for j, v in enumerate(counts)))
+        if self.repeats is not None and len(self.repeats) != len(self.ps):
+            raise ConfigurationError(
+                f"{len(self.repeats)} repeats for {len(self.ps)} ps")
 
 
 def check_classifiers(classifiers, source: str, entry: str = None) -> tuple:
@@ -516,31 +541,25 @@ def check_evaluation(classifiers, ps, n_windows: int, n_case: int,
             f"can never hold two samples of each class")
 
 
-def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
-                         split: SplitSpec, apply_standardize: bool = True,
-                         selection_mode: str = None,
+def evaluate_classifiers(features: FeatureMatrix, classifiers,
+                         evaluation: EvalSpec, split: SplitSpec,
                          keep_per_repeat: bool = False,
-                         threads: int = 1, repeats=None) -> list:
+                         threads: int = 1) -> list:
     """One list of EvalReports per spec of ``classifiers``, one report
-    per p in ``ps``, all from one seeded sequence of splits.
+    per count of ``evaluation.ps``, all from one seeded sequence of
+    splits.
 
-    ``ps[i]`` is scored on the first ``repeats[i]`` splits (default
-    ``split.n_repeats``).  Chunks of splits end at multiples of _CHUNK and
-    at each count; each is drawn, Fisher-ranked and standardized once, and
-    every classifier scores the columns of each p whose count reaches it,
-    so each report equals the one-spec, one-count call.  See ``evaluate``
-    for the split, the selection modes and ``threads``.
+    Chunks of splits end at multiples of _CHUNK and at each count of
+    ``evaluation.repeats``; each is drawn, Fisher-ranked and standardized
+    once, and every classifier scores the columns of each p whose count
+    reaches it, so each report equals the one-spec, one-count call.  See
+    ``evaluate`` for the split, the selection modes and ``threads``.
     """
-    selection_mode = check_setting("selection", selection_mode,
-                                   "selection_mode")
     classifiers = list(classifiers)
-    # each entry by its setting's rule, where None is an error, not the
-    # default; the reports get Python ints
-    ps = [int(check_count(p, f"ps[{j}]")) for j, p in enumerate(ps)]
-    counts = [int(check_count(r, f"repeats[{j}]")) for j, r in enumerate(
-        [split.n_repeats] * len(ps) if repeats is None else repeats)]
-    if len(counts) != len(ps):
-        raise ConfigurationError(f"{len(counts)} repeats for {len(ps)} ps")
+    ps, counts = evaluation.ps, evaluation.repeats
+    selection_mode = evaluation.selection_mode
+    if counts is None:
+        counts = (split.n_repeats,) * len(ps)
     labels = features.labels.astype(np.int8)
     n_case = int(labels.sum())
     check_evaluation(classifiers, ps, features.n_windows, n_case,
@@ -555,8 +574,8 @@ def evaluate_classifiers(features: FeatureMatrix, classifiers, ps,
         perms, redraws = _draw_splits(labels, n_train, split.master_seed,
                                       reps)
         columns, _ = _split_features(features.slopes, labels, perms, n_train,
-                                     [ps[i] for i in live], apply_standardize,
-                                     order)
+                                     [ps[i] for i in live],
+                                     evaluation.apply_standardize, order)
         return (live, *_score_splits(columns, labels[perms], n_train,
                                      classifiers), redraws)
 
@@ -609,9 +628,10 @@ def evaluate(features: FeatureMatrix, classifier_spec: ClassifierSpec,
     is computed on its own, so reports are identical for any thread
     count.  ``threads`` maps over chunks of splits.
     """
-    return evaluate_classifiers(features, [classifier_spec], [p], split,
-                                apply_standardize, selection_mode,
-                                keep_per_repeat, threads)[0][0]
+    return evaluate_classifiers(
+        features, [classifier_spec],
+        EvalSpec([p], None, selection_mode, apply_standardize), split,
+        keep_per_repeat, threads)[0][0]
 
 
 def accuracy_vs_feature_count(features: FeatureMatrix,
@@ -630,11 +650,11 @@ def accuracy_vs_feature_count(features: FeatureMatrix,
     if p_range is None:
         p_range = range(1, features.n_windows + 1)
     if split is None:
-        split = SplitSpec(n_repeats=check_setting("curve_repeats", None,
-                                                  "curve_repeats"))
-    return evaluate_classifiers(features, [classifier_spec], p_range, split,
-                                apply_standardize, selection_mode, False,
-                                threads)[0]
+        split = SplitSpec(n_repeats=_SETTINGS["curve_repeats"][0])
+    return evaluate_classifiers(
+        features, [classifier_spec],
+        EvalSpec(p_range, None, selection_mode, apply_standardize), split,
+        threads=threads)[0]
 
 
 def feature_correlation(features: FeatureMatrix, selected=None) -> np.ndarray:

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, EstimationError, IngestionError, ShapeError
-from .estimators import METHODS
 from .utils import check_count, check_distinct, first_repeat, write_csv
 
 # Each cmd_* imports the modules it runs, so a subcommand loads only those.
@@ -112,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--matrix", required=True,
                      help="matrix CSV or per-sample directory")
     ext.add_argument("--labels", required=True, help="labels CSV")
-    ext.add_argument("--method", required=True, choices=METHODS)
+    ext.add_argument("--method", required=True, help="dwt, wang or jones")
     ext.add_argument("--wavelet", default=None)
     ext.add_argument("--depth", type=int, default=None)
     ext.add_argument("--window-len", type=int, default=None)
@@ -156,8 +155,9 @@ def _output_set(paths, out_dir=None):
 
     Checks every destination before the body runs (a missing directory
     other than ``out_dir``, an ``out_dir`` that is or lies under a file, a
-    path that is a directory or two paths naming one file is a
-    ConfigurationError) and yields one staged path per destination.  Each
+    path that is a directory, cannot be resolved, as in a symlink loop, or
+    names the same file as another is a ConfigurationError) and yields one
+    staged path per destination.  Each
     directory's destinations share one staging directory, made in it or
     in a missing ``out_dir``'s nearest existing ancestor, so each
     ``os.replace`` stays on one filesystem.  When the body returns,
@@ -174,7 +174,14 @@ def _output_set(paths, out_dir=None):
                 f"output directory {str(out_dir)!r} " + ("is an existing file"
                 if ancestor == out_dir else "lies under a file"))
         stage_in[out_dir] = ancestor
-    repeat = first_repeat(path.resolve() for path in paths)
+    resolved = []
+    for path in paths:
+        try:
+            resolved.append(path.resolve())
+        except (RuntimeError, OSError) as exc:  # a symlink loop, by version
+            raise ConfigurationError(f"output path {str(path)!r} cannot be "
+                                     f"resolved: {exc}") from None
+    repeat = first_repeat(resolved)
     # each path is checked before a repeat at it, as if in one scan
     for path in paths[:repeat[1] + 1] if repeat else paths:
         if path.is_dir():
@@ -215,13 +222,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _extract(dataset, grid, method, method_config, threads, out, meta):
+def _extract(dataset, grid, method_config, threads, out, meta):
     """The features of ``dataset`` on the windows ``grid``, written to
     ``out`` with the window table in ``meta``."""
     from .pipeline import extract_features, write_window_metadata_csv
 
-    features = extract_features(dataset, method, grid, method_config,
-                                threads=threads)
+    features = extract_features(dataset, method_config.method, grid,
+                                method_config, threads=threads)
     features.write_csv(out)
     write_window_metadata_csv(grid, dataset.mz_values, meta)
     return features
@@ -238,8 +245,8 @@ def cmd_extract(args) -> int:
     with _output_set([args.out, meta]) as (out, staged_meta):
         dataset = load_dataset(args.matrix, args.labels)
         grid = make_windows(dataset.n_bins, window_len, stride)
-        features = _extract(dataset, grid, args.method, method_config,
-                            args.threads, out, staged_meta)
+        features = _extract(dataset, grid, method_config, args.threads, out,
+                            staged_meta)
     print(f"wrote {args.out} ({features.slopes.shape[0]} samples x "
           f"{features.n_windows} windows) and {meta}")
     return 0
@@ -254,25 +261,22 @@ def _classify_outputs(classifiers, curve, per_repeat_log) -> list:
             + ["feature_correlation.csv", "selected_features.csv"])
 
 
-def _classify(features, classifiers, p, split, curve, curve_repeats,
-              standardize_flag, selection_mode, staged, threads,
+def _classify(features, classifiers, evaluation, split, staged, threads,
               per_repeat_log=False) -> None:
-    """Evaluate every classifier on ``features`` at ``p`` on ``split`` and
-    at each ``curve`` count on the first ``curve_repeats`` splits, in one
-    pass of the evaluation core; write each file ``_classify_outputs``
-    names to its path in ``staged``."""
+    """Evaluate every classifier on ``features`` at the p and the curve
+    counts of the EvalSpec ``evaluation``, p first, in one pass of the
+    evaluation core; write each file ``_classify_outputs`` names to its
+    path in ``staged``."""
     from .classify import (evaluate_classifiers, feature_correlation,
                            write_correlation_csv, write_eval_csv,
                            write_per_repeat_csv)
     from .pipeline import fisher_scores, select_top
 
-    curve = curve or []
+    p, *curve = evaluation.ps
     paths = {path.name: path for path in staged}
-    results = evaluate_classifiers(
-        features, classifiers, [p, *curve], split,
-        apply_standardize=standardize_flag, selection_mode=selection_mode,
-        keep_per_repeat=per_repeat_log, threads=threads,
-        repeats=[split.n_repeats] + [curve_repeats] * len(curve))
+    results = evaluate_classifiers(features, classifiers, evaluation, split,
+                                   keep_per_repeat=per_repeat_log,
+                                   threads=threads)
     reports = [r[0] for r in results]
     if per_repeat_log:
         for spec, rep in zip(classifiers, reports):
@@ -300,29 +304,32 @@ def _write_selected_features(features, selected, path):
 
 
 def cmd_classify(args) -> int:
-    from .classify import (ClassifierSpec, check_classifiers, check_setting,
-                           make_split)
+    from .classify import (ClassifierSpec, EvalSpec, SplitSpec,
+                           check_classifiers, check_setting)
     from .pipeline import balance_feature_rows, read_feature_csv
 
     specs = None
     if args.classifiers is not None:
-        specs = [ClassifierSpec(check_setting("kind", name, "--classifiers"))
+        specs = [ClassifierSpec(name, sources={"kind": "--classifiers"})
                  for name in map(str.strip, args.classifiers.split(","))
                  if name]
     classifiers = check_classifiers(specs, "--classifiers")
     p = check_setting("p", args.p, "--p")
-    curve = None
+    curve = []
     if args.curve is not None:
         curve = parse_int_range(args.curve)
         if not curve:
             raise ConfigurationError(f"--curve: no values in {args.curve!r}")
         check_setting("p", min(curve), "--curve")
         check_distinct(curve, "p", "--curve: ")  # one row per p
-    split = make_split(args.train_fraction, args.repeats, args.seed,
-                       ("--train-fraction", "--repeats", "--seed"))
+    split = SplitSpec(args.train_fraction, args.repeats, args.seed, {
+        "train_fraction": "--train-fraction", "n_repeats": "--repeats",
+        "master_seed": "--seed"})
     curve_repeats = check_setting("curve_repeats", args.curve_repeats,
                                   "--curve-repeats")
-    selection = check_setting("selection", args.selection, "--selection")
+    evaluation = EvalSpec(
+        [p, *curve], [split.n_repeats, *[curve_repeats] * len(curve)],
+        args.selection, args.standardize, {"selection_mode": "--selection"})
     out_dir = Path(args.out_dir)
     outputs = [out_dir / name for name in
                _classify_outputs(classifiers, curve, args.per_repeat_log)]
@@ -330,21 +337,20 @@ def cmd_classify(args) -> int:
         features = read_feature_csv(args.features)
         if args.balance:
             features = balance_feature_rows(features, args.seed)
-        _classify(features, classifiers, p, split, curve, curve_repeats,
-                  args.standardize, selection, staged, args.threads,
-                  per_repeat_log=args.per_repeat_log)
+        _classify(features, classifiers, evaluation, split, staged,
+                  args.threads, per_repeat_log=args.per_repeat_log)
     print("wrote " + ", ".join(str(p) for p in outputs))
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    from .classify import check_evaluation
+    from .classify import EvalSpec, check_evaluation
     from .config import load_run_config
     from .pipeline import (balance_classes, check_rank_sum_sizes,
                            load_dataset, make_windows, write_screen_csv)
 
     cfg = load_run_config(args.config)
-    curve = None if cfg.curve is None else range(cfg.curve[0], cfg.curve[1] + 1)
+    curve = () if cfg.curve is None else range(cfg.curve[0], cfg.curve[1] + 1)
     outputs = [cfg.output_dir / name for name in
                ["features.csv", "windows.csv", "rank_sum_screen.csv",
                 *_classify_outputs(cfg.classifiers, curve, cfg.per_repeat_log)]]
@@ -361,16 +367,20 @@ def cmd_pipeline(args) -> int:
         check_rank_sum_sizes(n_case, n_control)
         # a curve lo..hi is checked by its ends, the upper one no further
         # than the first count past the windows, the count a scan would name
-        ends = () if curve is None else (curve[0], min(curve[-1],
-                                                       grid.count + 1))
+        ends = () if not curve else (curve[0], min(curve[-1],
+                                                   grid.count + 1))
         check_evaluation(cfg.classifiers, [cfg.p, *ends], grid.count,
                          n_case, n_control, cfg.split)
-        features = _extract(dataset, grid, cfg.method, cfg.method_config,
-                            cfg.threads, features_csv, windows_csv)
+        # made once the check above has bounded the curve by the windows
+        evaluation = EvalSpec(
+            [cfg.p, *curve],
+            [cfg.split.n_repeats, *[cfg.curve_repeats] * len(curve)],
+            cfg.selection_mode, cfg.standardize)
+        features = _extract(dataset, grid, cfg.method_config, cfg.threads,
+                            features_csv, windows_csv)
         write_screen_csv(features, screen_csv)
-        _classify(features, cfg.classifiers, cfg.p, cfg.split, curve,
-                  cfg.curve_repeats, cfg.standardize, cfg.selection_mode,
-                  staged, cfg.threads, per_repeat_log=cfg.per_repeat_log)
+        _classify(features, cfg.classifiers, evaluation, cfg.split, staged,
+                  cfg.threads, per_repeat_log=cfg.per_repeat_log)
     print("pipeline complete; wrote " + ", ".join(str(p) for p in outputs))
     return 0
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import yaml
 
 from .classify import (ClassifierSpec, SplitSpec, check_classifiers,
-                       check_setting, make_split)
+                       check_setting)
 from .errors import ConfigurationError
 from .pipeline import MethodConfig, extract_settings
 from .utils import check_count, first_repeat
@@ -122,7 +122,7 @@ def _parse_level_plan(raw) -> tuple:
     for i, entry in enumerate(raw):
         where = f"levels entry {i}"
         _known(entry, where, "windows levels")
-        # MethodConfig.check holds the bounds to 1 <= lo <= hi
+        # MethodConfig holds the bounds to 1 <= lo <= hi
         lo, hi = _pair(_require(entry, "windows", where), f"{where}: windows")
         plan.append((lo, hi, _int_list(_require(entry, "levels", where),
                                        f"{where}: levels")))
@@ -144,10 +144,10 @@ def _parse_classifiers(raw) -> tuple:
         kind = check_setting("kind", _get(entry, "kind", where, str), where)
         keys = _CLASSIFIER_KEYS[kind]
         _known(entry, where, " ".join(["kind", *keys]))
-        specs.append(ClassifierSpec(kind=kind, **{
-            field: check_setting(field, _get(entry, key, where, type_),
-                                 f"{where}.{key}")
-            for key, (field, type_) in keys.items()}))
+        specs.append(ClassifierSpec(kind, **{
+            field: _get(entry, key, where, type_)
+            for key, (field, type_) in keys.items()}, sources={
+            field: f"{where}.{key}" for key, (field, _) in keys.items()}))
     return check_classifiers(specs, "classifiers", "classifiers[{}]")
 
 
@@ -212,9 +212,10 @@ def load_run_config(path) -> RunConfig:
 
     seed = _get(raw, "seed", "", int, 0)
     split_raw = _known(raw.get("split", {}), "split", "train_fraction repeats")
-    split = make_split(_get(split_raw, "train_fraction", "split", float),
-                       _get(split_raw, "repeats", "split", int), seed,
-                       ("split.train_fraction", "split.repeats", "seed"))
+    split = SplitSpec(_get(split_raw, "train_fraction", "split", float),
+                      _get(split_raw, "repeats", "split", int), seed, {
+                          "train_fraction": "split.train_fraction",
+                          "n_repeats": "split.repeats", "master_seed": "seed"})
 
     features = _known(raw.get("features", {}), "features", "p curve curve_repeats")
     p = check_setting("p", _get(features, "p", "features", int), "features.p")
@@ -238,7 +239,7 @@ def load_run_config(path) -> RunConfig:
         curve=curve,
         curve_repeats=curve_repeats,
         standardize=_get(raw, "standardize", "", bool, True),
-        selection_mode=check_setting("selection",
+        selection_mode=check_setting("selection_mode",
                                      _get(raw, "selection", "", str),
                                      "selection"),
         seed=seed,

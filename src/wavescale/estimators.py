@@ -332,14 +332,8 @@ def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
     batch, bit for bit; ``row_errors`` issues a row's warnings.
 
     ``level_sets[r]`` restricts row r's spectrum (default: all levels);
-    the depth, one set per row and each distinct request are checked
-    before any transform.
-    Only what a method needs is kept: dwt runs the pyramid alone, wang
-    keeps one level's energies at a time, and jones keeps every level for
-    the best-basis search and sorts all rows' selected coefficients in one
-    call.  A dwt or wang cascade stops at the deepest resolved level: a
-    level's energy does not depend on the levels below it, so the outcomes
-    and the zero-energy warnings are those of the full ``depth``.
+    the depth, one set per row and each row's request are checked before
+    any transform, which ``descriptor_rows`` then runs.
     """
     rows = np.asarray(rows, dtype=float)
     J = dyadic_level(rows.shape[1])
@@ -349,10 +343,25 @@ def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
     elif len(level_sets) != len(rows):
         raise ConfigurationError(f"level_sets holds {len(level_sets)} "
                                  f"entries for {len(rows)} rows")
-    requests = {id(s): s for s in level_sets}  # a list is unhashable
-    resolved = {k: resolve_levels(method, s, J - depth, J - 1)
-                for k, s in requests.items()}
-    level_sets = [resolved[id(s)] for s in level_sets]
+    return descriptor_rows(method, rows, f, depth, [
+        resolve_levels(method, s, J - depth, J - 1) for s in level_sets])
+
+
+def descriptor_rows(method: str, rows, f: FilterPair, depth: int,
+                    level_sets) -> LineFits:
+    """``scaling_descriptors`` for a checked ``depth`` and ``level_sets``
+    that ``resolve_levels`` has resolved, one per row; neither is checked
+    again.
+
+    Only what a method needs is kept: dwt runs the pyramid alone, wang
+    keeps one level's energies at a time, and jones keeps every level for
+    the best-basis search and sorts all rows' selected coefficients in one
+    call.  A dwt or wang cascade stops at the deepest resolved level: a
+    level's energy does not depend on the levels below it, so the outcomes
+    and the zero-energy warnings are those of the full ``depth``.
+    """
+    rows = np.asarray(rows, dtype=float)
+    J = rows.shape[1].bit_length() - 1
     if method != "jones":
         depth = J - min((s[0] for s in level_sets), default=J - depth)
     cascade = packet_cascade(rows, f, depth, pyramid=method == "dwt")

@@ -36,6 +36,20 @@ _EIGENVALUE_FLOOR = -1e-9
 _CHUNK = 32
 
 
+def _check_hurst(value) -> float:
+    """``value`` as a float, checked to lie strictly inside (0, 1)."""
+    if not (is_real(value) and 0.0 < value < 1.0):
+        raise ConfigurationError(
+            f"hurst must lie strictly inside (0, 1), got {value!r}")
+    return float(value)
+
+
+def _check_length(length) -> None:
+    """Raise ConfigurationError unless ``length`` is a power of two >= 8."""
+    if dyadic_level(length, "length", ConfigurationError) < 3:
+        raise ConfigurationError(f"length must be >= 8, got {length!r}")
+
+
 @dataclass(frozen=True)
 class FbmSpec:
     """Parameters of one fractional Brownian motion sample."""
@@ -45,12 +59,8 @@ class FbmSpec:
     seed: int
 
     def __post_init__(self):
-        if not (is_real(self.hurst) and 0.0 < self.hurst < 1.0):
-            raise ConfigurationError(
-                f"hurst must lie strictly inside (0, 1), got {self.hurst!r}")
-        if dyadic_level(self.length, "length", ConfigurationError) < 3:
-            raise ConfigurationError(
-                f"length must be >= 8, got {self.length!r}")
+        _check_hurst(self.hurst)
+        _check_length(self.length)
 
 
 @dataclass(frozen=True)
@@ -152,11 +162,11 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = None,
     per cell and excluded from the aggregates.
     """
     length = 1024 if length is None else length
-    h_grid = [float(FbmSpec(hurst=h, length=length, seed=0).hurst)
-              for h in h_grid]  # each H checked as given, before drawing
+    h_grid = [_check_hurst(h) for h in h_grid]  # each H checked as given
     methods = METHODS if methods is None else tuple(methods)
     if not h_grid:
         raise ConfigurationError("empty H grid")
+    _check_length(length)
     check_distinct(h_grid, "H")  # one cell per (H, method)
     check_count(n_reps, "n_reps", least=2)  # for a standard deviation
     check_count(master_seed, "master_seed", least=0)

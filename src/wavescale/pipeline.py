@@ -13,15 +13,15 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EstimationError, IngestionError
-from .estimators import (default_decomposition, resolve_levels,
-                         scaling_descriptors)
+from .estimators import (default_decomposition, descriptor_rows,
+                         resolve_levels)
 from .utils import (check_count, first_repeat, is_integer, map_ordered,
                     write_csv)
 from .wavelets import dyadic_level, make_filter
@@ -86,41 +86,60 @@ class WindowGrid:
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """Decomposition settings for one estimator run.
+    """Decomposition settings of one estimator on windows of one length,
+    checked when made.
 
+    ``method`` runs on ``window_len``-bin windows (None: 1024) with the
+    ``family`` and ``depth`` (None: ``default_decomposition``).
     ``level_plan`` restricts the spectrum regression per window: a tuple
     of (first_window, last_window, levels) entries with 1-based inclusive
-    window numbers.  Windows not covered by any entry use all decomposed
-    levels.
+    window numbers (None: the plan ``dataset_tag`` selects, e.g.
+    "ovarian-8-7-02", none for jones).  Windows not covered by any entry
+    use all decomposed levels.
+
+    A ConfigurationError names the bad value unless the window length is
+    a power of two, the method, tag and family are known, the depth lies
+    in least..log2(window_len) and the plan's entries cover disjoint
+    integer windows 1 <= lo <= hi with levels ``resolve_levels`` takes
+    (and keeps, resolved), two or more: dwt and wang fit a slope
+    (``least`` 2), jones the whole basis (``least`` 1, no plan).  A
+    default depth that is too small is reported as a too short window.
     """
 
-    family: str
-    depth: int
-    level_plan: tuple = ()
+    method: str
+    window_len: int = None
+    family: str = None
+    depth: int = None
+    level_plan: tuple = None
+    dataset_tag: InitVar[str] = None
 
-    def check(self, method: str, window_len: int,
-              default_depth: bool = False) -> None:
-        """Raise ConfigurationError naming the bad value unless the family
-        is known, ``window_len`` is a power of two, the depth lies in
-        least..log2(window_len) and the plan's entries cover disjoint
-        integer windows 1 <= lo <= hi with levels ``resolve_levels``
-        takes, two or more: dwt and wang fit a slope (``least`` 2), jones
-        the whole basis (``least`` 1, no plan).  With ``default_depth``
-        the depth is ``method``'s default for the window length, and a too
-        small one is reported as a too short window.  Called before any
-        input is read."""
-        make_filter(self.family)
+    def __post_init__(self, dataset_tag):
+        method = self.method
+        window_len = (_WINDOW_LEN if self.window_len is None
+                      else self.window_len)
         J = dyadic_level(window_len, "window length", ConfigurationError)
+        family, depth = default_decomposition(method, window_len)
+        tags = sorted({tag for tag, _ in LEVEL_PLANS})
+        if dataset_tag is not None and dataset_tag not in tags:
+            raise ConfigurationError(f"unknown dataset tag {dataset_tag!r}; "
+                                     f"known tags: {', '.join(tags)}")
+        plan = self.level_plan
+        if plan is None:
+            plan = LEVEL_PLANS.get((dataset_tag, method), ())
+        family = make_filter(family if self.family is None
+                             else self.family).family
         least = 1 if method == "jones" else 2
-        if default_depth and self.depth < least:
+        if self.depth is None and depth < least:
             raise ConfigurationError(
                 f"window length {window_len} is too short for the default "
-                f"{method} depth, {self.depth}: it must be at least {least}")
-        if not (is_integer(self.depth) and least <= self.depth <= J):
+                f"{method} depth, {depth}: it must be at least {least}")
+        depth = depth if self.depth is None else self.depth
+        if not (is_integer(depth) and least <= depth <= J):
             raise ConfigurationError(
-                f"depth {self.depth} does not fit window length "
+                f"depth {depth} does not fit window length "
                 f"{window_len}: {method} needs it in {least}..{J}")
-        for i, (lo, hi, levels) in enumerate(self.level_plan):
+        resolved = []
+        for i, (lo, hi, levels) in enumerate(plan):
             for bound in (lo, hi):
                 if not is_integer(bound):
                     raise ConfigurationError(f"levels entry {i}: window bound "
@@ -129,19 +148,24 @@ class MethodConfig:
                 raise ConfigurationError(
                     f"levels entry {i}: windows must satisfy 1 <= lo <= hi, "
                     f"got [{lo}, {hi}]")
-            for k, (lo_k, hi_k, _) in enumerate(self.level_plan[:i]):
+            for k, (lo_k, hi_k, _) in enumerate(plan[:i]):
                 if lo <= hi_k and lo_k <= hi:
                     raise ConfigurationError(
                         f"levels entry {i}: windows [{lo}, {hi}] overlap "
                         f"levels entry {k}'s windows [{lo_k}, {hi_k}]")
             levels = resolve_levels(
-                method, levels, J - self.depth, J - 1,
+                method, levels, J - depth, J - 1,
                 f"levels entry {i} (window length {window_len}, depth "
-                f"{self.depth}): ")
+                f"{depth}): ")
             if len(levels) < 2:
                 raise ConfigurationError(
                     f"levels entry {i}: {method} fits a slope through at "
                     f"least 2 distinct levels, got {list(levels)}")
+            resolved.append((lo, hi, levels))
+        for name, value in (("window_len", int(window_len)),
+                            ("family", family), ("depth", depth),
+                            ("level_plan", tuple(resolved))):
+            object.__setattr__(self, name, value)
 
     def levels_for(self, window_number: int):
         for lo, hi, levels in self.level_plan:
@@ -165,38 +189,17 @@ LEVEL_PLANS = {
 _WINDOW_LEN, _STRIDE = 1024, 500  # the paper's rolling windows
 
 
-def default_method_config(method: str, dataset_tag: str = None,
-                          window_len: int = _WINDOW_LEN) -> MethodConfig:
-    """The method's ``default_decomposition`` of ``window_len``-bin windows
-    with the level plan ``dataset_tag`` selects, e.g. "ovarian-8-7-02": none
-    for ``jones``; a bad window length or tag is a ConfigurationError."""
-    dyadic_level(window_len, "window length", ConfigurationError)
-    family, depth = default_decomposition(method, window_len)
-    tags = sorted({tag for tag, _ in LEVEL_PLANS})
-    if dataset_tag is not None and dataset_tag not in tags:
-        raise ConfigurationError(f"unknown dataset tag {dataset_tag!r}; "
-                                 f"known tags: {', '.join(tags)}")
-    return MethodConfig(family=family, depth=depth,
-                        level_plan=LEVEL_PLANS.get((dataset_tag, method), ()))
-
-
 def extract_settings(method: str, dataset_tag: str = None, wavelet=None,
                      depth=None, level_plan=None, window_len=None,
                      stride=None, *, stride_source: str):
     """The checked (MethodConfig, window length, stride) of ``extract``'s
-    flags or a run config's keys, None taking the default of 1024-bin
-    windows, a stride of 500 or ``default_method_config`` at the window
-    length; a stride that is not an integer >= 1 is an error naming
+    flags or a run config's keys, None taking MethodConfig's default or a
+    stride of 500; a stride that is not an integer >= 1 is an error naming
     ``stride_source``."""
-    window_len = _WINDOW_LEN if window_len is None else window_len
-    base = default_method_config(method, dataset_tag, window_len)
-    method_config = MethodConfig(
-        family=base.family if wavelet is None else wavelet,
-        depth=base.depth if depth is None else depth,
-        level_plan=base.level_plan if level_plan is None else level_plan)
-    method_config.check(method, window_len, default_depth=depth is None)
+    method_config = MethodConfig(method, window_len, wavelet, depth,
+                                 level_plan, dataset_tag)
     stride = check_count(_STRIDE if stride is None else stride, stride_source)
-    return method_config, window_len, stride
+    return method_config, method_config.window_len, stride
 
 
 @dataclass(frozen=True)
@@ -346,7 +349,7 @@ def _read_samples(directory, names):
                     ("mz", grid.dtype), ("v", float)])
             except IngestionError:  # the float read below decides
                 values = None
-            if values is not None and values["mz"].tobytes() == grid.tobytes():
+            if values is not None and values["mz"].tobytes() == grid_text:
                 intens[s] = values["v"]
                 continue
             grid = None  # the grids differ in text: read the rest as floats
@@ -359,6 +362,7 @@ def _read_samples(directory, names):
                 _, _, grid = _read_csv(fp, header=None, width=2,
                                        dtype=bytes, usecols=0)
                 grid = grid.astype(f"S{grid.itemsize + 1}")
+                grid_text = grid.tobytes()
             except IngestionError:  # a number with a space not in latin-1
                 grid = None
         n = min(len(mz), len(values))
@@ -447,10 +451,11 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
                      threads: int = 1) -> FeatureMatrix:
     """Estimate one scaling descriptor per (sample, window).
 
-    The grid must fit the dataset's bins, and its window length must be a
-    power of two compatible with the depth of ``method_config`` (default:
-    ``default_method_config`` at that length).
-    Each sample's windows are fitted as one batch (scaling_descriptors).
+    The grid must fit the dataset's bins, and ``method_config`` (default:
+    ``MethodConfig(method, grid.window_len)``) must be made for ``method``
+    on windows of the grid's length.  Each sample's windows are fitted as
+    one batch (``descriptor_rows``), with the level sets the config
+    resolved.
     A failed estimate aborts the run (naming the sample and window)
     rather than leaving holes in the matrix, after the zero-energy
     warnings of the windows up to it.  A dwt or wang decomposition stops
@@ -462,18 +467,24 @@ def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,
         raise ConfigurationError(f"window grid ends at bin {end}, past the "
                                  f"dataset's {dataset.n_bins} bins")
     wl = grid.window_len
-    default_depth = method_config is None
-    if default_depth:
-        method_config = default_method_config(method, window_len=wl)
-    method_config.check(method, wl, default_depth)
+    if method_config is None:
+        method_config = MethodConfig(method, wl)
+    elif (method_config.method, method_config.window_len) != (method, wl):
+        raise ConfigurationError(
+            f"method_config is for {method_config.method} on "
+            f"{method_config.window_len}-bin windows, not {method} on "
+            f"{wl}-bin windows")
     f = make_filter(method_config.family)
-    level_sets = [method_config.levels_for(w + 1) for w in range(grid.count)]
+    J = method_config.window_len.bit_length() - 1
+    every = tuple(range(J - method_config.depth, J))  # unplanned windows
+    level_sets = [method_config.levels_for(w + 1) or every
+                  for w in range(grid.count)]
 
     def one_sample(s):
         # every window of the sample as one (windows, window_len) view
         rows = sliding_window_view(dataset.intensities[s], wl)[::grid.stride]
-        fits = scaling_descriptors(method, rows[:grid.count], f,
-                                   method_config.depth, level_sets)
+        fits = descriptor_rows(method, rows[:grid.count], f,
+                               method_config.depth, level_sets)
         for w, error in enumerate(fits.row_errors()):
             if error is not None:
                 raise EstimationError(

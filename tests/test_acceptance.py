@@ -93,6 +93,7 @@ def benchmark_report():
 
 def test_criterion_1_table1_reproduction(benchmark_report):
     violations = []
+    gaps = {}  # method -> its mean gaps, measured minus Table 1
     print("\nH    method  mean     target   dm      std     target  ds")
     for h in sorted(TABLE1):
         for method in ("dwt", "wang", "jones"):
@@ -100,6 +101,7 @@ def test_criterion_1_table1_reproduction(benchmark_report):
             t_mean, t_std = TABLE1[h][method]
             dm = cell.mean - t_mean
             ds = cell.std - t_std
+            gaps.setdefault(method, []).append(dm)
             bad_m = abs(dm) > MEAN_TOL[method]
             bad_s = abs(ds) > STD_TOL
             mark = ("!" if bad_m else " ") + ("!" if bad_s else " ")
@@ -113,11 +115,17 @@ def test_criterion_1_table1_reproduction(benchmark_report):
                 violations.append(f"H={h} {method} std off by {ds:+.4f}")
             assert cell.failures == 0
     _report(1, not violations, f"{len(violations)} cell(s) out of tolerance")
+    every = [dm for method_gaps in gaps.values() for dm in method_gaps]
+    sign = ("every one negative" if max(every) < 0 else
+            "every one positive" if min(every) > 0 else "of both signs")
     assert not violations, (
-        "mean cells out of tolerance under the exact-covariance generator "
-        "(see printed table; the gap is common-mode across methods and "
-        "grows with H, consistent with the source experiments using an "
-        "approximate wavelet-synthesis generator): " + "; ".join(violations))
+        f"{len(violations)} cell(s) out of tolerance. Measured mean minus "
+        f"Table 1 mean over the 9 H, {sign}: " + ", ".join(
+            f"{method} {min(g):+.3f} to {max(g):+.3f}"
+            for method, g in gaps.items())
+        + ". dwt's gap is the bias of the log of a mean (ROADMAP item 9); "
+        "the wang and jones gaps are not explained. See the printed table: "
+        + "; ".join(violations))
 
 
 # ------------------------------------------------------------ criterion 2
@@ -296,9 +304,9 @@ def test_criterion_7_real_data_accuracy_conditional():
         dataset = balance_classes(dataset, seed=7)
         grid = make_windows(dataset.n_bins, 1024, 500)
         for method in ("dwt", "wang", "jones"):
-            from wavescale import default_method_config
+            from wavescale import MethodConfig
             features = extract_features(dataset, method, grid,
-                                        default_method_config(method, tag))
+                                        MethodConfig(method, dataset_tag=tag))
             for kind in ("logistic", "knn"):
                 target = cells[(method, kind)]
                 best = None

@@ -21,7 +21,6 @@ from wavescale import (
     MethodConfig,
     SpectraDataset,
     best_basis,
-    default_method_config,
     extract_features,
     make_filter,
     make_windows,
@@ -32,11 +31,11 @@ from wavescale import (
 
 PLAN = ((1, 2, (0, 1, 2, 5)), (3, 4, (1, 2, 3, 4, 5, 6, 7, 8, 9)))
 CONFIGS = {
-    "dwt": MethodConfig("haar", 10),
-    "dwt-plan": MethodConfig("haar", 10, PLAN),
-    "wang": MethodConfig("haar", 10),
-    "wang-plan": MethodConfig("haar", 10, PLAN),
-    "jones": MethodConfig("symmlet4", 9),
+    "dwt": MethodConfig("dwt", 1024, "haar", 10),
+    "dwt-plan": MethodConfig("dwt", 1024, "haar", 10, PLAN),
+    "wang": MethodConfig("wang", 1024, "haar", 10),
+    "wang-plan": MethodConfig("wang", 1024, "haar", 10, PLAN),
+    "jones": MethodConfig("jones", 1024, "symmlet4", 9),
 }
 
 
@@ -136,7 +135,7 @@ def test_stored_plans_match_full_depth_extraction(monkeypatch, method, tag):
                         sample_ids=ds.sample_ids)
     grid = make_windows(ds.n_bins, 1024, 64)
     assert grid.count == 29  # every window of both plan groups
-    cfg = default_method_config(method, tag)
+    cfg = MethodConfig(method, dataset_tag=tag)
     assert cfg.depth == 10
     depths, cascade = [], estimators.packet_cascade
 

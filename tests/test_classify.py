@@ -11,6 +11,7 @@ from oracles import (finite_difference_gradient, knn_predict_bruteforce,
 from wavescale import (
     ClassifierSpec,
     ConfigurationError,
+    EvalSpec,
     EstimationError,
     FeatureMatrix,
     SplitSpec,
@@ -397,16 +398,18 @@ def test_per_p_repeat_counts_equal_separate_calls(monkeypatch, mode,
     specs = [ClassifierSpec(kind="logistic"), ClassifierSpec(kind="knn", k=3)]
     split = SplitSpec(train_fraction=0.3, n_repeats=9, master_seed=13)
     curve = [1, 3, 5, 3]
-    kwargs = dict(selection_mode=mode, keep_per_repeat=True)
-    single = evaluate_classifiers(fm, specs, [3], split, **kwargs)
+    single = evaluate_classifiers(fm, specs, EvalSpec([3], None, mode),
+                                  split, keep_per_repeat=True)
     curves = evaluate_classifiers(
-        fm, specs, curve, replace(split, n_repeats=curve_repeats), **kwargs)
+        fm, specs, EvalSpec(curve, None, mode),
+        replace(split, n_repeats=curve_repeats), keep_per_repeat=True)
     assert all(r.redraws > 0 for r in curves[0])
     monkeypatch.setattr(classify, "_CHUNK", 4)  # and chunks end at each count
     for threads in (1, 3):
         shared = evaluate_classifiers(
-            fm, specs, [3, *curve], split, threads=threads,
-            repeats=[9] + [curve_repeats] * len(curve), **kwargs)
+            fm, specs, EvalSpec([3, *curve],
+                                [9] + [curve_repeats] * len(curve), mode),
+            split, keep_per_repeat=True, threads=threads)
         assert shared == [a + b for a, b in zip(single, curves)]
 
 
@@ -415,12 +418,12 @@ def test_repeat_counts_are_checked():
     split = SplitSpec(n_repeats=2)
     with pytest.raises(ConfigurationError,
                        match=r"^repeats\[1\] must be >= 1, got 0$"):
-        evaluate_classifiers(fm, [ClassifierSpec()], [1, 2], split,
-                             repeats=[2, 0])
+        evaluate_classifiers(fm, [ClassifierSpec()], EvalSpec([1, 2], [2, 0]),
+                             split)
     with pytest.raises(ConfigurationError,
                        match="1 repeats for 2 ps"):
-        evaluate_classifiers(fm, [ClassifierSpec()], [1, 2], split,
-                             repeats=[2])
+        evaluate_classifiers(fm, [ClassifierSpec()], EvalSpec([1, 2], [2]),
+                             split)
     # a count that is not an integer is refused, not truncated
     for ps, repeats, message in [
             ([2.7], [2], "ps[0] must be an integer, got 2.7"),
@@ -429,13 +432,13 @@ def test_repeat_counts_are_checked():
             ([2], [np.float64(2.0)],
              f"repeats[0] must be an integer, got {np.float64(2.0)!r}")]:
         with pytest.raises(ConfigurationError, match=re.escape(message)):
-            evaluate_classifiers(fm, [ClassifierSpec()], ps, split,
-                                 repeats=repeats)
+            evaluate_classifiers(fm, [ClassifierSpec()],
+                                 EvalSpec(ps, repeats), split)
     # numpy integers are integers
-    assert (evaluate_classifiers(fm, [ClassifierSpec()], [np.int64(2)], split,
-                                 repeats=[np.int32(2)])
-            == evaluate_classifiers(fm, [ClassifierSpec()], [2], split,
-                                    repeats=[2]))
+    assert (evaluate_classifiers(fm, [ClassifierSpec()],
+                                 EvalSpec([np.int64(2)], [np.int32(2)]), split)
+            == evaluate_classifiers(fm, [ClassifierSpec()],
+                                    EvalSpec([2], [2]), split))
 
 
 # ------------------------------------------------------------ correlation

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 from pathlib import Path
@@ -777,8 +778,8 @@ def test_pipeline_config_rejects_bad_values_before_ingest(tmp_path, capsys,
 
 def test_extract_checks_the_stored_plan_before_ingest(tmp_path, capsys,
                                                      monkeypatch):
-    """``extract`` shares the plan-level check of ``MethodConfig.check``
-    with ``pipeline``: a depth too shallow for the stored plan exits 2
+    """``extract`` shares the plan-level check of ``MethodConfig`` with
+    ``pipeline``: a depth too shallow for the stored plan exits 2
     without reading any input."""
     import wavescale.pipeline as pipeline
 
@@ -1128,6 +1129,41 @@ def test_out_dir_that_is_or_lies_under_a_file_exits_2(tmp_path, capsys,
     assert ("lies under a file" if where == "under-file"
             else "is an existing file") in err
     assert afile.read_text(encoding="utf-8") == "a file\n"
+
+
+@pytest.mark.parametrize("error", ["symlink-loop", "eloop"])
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_output_path_in_a_symlink_loop_exits_2(tmp_path, capsys, monkeypatch,
+                                               command, error):
+    """An output path that is a symlink to itself is refused by name before
+    any input is read or path drawn, whether ``Path.resolve`` reports the
+    loop as a RuntimeError (before Python 3.13) or as an OSError."""
+    _no_input(monkeypatch)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    loop = out_dir / ("x.csv" if command == "simulate" else "features.csv")
+    loop.symlink_to(loop.name)
+    if error == "eloop":
+        resolve = Path.resolve
+
+        def eloop(path, *args, **kwargs):
+            if path == loop:
+                raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), str(path))
+            return resolve(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "resolve", eloop)
+    if command == "simulate":
+        argv = ["simulate", "--h", "0.3,0.7", "--n", "64", "--reps", "2",
+                "--methods", "dwt", "--out", str(loop)]
+    else:
+        matrix, labels = _write_dataset(tmp_path, n_per_class=2)
+        argv = ["pipeline", str(_write_config(tmp_path, matrix, labels,
+                                              out_dir))]
+    _no_draws(monkeypatch)
+    assert main(argv) == 2
+    assert (f"output path {str(loop)!r} cannot be resolved"
+            in capsys.readouterr().err)
+    assert [p.name for p in out_dir.iterdir()] == [loop.name]
 
 
 _RUN_OUTPUTS = {

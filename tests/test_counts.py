@@ -9,12 +9,12 @@ import pytest
 
 import wavescale.classify as classify
 import wavescale.fbm as fbm
-from wavescale import (ClassifierSpec, ConfigurationError, FbmSpec,
+from wavescale import (ClassifierSpec, ConfigurationError, EvalSpec, FbmSpec,
                        FeatureMatrix, MethodConfig, SpectraDataset, SplitSpec,
-                       balance_classes, default_method_config, evaluate,
-                       evaluate_classifiers, extract_features, fgn_sample,
-                       make_filter, make_windows, run_estimator_benchmark,
-                       select_top, two_class_fbm_dataset)
+                       balance_classes, evaluate, evaluate_classifiers,
+                       extract_features, fgn_sample, make_filter,
+                       make_windows, run_estimator_benchmark, select_top,
+                       two_class_fbm_dataset)
 from wavescale.classify import check_evaluation
 from wavescale.pipeline import balance_feature_rows, extract_settings
 from wavescale.wavelets import packet_cascade
@@ -42,16 +42,16 @@ _ENTRIES = {
     "ClassifierSpec.k": ("k", 3, lambda v: evaluate(
         _FEATURES, ClassifierSpec("knn", k=v), 2, _SPLIT)),
     "evaluate_classifiers.ps": ("ps[0]", 2, lambda v: evaluate_classifiers(
-        _FEATURES, [_KNN], [v], _SPLIT)),
+        _FEATURES, [_KNN], EvalSpec([v]), _SPLIT)),
     "evaluate_classifiers.repeats": ("repeats[0]", 2, lambda v:
                                      evaluate_classifiers(
-        _FEATURES, [_KNN], [2], _SPLIT, repeats=[v])),
+        _FEATURES, [_KNN], EvalSpec([2], [v]), _SPLIT)),
     "evaluate_classifiers.threads": ("threads", 2, lambda v:
                                      evaluate_classifiers(
-        _FEATURES, [_KNN], [2], _SPLIT, threads=v)),
+        _FEATURES, [_KNN], EvalSpec([2]), _SPLIT, threads=v)),
     "evaluate_classifiers.threads.no_ps": ("threads", 2, lambda v:
                                            evaluate_classifiers(
-        _FEATURES, [_KNN], [], _SPLIT, threads=v)),
+        _FEATURES, [_KNN], EvalSpec([]), _SPLIT, threads=v)),
     "extract_features.threads": ("threads", 2, lambda v: extract_features(
         _SPECTRA, "dwt", make_windows(64, 32, 16), threads=v).slopes),
     "run_estimator_benchmark.n_reps": ("n_reps", 2, lambda v:
@@ -70,11 +70,9 @@ _ENTRIES = {
     "check_evaluation": ("p", 2, lambda v: check_evaluation(
         [_KNN], [v], 4, 10, 10, _SPLIT)),
     "MethodConfig.check": ("depth", 4, lambda v: MethodConfig(
-        "haar", v).check("dwt", 64)),
+        "dwt", 64, "haar", v)),
     "MethodConfig.check.window_len": ("window length", 64, lambda v:
-                                      MethodConfig("haar", 4).check("dwt", v)),
-    "default_method_config": ("window length", 64, lambda v:
-                              default_method_config("dwt", window_len=v)),
+                                      MethodConfig("dwt", v, "haar", 4)),
     "extract_settings": ("window length", 64, lambda v: extract_settings(
         "dwt", window_len=v, stride_source="stride")),
     "extract_features.window_len": ("window_len", 32, lambda v:

@@ -209,10 +209,10 @@ def test_level_request_holds_distinct_integer_levels(monkeypatch, call, levels,
         "scaling_descriptors": lambda lv: scaling_descriptors(
             "wang", np.vstack([x, -x]), f, 7, [lv, (5, 6)]).slope.tolist(),
         "MethodConfig.check": lambda lv: MethodConfig(
-            "haar", 7, ((1, 1, lv),)).check("wang", 128),
+            "wang", 128, "haar", 7, ((1, 1, lv),)),
         "extract_features": lambda lv: extract_features(
             spectra, "dwt", make_windows(128, 128, 128),
-            MethodConfig("haar", 7, ((1, 1, lv),))).slopes.tolist(),
+            MethodConfig("dwt", 128, "haar", 7, ((1, 1, lv),))).slopes.tolist(),
     }
     prefix = (re.escape("levels entry 0 (window length 128, depth 7): ")
               if call in ("MethodConfig.check", "extract_features") else "")
@@ -373,12 +373,14 @@ def test_default_decomposition_is_one_rule(tmp_path, monkeypatch, method,
     want = ("symmlet4", J - 1) if method == "jones" else ("haar", J)
     used = {}
     for module in (fbm, pipeline):
-        def spy(m, rows, f, depth, *args, _real=module.scaling_descriptors,
+        name = {fbm: "scaling_descriptors", pipeline: "descriptor_rows"}[module]
+
+        def spy(m, rows, f, depth, *args, _real=getattr(module, name),
                 _name=module.__name__):
             used.setdefault(_name, set()).add((f.family, depth))
             return _real(m, rows, f, depth, *args)
 
-        monkeypatch.setattr(module, "scaling_descriptors", spy)
+        monkeypatch.setattr(module, name, spy)
 
     run_estimator_benchmark([0.5], 2, length, [method])
     ds = two_class_fbm_dataset(n_per_class=1, n_bins=length, seed=1)

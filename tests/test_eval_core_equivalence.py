@@ -13,6 +13,7 @@ from oracles import reference_fisher, reference_evaluate
 from wavescale import (
     ClassifierSpec,
     ConfigurationError,
+    EvalSpec,
     FeatureMatrix,
     MethodConfig,
     SplitSpec,
@@ -66,7 +67,7 @@ def fbm_slopes():
     ds = two_class_fbm_dataset(n_per_class=14, hurst_control=0.45,
                                hurst_case=0.55, n_bins=2600, seed=4)
     grid = make_windows(ds.n_bins, 256, 200)
-    return extract_features(ds, "wang", grid, MethodConfig("haar", 8))
+    return extract_features(ds, "wang", grid, MethodConfig("wang", 256, "haar", 8))
 
 
 def _per_repeat(report):
@@ -204,12 +205,14 @@ def test_shared_pass_equals_one_classifier_calls(fbm_slopes, monkeypatch,
         assert single[0].redraws > 0
     monkeypatch.setattr(classify, "_CHUNK", 7)  # 7 + 7 + 7 + 7 + 2 splits
     for threads in (1, 3):
-        shared = evaluate_classifiers(fm, _SPECS, [4], split,
-                                      keep_per_repeat=True, threads=threads,
-                                      **kwargs)
+        shared = evaluate_classifiers(fm, _SPECS,
+                                      EvalSpec([4], None, mode, standardize),
+                                      split, keep_per_repeat=True,
+                                      threads=threads)
         assert shared == [[report] for report in single]
-        assert evaluate_classifiers(fm, _SPECS, ps, split, threads=threads,
-                                    **kwargs) == curves
+        assert evaluate_classifiers(fm, _SPECS,
+                                    EvalSpec(ps, None, mode, standardize),
+                                    split, threads=threads) == curves
 
 
 @pytest.mark.parametrize("n_specs", [1, 2, 3])
@@ -229,7 +232,7 @@ def test_one_draw_and_ranking_per_chunk_for_any_classifier_count(
     for name in calls:
         monkeypatch.setattr(classify, name, counted(name))
     monkeypatch.setattr(classify, "_CHUNK", 7)
-    reports = evaluate_classifiers(fbm_slopes, specs, range(1, 4),
+    reports = evaluate_classifiers(fbm_slopes, specs, EvalSpec(range(1, 4)),
                                    SplitSpec(n_repeats=30, master_seed=2))
     assert [len(r) for r in reports] == [3] * n_specs
     assert calls == {"_draw_splits": 5, "_split_features": 5}
@@ -244,10 +247,10 @@ def test_every_classifier_is_checked_before_the_first_draw(fbm_slopes,
     split = SplitSpec(n_repeats=5)
     with pytest.raises(ConfigurationError, match="k=30 exceeds 19 training"):
         evaluate_classifiers(fbm_slopes, [_SPECS[0], ClassifierSpec(
-            kind="knn", k=30)], [1], split)
+            kind="knn", k=30)], EvalSpec([1]), split)
     with pytest.raises(ConfigurationError, match="p must be in"):
         evaluate_classifiers(fbm_slopes, _SPECS,
-                             [1, fbm_slopes.n_windows + 1], split)
+                             EvalSpec([1, fbm_slopes.n_windows + 1]), split)
 
 
 def _batch(seed, c=9, n=24, p=4):

@@ -20,7 +20,6 @@ from wavescale import (
     MethodConfig,
     SpectraDataset,
     balance_classes,
-    default_method_config,
     extract_features,
     fbm_from_fgn,
     fisher_scores,
@@ -869,9 +868,7 @@ def small_two_class():
 
 
 def _small_config(method):
-    base = default_method_config(method)
-    return MethodConfig(family=base.family, depth=9 if method != "jones" else 8,
-                        level_plan=())
+    return MethodConfig(method, 512, depth=9 if method != "jones" else 8)
 
 
 @pytest.mark.parametrize("method", ["dwt", "wang", "jones"])
@@ -925,25 +922,50 @@ def test_extract_rejects_bad_window_len(small_two_class):
         extract_features(small_two_class, "dwt", grid, _small_config("dwt"))
 
 
-def test_level_plan_changes_fit(small_two_class, monkeypatch):
-    """A level plan changes a dwt fit; jones, which fits the whole best
-    basis, refuses one before any transform."""
+def test_extract_refuses_a_config_made_for_other_windows(small_two_class):
+    grid = make_windows(small_two_class.n_bins, 512, 512)
+    for method, config, made_for in [
+            ("dwt", MethodConfig("dwt", 256), "dwt on 256-bin"),
+            ("wang", _small_config("dwt"), "dwt on 512-bin")]:
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"method_config is for {made_for} windows, not {method} on "
+                "512-bin windows")):
+            extract_features(small_two_class, method, grid, config)
+
+
+def test_extract_resolves_the_plan_once(small_two_class, monkeypatch):
+    """The MethodConfig resolves and checks its plan when made; extraction
+    checks neither the depth nor a level request again for each sample."""
     import wavescale.estimators as estimators
 
+    config = MethodConfig("wang", 512, "haar", 9, ((1, 2, (5, 6, 7)),))
+    grid = make_windows(small_two_class.n_bins, 512, 512)
+    want = extract_features(small_two_class, "wang", grid, config)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("checked again during extraction")
+
+    monkeypatch.setattr(estimators, "resolve_levels", fail)
+    monkeypatch.setattr(estimators, "check_depth", fail)
+    got = extract_features(small_two_class, "wang", grid, config)
+    assert got.slopes.tobytes() == want.slopes.tobytes()
+
+
+def test_level_plan_changes_fit(small_two_class):
+    """A level plan changes a dwt fit; jones, which fits the whole best
+    basis, refuses one when its MethodConfig is made."""
     grid = make_windows(small_two_class.n_bins, 512, 512)
     full = extract_features(small_two_class, "dwt", grid,
                             _small_config("dwt"))
     plan = ((1, 3, (4, 5, 6, 7, 8)),)
     planned = extract_features(
         small_two_class, "dwt", grid,
-        MethodConfig(family="haar", depth=9, level_plan=plan))
+        MethodConfig("dwt", 512, "haar", 9, plan))
     assert not np.allclose(full.slopes, planned.slopes)
-    monkeypatch.setattr(estimators, "packet_cascade", None)  # no transform
     with pytest.raises(ConfigurationError, match=re.escape(
             "levels entry 0 (window length 512, depth 8): jones fits the "
             "whole best basis and takes no level request")):
-        extract_features(small_two_class, "jones", grid,
-                         MethodConfig("symmlet4", 8, plan))
+        MethodConfig("jones", 512, "symmlet4", 8, plan)
 
 
 @pytest.mark.parametrize("lo, hi, message", [
@@ -954,44 +976,36 @@ def test_level_plan_changes_fit(small_two_class, monkeypatch):
     (True, 4, "window bound True is not an integer"),
     ("x", 4, "window bound 'x' is not an integer"),
 ], ids=["reversed", "zero", "float", "float-integral", "bool", "string"])
-def test_plan_window_bounds_checked_before_any_transform(
-        small_two_class, monkeypatch, lo, hi, message):
+def test_plan_window_bounds_checked_before_any_transform(lo, hi, message):
     """A library plan entry's windows are integers 1 <= lo <= hi, as a
-    config's are, refused by ``check`` and so before any transform."""
-    import wavescale.estimators as estimators
-
-    grid = make_windows(small_two_class.n_bins, 512, 512)
+    config's are, refused when the MethodConfig is made, before any input
+    is read."""
     plan = ((lo, hi, (7, 8)), (5, 6, (6, 7)))
-    config = MethodConfig("haar", 9, plan)
-    monkeypatch.setattr(estimators, "packet_cascade", None)  # no transform
-    for call in (lambda: config.check("wang", 512),
-                 lambda: extract_features(small_two_class, "wang", grid,
-                                          config)):
-        with pytest.raises(ConfigurationError,
-                           match="^" + re.escape(f"levels entry 0: {message}")
-                           + "$"):
-            call()
-    MethodConfig("haar", 9, ((np.int64(1), np.int32(4), (7, 8)),)).check(
-        "wang", 512)
+    with pytest.raises(ConfigurationError,
+                       match="^" + re.escape(f"levels entry 0: {message}")
+                       + "$"):
+        MethodConfig("wang", 512, "haar", 9, plan)
+    MethodConfig("wang", 512, "haar", 9,
+                 ((np.int64(1), np.int32(4), (7, 8)),))
 
 
-def test_default_method_config_table():
-    dwt = default_method_config("dwt")
-    assert (dwt.family, dwt.depth) == ("haar", 10)
-    jones = default_method_config("jones")
+def test_method_config_defaults():
+    dwt = MethodConfig("dwt")
+    assert (dwt.window_len, dwt.family, dwt.depth) == (1024, "haar", 10)
+    jones = MethodConfig("jones")
     assert (jones.family, jones.depth) == ("symmlet4", 9)
-    named = default_method_config("wang", "ovarian-8-7-02")
+    named = MethodConfig("wang", dataset_tag="ovarian-8-7-02")
     assert named.level_plan[0] == (1, 15, (7, 8, 9))
     assert named.levels_for(16) == (5, 6, 7, 8, 9)
     assert named.levels_for(30) is None
     # a known tag selects no plan for jones; an unknown one fails for every
     # method
-    assert default_method_config("jones", "ovarian-8-7-02") == jones
+    assert MethodConfig("jones", dataset_tag="ovarian-8-7-02") == jones
     for method in ("dwt", "wang", "jones"):
         with pytest.raises(ConfigurationError,
                            match="unknown dataset tag 'bogus'; known tags: "
                                  "ovarian-4-3-02, ovarian-8-7-02"):
-            default_method_config(method, "bogus")
+            MethodConfig(method, dataset_tag="bogus")
 
 
 # ------------------------------------------------------------ csv outputs
