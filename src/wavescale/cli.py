@@ -365,12 +365,10 @@ def cmd_pipeline(args) -> int:
         n_case = int(np.sum(dataset.labels == 1))
         n_control = dataset.n_samples - n_case
         check_rank_sum_sizes(n_case, n_control)
-        # a curve lo..hi is checked by its ends, the upper one no further
-        # than the first count past the windows, the count a scan would name
-        ends = () if not curve else (curve[0], min(curve[-1],
-                                                   grid.count + 1))
-        check_evaluation(cfg.classifiers, [cfg.p, *ends], grid.count,
-                         n_case, n_control, cfg.split)
+        # a curve lo..hi, lo >= 1, holds a count past the windows, if any,
+        # in its first grid.count + 1 counts
+        check_evaluation(cfg.classifiers, [cfg.p, *curve[:grid.count + 1]],
+                         grid.count, n_case, n_control, cfg.split)
         # made once the check above has bounded the curve by the windows
         evaluation = EvalSpec(
             [cfg.p, *curve],

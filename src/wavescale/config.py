@@ -46,6 +46,7 @@ class RunConfig:
 _TOP_KEYS = ("dataset method wavelet depth levels window balance classifiers "
              "split features standardize selection seed threads output_dir "
              "per_repeat_log")
+_DATASET_KEYS = "matrix labels tag"
 # each kind's entry keys: config key -> (ClassifierSpec field, value type)
 _CLASSIFIER_KEYS = {"logistic": {"C": ("l2_c", float),
                                  "max_iters": ("max_iters", int),
@@ -109,9 +110,11 @@ def _pair(value, name: str) -> tuple:
 
 
 def _span(value, name: str) -> tuple:
-    """The integer pair ``value = [lo, hi]``, checked for 1 <= lo <= hi."""
+    """The integer pair ``value = [lo, hi]``: lo a feature count p, and
+    hi >= lo."""
     span = lo, hi = _pair(value, name)
-    if not 1 <= lo <= hi:
+    check_setting("p", lo, name)
+    if hi < lo:
         raise ConfigurationError(
             f"{name} must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")
     return span
@@ -177,7 +180,8 @@ class _Loader(yaml.SafeLoader):
 
 def load_run_config(path) -> RunConfig:
     """Parse and check a YAML run configuration: key names, value types and
-    every value that can be checked before any input is read."""
+    every value that can be checked before any input is read.  The dataset
+    paths are checked by ``load_dataset``, which reads them."""
     path = Path(path)
     try:
         raw = yaml.load(path.read_text(encoding="utf-8"),
@@ -189,14 +193,11 @@ def load_run_config(path) -> RunConfig:
     _known(raw, str(path), _TOP_KEYS)
 
     dataset = _known(_require(raw, "dataset", str(path)), "dataset",
-                     "matrix labels tag")
+                     _DATASET_KEYS)
     _require(dataset, "matrix", "dataset")
     _require(dataset, "labels", "dataset")
     matrix_path = Path(_get(dataset, "matrix", "dataset", str))
     labels_path = Path(_get(dataset, "labels", "dataset", str))
-    for p in (matrix_path, labels_path):
-        if not p.exists():
-            raise ConfigurationError(f"referenced path does not exist: {p}")
 
     method = _require(raw, "method", str(path))
     levels = _get(raw, "levels", "", list)

@@ -29,8 +29,7 @@ import numpy as np
 from .best_basis import best_basis_rows
 from .errors import ConfigurationError, EstimationError
 from .utils import check_distinct, is_integer
-from .wavelets import (FilterPair, PacketTree, check_depth, dyadic_level,
-                       packet_cascade)
+from .wavelets import FilterPair, PacketTree, dyadic_level, packet_cascade
 
 # Each method's default decomposition: its wavelet family and how many
 # levels short of the full depth log2(signal length) it stops.
@@ -325,33 +324,16 @@ def scaling_descriptor(method: str, tree: PacketTree, levels=None) -> ScalingDes
                              line)
 
 
-def scaling_descriptors(method: str, rows, f: FilterPair, depth: int,
-                        level_sets=None) -> LineFits:
+def descriptor_rows(method: str, rows, f: FilterPair, depth: int,
+                    level_sets) -> LineFits:
     """``scaling_descriptor(method, wpd_full(row, f, depth), levels)``
     for every row of the (R, N) matrix ``rows`` as the LineFits of one
     batch, bit for bit; ``row_errors`` issues a row's warnings.
 
-    ``level_sets[r]`` restricts row r's spectrum (default: all levels);
-    the depth, one set per row and each row's request are checked before
-    any transform, which ``descriptor_rows`` then runs.
-    """
-    rows = np.asarray(rows, dtype=float)
-    J = dyadic_level(rows.shape[1])
-    check_depth(depth, J)
-    if level_sets is None:
-        level_sets = [None] * len(rows)
-    elif len(level_sets) != len(rows):
-        raise ConfigurationError(f"level_sets holds {len(level_sets)} "
-                                 f"entries for {len(rows)} rows")
-    return descriptor_rows(method, rows, f, depth, [
-        resolve_levels(method, s, J - depth, J - 1) for s in level_sets])
-
-
-def descriptor_rows(method: str, rows, f: FilterPair, depth: int,
-                    level_sets) -> LineFits:
-    """``scaling_descriptors`` for a checked ``depth`` and ``level_sets``
-    that ``resolve_levels`` has resolved, one per row; neither is checked
-    again.
+    ``level_sets[r]`` holds row r's levels as ``resolve_levels`` returns
+    them and is not checked here, so a caller resolves its sets once for
+    any number of batches; ``packet_cascade`` refuses a ``depth`` that
+    does not fit N.
 
     Only what a method needs is kept: dwt runs the pyramid alone, wang
     keeps one level's energies at a time, and jones keeps every level for

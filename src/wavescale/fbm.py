@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError
-from .estimators import METHODS, default_decomposition, scaling_descriptors
+from .estimators import METHODS, default_decomposition, descriptor_rows
 from .utils import (check_count, check_distinct, is_real, map_ordered,
                     write_csv)
 from .wavelets import dyadic_level, make_filter
@@ -44,10 +44,13 @@ def _check_hurst(value) -> float:
     return float(value)
 
 
-def _check_length(length) -> None:
-    """Raise ConfigurationError unless ``length`` is a power of two >= 8."""
-    if dyadic_level(length, "length", ConfigurationError) < 3:
+def _check_length(length) -> int:
+    """log2(``length``); a ConfigurationError unless ``length`` is a power
+    of two >= 8."""
+    J = dyadic_level(length, "length", ConfigurationError)
+    if J < 3:
         raise ConfigurationError(f"length must be >= 8, got {length!r}")
+    return J
 
 
 @dataclass(frozen=True)
@@ -166,16 +169,17 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = None,
     methods = METHODS if methods is None else tuple(methods)
     if not h_grid:
         raise ConfigurationError("empty H grid")
-    _check_length(length)
+    J = _check_length(length)
     check_distinct(h_grid, "H")  # one cell per (H, method)
     check_count(n_reps, "n_reps", least=2)  # for a standard deviation
     check_count(master_seed, "master_seed", least=0)
     if not methods:
         raise ConfigurationError("no methods requested")
-    decompositions = {}
+    decompositions = {}  # each method's filter, depth and every level
     for m in methods:
         family, depth = default_decomposition(m, length)
-        decompositions[m] = make_filter(family), depth
+        decompositions[m] = (make_filter(family), depth,
+                             tuple(range(J - depth, J)))
     check_distinct(methods, "method")
 
     eigs = [_embedding_eigenvalues(length, h) for h in h_grid]
@@ -189,8 +193,8 @@ def run_estimator_benchmark(h_grid, n_reps: int, length: int = None,
         paths = np.cumsum(_fgn_rows(h_grid[ih], length, rngs, eigs[ih]),
                           axis=1)
         out = {}
-        for m, (f, depth) in decompositions.items():
-            fits = scaling_descriptors(m, paths, f, depth)
+        for m, (f, depth, levels) in decompositions.items():
+            fits = descriptor_rows(m, paths, f, depth, [levels] * len(paths))
             fitted = [error is None for error in fits.row_errors()]
             out[m] = fits.hurst[fitted].tolist()
         return out

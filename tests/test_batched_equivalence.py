@@ -28,6 +28,7 @@ from wavescale import (
     two_class_fbm_dataset,
     wpd_full,
 )
+from wavescale.estimators import resolve_levels
 
 PLAN = ((1, 2, (0, 1, 2, 5)), (3, 4, (1, 2, 3, 4, 5, 6, 7, 8, 9)))
 CONFIGS = {
@@ -164,52 +165,45 @@ def _spy_cascade_depths(monkeypatch):
         return cascade(rows, f, depth, **kwargs)
 
     monkeypatch.setattr(estimators, "packet_cascade", spy)
-    return estimators.scaling_descriptors, depths
+    return estimators.descriptor_rows, depths
 
 
-@pytest.mark.parametrize("method, sets, cascade_depth", [
+@pytest.mark.parametrize("method, requests, cascade_depth", [
     ("wang", [(7, 9), (8, 9)], 3),
     ("dwt", [(9, 8), (8, 9)], 2),
-    ("wang", [(7, 9), None], 4),  # a row without a set reads every level
-    ("jones", [(8, 9), (8, 9)], None),  # the best basis takes no request
+    ("wang", [(7, 9), None], 4),  # a row without a request reads every level
+    ("jones", [None, None], 4),  # the best basis searches every level
+    ("jones", [(8, 9), (8, 9)], None),  # and takes no request
     ("wang", [(8, 9), (8, 8.5)], None),
     ("dwt", [(8, 9), ()], None),
+    ("dwt", [(5, 9), (8,)], None),  # outside the levels depth 4 produces
 ])
-def test_scaling_descriptors_stop_at_the_deepest_requested_level(
-        monkeypatch, method, sets, cascade_depth):
-    """A cascade depth of None: a request is refused, as the one-tree call
-    refuses it, before any cascade runs."""
-    scaling_descriptors, depths = _spy_cascade_depths(monkeypatch)
+def test_descriptor_rows_stop_at_the_deepest_requested_level(
+        monkeypatch, method, requests, cascade_depth):
+    """The kernel, given each row's request as ``resolve_levels`` returns
+    it against the full depth, runs one cascade to the deepest level any
+    row reads and fits each row as the one-tree call does.  A cascade
+    depth of None: ``resolve_levels`` refuses a request as the one-tree
+    call refuses it, so the kernel never runs."""
+    descriptor_rows, depths = _spy_cascade_depths(monkeypatch)
     rows = np.random.default_rng(3).standard_normal((2, 1024)).cumsum(axis=1)
     f = make_filter("haar")
     if cascade_depth is None:
         with pytest.raises(ConfigurationError) as refused:
-            for r, s in zip(rows, sets):
+            for r, s in zip(rows, requests):
                 scaling_descriptor(method, wpd_full(r, f, 4), s)
         with pytest.raises(ConfigurationError,
                            match=f"^{re.escape(str(refused.value))}$"):
-            scaling_descriptors(method, rows, f, 4, sets)
-        assert depths == []
+            [resolve_levels(method, s, 6, 9) for s in requests]
         return
-    fits = scaling_descriptors(method, rows, f, 4, sets)
+    sets = [resolve_levels(method, s, 6, 9) for s in requests]
+    fits = descriptor_rows(method, rows, f, 4, sets)
     got = list(zip(fits.slope.tolist(), fits.hurst.tolist()))
     want = [(d.slope, d.hurst) for d in (
         scaling_descriptor(method, wpd_full(r, f, 4), s)
-        for r, s in zip(rows, sets))]
+        for r, s in zip(rows, requests))]
     assert depths == [cascade_depth]
     assert got == want
-
-
-def test_scaling_descriptors_keep_full_depth_for_a_missing_level(monkeypatch):
-    """A requested level outside the decomposed ones is reported against
-    every level ``depth`` produces, before any cascade runs."""
-    scaling_descriptors, depths = _spy_cascade_depths(monkeypatch)
-    rows = np.ones((2, 1024))
-    with pytest.raises(ConfigurationError, match=r"^level 5 outside the "
-                       r"decomposed levels 6\.\.9$"):
-        scaling_descriptors("dwt", rows, make_filter("haar"), 4,
-                            [(5, 9), (8,)])
-    assert depths == []
 
 
 def _trees_with_zero_subtrees():
@@ -277,11 +271,13 @@ def test_line_fits_bitwise_equal_to_one_row_fits_at_every_width():
 
 
 def _window_rows(ds, stride, cfg):
-    """Every window of ``ds`` as one row, and each row's level set."""
+    """Every window of ``ds`` as one row, and each row's resolved level
+    set: its plan entry's, else every decomposed level."""
     grid = make_windows(ds.n_bins, 1024, stride)
     rows = np.vstack([ds.intensities[s, lo:hi] for s in range(ds.n_samples)
                       for lo, hi in grid.windows])
-    sets = [cfg.levels_for(w + 1)
+    every = tuple(range(10 - cfg.depth, 10))
+    sets = [cfg.levels_for(w + 1) or every
             for _ in range(ds.n_samples) for w in range(grid.count)]
     return rows, sets
 
@@ -293,7 +289,7 @@ def test_line_fit_arrays_bitwise_equal_to_per_row_fits(fbm_dataset, name,
     """Slope, intercept, r² and point count of every row equal the former
     one-row fit's bit for bit; a failed row holds that fit's error, and
     the zero-energy warnings come in the same order."""
-    from wavescale.estimators import scaling_descriptors
+    from wavescale.estimators import descriptor_rows
 
     method, cfg = name.split("-")[0], CONFIGS[name]
     if rows_of == "fbm":
@@ -304,7 +300,7 @@ def test_line_fit_arrays_bitwise_equal_to_per_row_fits(fbm_dataset, name,
             [[step, mixed, half_zero, spiky],
              [np.full(1024, 3.0), np.zeros(1024), spiky, step]]), 1024, cfg)
     f = make_filter(cfg.family)
-    fits, at_fit = _run(lambda: scaling_descriptors(
+    fits, at_fit = _run(lambda: descriptor_rows(
         method, rows, f, cfg.depth, sets))
     errors, got_warned = _run(lambda: list(fits.row_errors()))
     assert at_fit == []  # a row warns as row_errors reaches it

@@ -187,8 +187,8 @@ def test_empty_level_set_rejected():
         "twice", "twice-apart", "missing", "missing-twice",
         "missing-after-twice"])
 @pytest.mark.parametrize("call", ["spectrum_dwt", "spectrum_wang",
-                                  "scaling_descriptor", "scaling_descriptors",
-                                  "MethodConfig.check", "extract_features"])
+                                  "scaling_descriptor", "MethodConfig.check",
+                                  "extract_features"])
 def test_level_request_holds_distinct_integer_levels(monkeypatch, call, levels,
                                                      message):
     """A level request names distinct integer levels of the decomposed
@@ -196,7 +196,6 @@ def test_level_request_holds_distinct_integer_levels(monkeypatch, call, levels,
     truncated or merged.  A plan entry is refused the same way, named by
     its entry, before any transform."""
     import wavescale.estimators as estimators
-    from wavescale.estimators import scaling_descriptors
 
     f = make_filter("haar")
     x = np.random.default_rng(5).standard_normal(128).cumsum()
@@ -206,8 +205,6 @@ def test_level_request_holds_distinct_integer_levels(monkeypatch, call, levels,
         "spectrum_wang": lambda lv: spectrum_wang(wpd_full(x, f, 7), lv),
         "scaling_descriptor": lambda lv: scaling_descriptor(
             "dwt", wpd_full(x, f, 7), lv).slope,
-        "scaling_descriptors": lambda lv: scaling_descriptors(
-            "wang", np.vstack([x, -x]), f, 7, [lv, (5, 6)]).slope.tolist(),
         "MethodConfig.check": lambda lv: MethodConfig(
             "wang", 128, "haar", 7, ((1, 1, lv),)),
         "extract_features": lambda lv: extract_features(
@@ -221,21 +218,6 @@ def test_level_request_holds_distinct_integer_levels(monkeypatch, call, levels,
         with pytest.raises(ConfigurationError, match=f"^{prefix}{message}$"):
             calls[call](levels)
     assert calls[call]([np.int64(6), np.int32(5)]) == calls[call]([5, 6])
-
-
-@pytest.mark.parametrize("level_sets", [[None], [None] * 4])
-def test_scaling_descriptors_take_one_level_set_per_row(monkeypatch,
-                                                        level_sets):
-    """A level_sets list longer or shorter than the rows is refused before
-    any transform, never zipped down to the shorter of the two."""
-    import wavescale.estimators as estimators
-    from wavescale.estimators import scaling_descriptors
-
-    rows = np.random.default_rng(3).standard_normal((3, 64)).cumsum(axis=1)
-    monkeypatch.setattr(estimators, "packet_cascade", None)
-    with pytest.raises(ConfigurationError, match=re.escape(
-            f"level_sets holds {len(level_sets)} entries for 3 rows")):
-        scaling_descriptors("dwt", rows, make_filter("haar"), 6, level_sets)
 
 
 def test_constant_signal_drops_all_points_then_fit_fails():
@@ -373,14 +355,12 @@ def test_default_decomposition_is_one_rule(tmp_path, monkeypatch, method,
     want = ("symmlet4", J - 1) if method == "jones" else ("haar", J)
     used = {}
     for module in (fbm, pipeline):
-        name = {fbm: "scaling_descriptors", pipeline: "descriptor_rows"}[module]
-
-        def spy(m, rows, f, depth, *args, _real=getattr(module, name),
+        def spy(m, rows, f, depth, *args, _real=module.descriptor_rows,
                 _name=module.__name__):
             used.setdefault(_name, set()).add((f.family, depth))
             return _real(m, rows, f, depth, *args)
 
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(module, "descriptor_rows", spy)
 
     run_estimator_benchmark([0.5], 2, length, [method])
     ds = two_class_fbm_dataset(n_per_class=1, n_bins=length, seed=1)

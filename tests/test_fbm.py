@@ -237,3 +237,28 @@ def test_benchmark_computes_eigenvalues_once_per_h(monkeypatch):
         cell = report.cell(h, "dwt")
         assert (cell.mean, cell.std) == (float(vals.mean()),
                                          float(vals.std(ddof=1)))
+
+
+def test_benchmark_resolves_each_methods_levels_once(monkeypatch):
+    """Each method's level set comes from its checked default
+    decomposition before any chunk is drawn: every chunk fits every row
+    with that one set, and no level request is resolved per chunk."""
+    kwargs = dict(h_grid=[0.3, 0.7], n_reps=40, length=64,
+                  methods=("dwt", "wang", "jones"), master_seed=5)
+    want = run_estimator_benchmark(**kwargs)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("checked again for a chunk")
+
+    sets, real = {}, fbm_mod.descriptor_rows
+
+    def spy(method, rows, f, depth, level_sets):
+        sets.setdefault(method, []).extend(level_sets)  # alive: ids not reused
+        assert level_sets == [tuple(range(6 - depth, 6))] * len(rows)
+        return real(method, rows, f, depth, level_sets)
+
+    monkeypatch.setattr(estimators_mod, "resolve_levels", fail)
+    monkeypatch.setattr(fbm_mod, "descriptor_rows", spy)
+    assert run_estimator_benchmark(**kwargs) == want
+    assert {m: len(set(map(id, got))) for m, got in sets.items()} == {
+        "dwt": 1, "wang": 1, "jones": 1}

@@ -935,7 +935,7 @@ def test_extract_refuses_a_config_made_for_other_windows(small_two_class):
 
 def test_extract_resolves_the_plan_once(small_two_class, monkeypatch):
     """The MethodConfig resolves and checks its plan when made; extraction
-    checks neither the depth nor a level request again for each sample."""
+    resolves no level request again for each sample."""
     import wavescale.estimators as estimators
 
     config = MethodConfig("wang", 512, "haar", 9, ((1, 2, (5, 6, 7)),))
@@ -946,7 +946,6 @@ def test_extract_resolves_the_plan_once(small_two_class, monkeypatch):
         raise AssertionError("checked again during extraction")
 
     monkeypatch.setattr(estimators, "resolve_levels", fail)
-    monkeypatch.setattr(estimators, "check_depth", fail)
     got = extract_features(small_two_class, "wang", grid, config)
     assert got.slopes.tobytes() == want.slopes.tobytes()
 

@@ -22,14 +22,14 @@ import pytest
 import yaml
 
 from wavescale import (ClassifierSpec, ConfigurationError, EvalSpec,
-                       FeatureMatrix, MethodConfig, SplitSpec,
+                       FeatureMatrix, IngestionError, MethodConfig, SplitSpec,
                        accuracy_vs_feature_count, evaluate,
                        evaluate_classifiers, extract_features, knn_predict,
-                       make_windows, run_estimator_benchmark, train_logistic,
-                       two_class_fbm_dataset)
+                       load_dataset, make_windows, run_estimator_benchmark,
+                       train_logistic, two_class_fbm_dataset)
 from wavescale.classify import _SETTINGS
 from wavescale.cli import main
-from wavescale.config import _TOP_KEYS, load_run_config
+from wavescale.config import _DATASET_KEYS, _TOP_KEYS, load_run_config
 
 _DATA = two_class_fbm_dataset(n_per_class=5, n_bins=1536, seed=3)
 _GRID = make_windows(1536, 512, 512)  # 3 windows
@@ -162,6 +162,11 @@ _ROWS = [
         ("ps[0]", _library(lambda: EvalSpec([0]))),
         ("ps[0]", _library(lambda: evaluate(_FEATURES, ClassifierSpec(), 0,
                                             _SPLIT)))]),
+    Row("curve (low)", "features.curve", [
+        ("--curve", _classify("--curve", "0..3")),
+        ("features.curve", _yaml("features.curve", [0, 3])),
+        ("ps[0]", _library(lambda: accuracy_vs_feature_count(
+            _FEATURES, ClassifierSpec(), range(0, 4), _SPLIT)))]),
     Row("curve", "features.curve", [  # a count past the 3 windows
         ("", _classify("--curve", "1..4")),
         ("", _yaml("features.curve", [1, 4], command=True)),
@@ -301,9 +306,33 @@ def test_every_path_refuses_a_bad_setting_alike(files, row):
     assert len(set(refusals)) == 1, refusals
 
 
+# Each input file, by its config key and its extract flag
+_INPUTS = {"dataset.matrix": "--matrix", "dataset.labels": "--labels"}
+
+
+@pytest.mark.parametrize("key", _INPUTS)
+def test_a_missing_input_is_refused_alike_on_every_path(files, key):
+    """A missing input file is an IngestionError (exit code 3) with one
+    message, whether a flag, a config key or a library call names it."""
+    missing = files["out"] + "-missing.csv"
+    inputs = {"--matrix": files["matrix"], "--labels": files["labels"],
+              _INPUTS[key]: missing}
+    refusals = [
+        _cli("extract", *[arg for pair in inputs.items() for arg in pair],
+             "--method", "wang", "--out", "{out}-features.csv")(files),
+        _yaml(key, missing, command=True)(files)]
+    with pytest.raises(IngestionError) as exc:
+        load_dataset(inputs["--matrix"], inputs["--labels"])
+    refusals.append((IngestionError.exit_code, str(exc.value)))
+    assert refusals == [(3, f"cannot read {missing}: [Errno 2] No such "
+                            f"file or directory: {missing!r}")] * 3
+
+
 def test_every_setting_and_config_key_has_a_row():
-    """A classification setting or a top-level config key added later
-    cannot skip the table."""
+    """A classification setting or a config key added later cannot skip
+    the table, nor an input key both the table and the missing-input
+    test."""
     assert set(_SETTINGS) <= {row.setting for row in _ROWS}
-    assert set(_TOP_KEYS.split()) <= {row.key.split(".")[0] for row in _ROWS
-                                      if row.key}
+    keys = {row.key for row in _ROWS if row.key} | set(_INPUTS)
+    assert set(_TOP_KEYS.split()) <= {key.split(".")[0] for key in keys}
+    assert {f"dataset.{key}" for key in _DATASET_KEYS.split()} <= keys
