@@ -168,7 +168,7 @@ def _spy_cascade_depths(monkeypatch):
     return estimators.descriptor_rows, depths
 
 
-@pytest.mark.parametrize("method, requests, cascade_depth", [
+@pytest.mark.parametrize("method, sets, cascade_depth", [
     ("wang", [(7, 9), (8, 9)], 3),
     ("dwt", [(9, 8), (8, 9)], 2),
     ("wang", [(7, 9), None], 4),  # a row without a request reads every level
@@ -176,10 +176,9 @@ def _spy_cascade_depths(monkeypatch):
     ("jones", [(8, 9), (8, 9)], None),  # and takes no request
     ("wang", [(8, 9), (8, 8.5)], None),
     ("dwt", [(8, 9), ()], None),
-    ("dwt", [(5, 9), (8,)], None),  # outside the levels depth 4 produces
 ])
-def test_descriptor_rows_stop_at_the_deepest_requested_level(
-        monkeypatch, method, requests, cascade_depth):
+def test_scaling_descriptors_stop_at_the_deepest_requested_level(
+        monkeypatch, method, sets, cascade_depth):
     """The kernel, given each row's request as ``resolve_levels`` returns
     it against the full depth, runs one cascade to the deepest level any
     row reads and fits each row as the one-tree call does.  A cascade
@@ -190,20 +189,34 @@ def test_descriptor_rows_stop_at_the_deepest_requested_level(
     f = make_filter("haar")
     if cascade_depth is None:
         with pytest.raises(ConfigurationError) as refused:
-            for r, s in zip(rows, requests):
+            for r, s in zip(rows, sets):
                 scaling_descriptor(method, wpd_full(r, f, 4), s)
         with pytest.raises(ConfigurationError,
                            match=f"^{re.escape(str(refused.value))}$"):
-            [resolve_levels(method, s, 6, 9) for s in requests]
+            [resolve_levels(method, s, 6, 9) for s in sets]
         return
-    sets = [resolve_levels(method, s, 6, 9) for s in requests]
-    fits = descriptor_rows(method, rows, f, 4, sets)
+    fits = descriptor_rows(method, rows, f, 4,
+                           [resolve_levels(method, s, 6, 9) for s in sets])
     got = list(zip(fits.slope.tolist(), fits.hurst.tolist()))
     want = [(d.slope, d.hurst) for d in (
         scaling_descriptor(method, wpd_full(r, f, 4), s)
-        for r, s in zip(rows, requests))]
+        for r, s in zip(rows, sets))]
     assert depths == [cascade_depth]
     assert got == want
+
+
+def test_scaling_descriptors_keep_full_depth_for_a_missing_level(monkeypatch):
+    """A requested level outside the decomposed ones is reported against
+    every level ``depth`` produces, by the one-tree call and by
+    ``resolve_levels`` alike, so the kernel never runs a cascade."""
+    tree = wpd_full(np.ones(1024), make_filter("haar"), 4)
+    _, depths = _spy_cascade_depths(monkeypatch)
+    refusal = r"^level 5 outside the decomposed levels 6\.\.9$"
+    with pytest.raises(ConfigurationError, match=refusal):
+        scaling_descriptor("dwt", tree, (5, 9))
+    with pytest.raises(ConfigurationError, match=refusal):
+        [resolve_levels("dwt", s, 6, 9) for s in [(5, 9), (8,)]]
+    assert depths == []
 
 
 def _trees_with_zero_subtrees():
