@@ -210,12 +210,16 @@ class EvalReport:
     per_repeat: tuple = field(default=None, repr=False)
 
 
-def _column_stats(train: np.ndarray):
+def _column_stats(train: np.ndarray, stacklevel: int):
     """Mean, scale and zero-std mask of each column of ``(..., n, p)``
-    training rows; a zero-std column keeps scale 1."""
+    training rows; a zero-std column keeps scale 1 and warns once, as
+    ``warnings.warn(..., stacklevel=stacklevel)`` in the caller would."""
     mean = train.mean(axis=-2)
     std = train.std(axis=-2, ddof=0)
     degenerate = std == 0.0
+    if degenerate.any():
+        warnings.warn("zero training std; feature centered only",
+                      RuntimeWarning, stacklevel=stacklevel + 1)
     return mean, np.where(degenerate, 1.0, std), degenerate
 
 
@@ -229,10 +233,7 @@ def standardize(train_x: np.ndarray, test_x: np.ndarray):
     test_x = np.asarray(test_x, dtype=float)
     if train_x.shape[0] < 2:
         raise EstimationError("standardization needs at least 2 training rows")
-    mean, scale, degenerate = _column_stats(train_x)
-    if degenerate.any():
-        warnings.warn("zero training std; feature centered only",
-                      RuntimeWarning, stacklevel=2)
+    mean, scale, degenerate = _column_stats(train_x, stacklevel=2)
     t = StandardizeTransform(mean=mean, scale=scale, degenerate=degenerate)
     return t.apply(train_x), t.apply(test_x), t
 
@@ -446,10 +447,7 @@ def _standardized(x, n_train, p):
     """The first p columns of rows x (c, n, W), standardized by their
     first n_train rows as ``standardize`` does it for those p columns."""
     cols = x[:, :, :p]
-    mean, scale, degenerate = _column_stats(cols[:, :n_train])
-    if degenerate.any():
-        warnings.warn("zero training std; feature centered only",
-                      RuntimeWarning, stacklevel=3)
+    mean, scale, _ = _column_stats(cols[:, :n_train], stacklevel=3)
     return (cols - mean[:, None, :]) / scale[:, None, :]
 
 

@@ -26,62 +26,48 @@ from .utils import check_count, check_distinct, first_repeat, write_csv
 _MAX_RANGE_VALUES = 10**6
 
 
-def _check_range_size(text: str, count: float) -> None:
-    """Refuse the range ``text``, before any value is built, if its
-    ``count`` values (a float, inf when counting overflowed) are more than
-    _MAX_RANGE_VALUES."""
+def _parse_grid(text: str, kind) -> list:
+    """The ``kind`` (float or int) values of a grid: "v", "a,b,..." or
+    "lo..hi", where only a float range takes ":step" (default 0.1).  A
+    range has finite bounds lo <= hi and a finite positive step, and holds
+    at most _MAX_RANGE_VALUES values."""
+    text = text.strip()
+    if ".." not in text:
+        try:
+            return [kind(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            raise ConfigurationError(f"bad value list {text!r}") from None
+    span, colon, step_s = text.partition(":")
+    lo_s, _, hi_s = span.partition("..")
+    try:
+        lo, hi = kind(lo_s), kind(hi_s)
+        step = float(step_s) if step_s else 0.1 if kind is float else 1.0
+        # Python floats: OverflowError for an int bound past the float
+        # range, and inf, with no warning, for a span that overflows
+        lo_f, hi_f = float(lo), float(hi)
+    except (ValueError, OverflowError):
+        raise ConfigurationError(f"bad range {text!r}") from None
+    if not ((not colon or kind is float) and lo <= hi and step > 0
+            and np.isfinite([lo_f, hi_f, step]).all()):
+        raise ConfigurationError(f"bad range {text!r}")
+    count = np.round((hi_f - lo_f) / step) + 1
     if not count <= _MAX_RANGE_VALUES:
         raise ConfigurationError(f"bad range {text!r}: {count:.7g} values, "
                                  f"more than {_MAX_RANGE_VALUES}")
-
-
-def parse_float_range(text: str, default_step: float = 0.1):
-    """Grid syntax: "0.3", "0.1,0.5,0.9", "0.1..0.9" or "0.1..0.9:0.2"; a
-    range's bounds and step are finite, and it holds at most
-    _MAX_RANGE_VALUES values."""
-    text = text.strip()
-    if ".." in text:
-        span, _, step = text.partition(":")
-        lo_s, _, hi_s = span.partition("..")
-        try:
-            lo, hi = float(lo_s), float(hi_s)
-            step_v = float(step) if step else default_step
-        except ValueError:
-            raise ConfigurationError(f"bad range {text!r}") from None
-        if not (np.isfinite([lo, hi, step_v]).all() and step_v > 0
-                and lo <= hi):
-            raise ConfigurationError(f"bad range {text!r}")
-        count = np.round((hi - lo) / step_v) + 1  # inf if hi - lo overflows
-        _check_range_size(text, count)
-        vals = [round(lo + i * step_v, 12) for i in range(int(count))]
-        return [v for v in vals if v <= hi + 1e-12]
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigurationError(f"bad value list {text!r}") from None
-
-
-def parse_int_range(text: str):
-    """Grid syntax: "10", "1,5,10" or "1..29"; a range holds at most
-    _MAX_RANGE_VALUES values."""
-    text = text.strip()
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-            # OverflowError for a bound past the float range; inf values
-            # for a span that overflows
-            count = float(hi) - float(lo) + 1
-        except (ValueError, OverflowError):
-            raise ConfigurationError(f"bad range {text!r}") from None
-        if hi < lo:
-            raise ConfigurationError(f"bad range {text!r}")
-        _check_range_size(text, count)
+    if kind is int:
         return list(range(lo, hi + 1))
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigurationError(f"bad value list {text!r}") from None
+    vals = [round(lo + i * step, 12) for i in range(int(count))]
+    return [v for v in vals if v <= hi + 1e-12]
+
+
+def parse_float_range(text: str) -> list:
+    """Grid syntax: "0.3", "0.1,0.5,0.9", "0.1..0.9" or "0.1..0.9:0.2"."""
+    return _parse_grid(text, float)
+
+
+def parse_int_range(text: str) -> list:
+    """Grid syntax: "10", "1,5,10" or "1..29"."""
+    return _parse_grid(text, int)
 
 
 def _add_threads(p: argparse.ArgumentParser):

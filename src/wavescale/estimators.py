@@ -210,10 +210,12 @@ def _line_fits(groups, too_few: str, dropped) -> LineFits:
 
 
 def _one_tree(method: str, tree: PacketTree, levels) -> tuple:
-    """The level arrays, data level and resolved ``levels`` of ``tree``."""
+    """The level arrays, data level and resolved ``levels`` of ``tree``;
+    the levels are checked before the method."""
     J = tree.data_level
-    return ([lv[None] for lv in tree.levels], J,
-            [resolve_levels(method, levels, J - tree.depth, J - 1)])
+    resolved = resolve_levels(method, levels, J - tree.depth, J - 1)
+    _check_method(method)
+    return [lv[None] for lv in tree.levels], J, [resolved]
 
 
 def _tree_spectrum(method: str, tree: PacketTree, levels) -> list:
@@ -297,7 +299,6 @@ def _descriptors(method: str, levels, data_level: int,
                  level_sets) -> LineFits:
     """The fits of the rows of the (R, 2**d, m) level arrays ``levels``
     (d = 0, 1, ...), ``level_sets[r]`` holding row r's resolved levels."""
-    _check_method(method)
     if method == "jones":
         levels = list(levels)
         selected, _ = best_basis_rows(levels)
@@ -330,10 +331,10 @@ def descriptor_rows(method: str, rows, f: FilterPair, depth: int,
     for every row of the (R, N) matrix ``rows`` as the LineFits of one
     batch, bit for bit; ``row_errors`` issues a row's warnings.
 
-    ``level_sets[r]`` holds row r's levels as ``resolve_levels`` returns
-    them and is not checked here, so a caller resolves its sets once for
-    any number of batches; ``packet_cascade`` refuses a ``depth`` that
-    does not fit N.
+    ``method`` (one of METHODS) and ``level_sets[r]``, row r's levels as
+    ``resolve_levels`` returns them, are not checked here, so a caller
+    checks them once for any number of batches; ``packet_cascade``
+    refuses a ``depth`` that does not fit N.
 
     Only what a method needs is kept: dwt runs the pyramid alone, wang
     keeps one level's energies at a time, and jones keeps every level for

@@ -73,15 +73,18 @@ class SpectraDataset:
 
 @dataclass(frozen=True)
 class WindowGrid:
-    """Rolling windows [start, end) over the bin axis."""
+    """``count`` rolling windows of ``window_len`` bins, ``stride`` apart,
+    from bin 0."""
 
     window_len: int
     stride: int
-    windows: tuple
+    count: int
 
     @property
-    def count(self) -> int:
-        return len(self.windows)
+    def windows(self) -> tuple:
+        """Each window's bins as [start, end)."""
+        return tuple((w * self.stride, w * self.stride + self.window_len)
+                     for w in range(self.count))
 
 
 @dataclass(frozen=True)
@@ -441,9 +444,7 @@ def make_windows(n_bins: int, window_len: int = _WINDOW_LEN,
         raise ConfigurationError(
             f"window_len {window_len} does not fit {n_bins} bins")
     check_count(stride, "stride")
-    count = (n_bins - window_len) // stride + 1
-    windows = tuple((w * stride, w * stride + window_len) for w in range(count))
-    return WindowGrid(window_len=window_len, stride=stride, windows=windows)
+    return WindowGrid(window_len, stride, (n_bins - window_len) // stride + 1)
 
 
 def extract_features(dataset: SpectraDataset, method: str, grid: WindowGrid,

@@ -1,6 +1,7 @@
 import errno
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,48 @@ def test_a_range_holds_at_most_a_million_values(parse, largest, text, count):
                        match=re.escape(f"bad range {text!r}: {count} values, "
                                        "more than 1000000")):
         parse(text)
+
+
+_HUGE = "1" + "0" * 309  # an int past the float range
+
+
+@pytest.mark.parametrize("parse, text, want", [
+    (parse_float_range, "0.3", [0.3]),
+    (parse_int_range, "7", [7]),
+    (parse_float_range, " 0.3, 0.7 ,", [0.3, 0.7]),
+    (parse_int_range, "1, 5 ,9", [1, 5, 9]),
+    (parse_float_range, "0.1..0.5", [0.1, 0.2, 0.3, 0.4, 0.5]),
+    (parse_int_range, "1..5", [1, 2, 3, 4, 5]),
+    (parse_float_range, "0.1..0.6:0.2", [0.1, 0.3, 0.5]),
+    (parse_int_range, "1..29:2", "bad range '1..29:2'"),
+    (parse_int_range, "1.5", "bad value list '1.5'"),
+    (parse_float_range, "0.9..0.1", "bad range '0.9..0.1'"),
+    (parse_int_range, "5..1", "bad range '5..1'"),
+    (parse_float_range, "0.1..inf", "bad range '0.1..inf'"),
+    (parse_int_range, f"1..{_HUGE}", f"bad range '1..{_HUGE}'"),
+    (parse_float_range, "0..1:1e-6",
+     "bad range '0..1:1e-6': 1000001 values, more than 1000000"),
+    (parse_int_range, "1..1000001",
+     "bad range '1..1000001': 1000001 values, more than 1000000"),
+    (parse_float_range, "-1e308..1e308",
+     "bad range '-1e308..1e308': inf values, more than 1000000"),
+    (parse_int_range, f"-{_HUGE[:-1]}..{_HUGE[:-1]}",
+     f"bad range '-{_HUGE[:-1]}..{_HUGE[:-1]}': inf values, "
+     "more than 1000000"),
+], ids=["float-value", "int-value", "float-list", "int-list", "float-range",
+        "int-range", "float-step", "int-step", "int-list-float",
+        "float-reversed", "int-reversed", "float-infinite-bound",
+        "int-bound-past-floats", "float-too-many", "int-too-many",
+        "float-overflowing-span", "int-overflowing-span"])
+def test_both_grids_read_one_grammar(parse, text, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing span warns nothing
+        if isinstance(want, list):
+            assert parse(text) == want
+        else:
+            with pytest.raises(ConfigurationError,
+                               match=f"^{re.escape(want)}$"):
+                parse(text)
 
 
 # --------------------------------------------------------------- simulate

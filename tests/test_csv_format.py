@@ -21,7 +21,7 @@ _FEATURES = FeatureMatrix(
     method="wang", slopes=_SLOPES, hurst=np.full_like(_SLOPES, np.nan),
     labels=np.array([1] * 5 + [0] * 5, dtype=np.int8),
     sample_ids=("s,1", "sé2") + tuple(f"s{i}" for i in range(3, 11)))
-_GRID = WindowGrid(window_len=4, stride=2, windows=((0, 4), (2, 6)))
+_GRID = WindowGrid(4, 2, 2)
 _MZ = np.array([1e-07, 0.1, 0.2, _T, 1.0, 2.5])
 _REPORT = EvalReport(
     classifier="logistic(C=1)", p=2, n_repeats=2, mean_test_accuracy=_T,

@@ -336,6 +336,46 @@ def test_scaling_descriptor_rejects_unknown_method():
         scaling_descriptor("rs", tree)
 
 
+def test_a_method_is_checked_once_per_run_not_per_batch(monkeypatch):
+    """extract_features and run_estimator_benchmark check each method
+    where its decomposition is chosen, never per batch: a second check of
+    a method fails here, and every result stays bitwise that of the
+    unpatched run.  The one-tree call still checks its method string,
+    after the levels."""
+    import wavescale.estimators as estimators
+    from wavescale import (BenchmarkReport, run_estimator_benchmark,
+                           two_class_fbm_dataset)
+
+    tree = wpd_full(np.ones(8), make_filter("haar"), 3)
+    with pytest.raises(ConfigurationError, match="^unknown method 'foo'"):
+        scaling_descriptor("foo", tree)
+    with pytest.raises(ConfigurationError, match="^level 5 outside"):
+        scaling_descriptor("foo", tree, levels=[5])
+
+    ds = two_class_fbm_dataset(n_per_class=2, n_bins=1024, seed=4)
+    grid = make_windows(1024, 256, 128)
+    runs = [lambda m=m: extract_features(ds, m, grid) for m in METHODS]
+    runs.append(lambda: run_estimator_benchmark([0.3, 0.7], 40, 256))
+    want = [run() for run in runs]
+    checked = []
+
+    def check_once(method, _real=estimators._check_method):
+        if method in checked:
+            raise AssertionError(f"method {method!r} checked again")
+        checked.append(method)
+        _real(method)
+
+    monkeypatch.setattr(estimators, "_check_method", check_once)
+    for run, before in zip(runs, want):
+        checked.clear()
+        got = run()
+        if isinstance(got, BenchmarkReport):
+            assert got == before
+        else:
+            np.testing.assert_array_equal(got.slopes, before.slopes)
+            np.testing.assert_array_equal(got.hurst, before.hurst)
+
+
 # ------------------------------------------------- default decomposition
 
 @pytest.mark.parametrize("method", ["dwt", "wang", "jones"])

@@ -195,3 +195,42 @@ def test_repeat_scan_guard_passes_a_scan_run_once(tmp_path):
         "head = [c.lower() for c in fields[:len(header)]]\n"
         "found = x in y[1:]\n", encoding="utf-8")
     assert repeat_scans(tmp_path) == []
+
+
+def warning_sites(package_dir) -> dict:
+    """``file:line`` of each ``warnings.warn`` (or bare ``warn``) call in
+    the modules of ``package_dir``, keyed by its message's source text."""
+    sites = {}
+    for path in sorted(Path(package_dir).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if ((isinstance(func, ast.Attribute) and func.attr == "warn"
+                 and isinstance(func.value, ast.Name)
+                 and func.value.id == "warnings")
+                    or (isinstance(func, ast.Name) and func.id == "warn")):
+                message = node.args[0] if node.args else next(
+                    kw.value for kw in node.keywords if kw.arg == "message")
+                text = (message.value if isinstance(message, ast.Constant)
+                        else ast.unparse(message))
+                sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
+    return sites
+
+
+def test_each_warning_text_has_one_call_site():
+    """A warning is issued by one ``warnings.warn`` call, so one rule owns
+    it and one counter can stand for it."""
+    sites = warning_sites(Path(wavescale.__file__).parent)
+    assert sites
+    assert {text: at for text, at in sites.items() if len(at) > 1} == {}
+
+
+def test_warning_site_guard_flags_a_second_copy(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import warnings\nwarnings.warn('zero std; centered', RuntimeWarning)\n"
+        "warnings.warn(f'level {j} dropped')\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from warnings import warn\n\n\ndef f():\n"
+        "    warn(message='zero std; ' 'centered')\n", encoding="utf-8")
+    assert warning_sites(tmp_path) == {
+        "zero std; centered": ["a.py:2", "b.py:5"],
+        "f'level {j} dropped'": ["a.py:3"]}

@@ -19,6 +19,7 @@ from wavescale import (
     IngestionError,
     MethodConfig,
     SpectraDataset,
+    WindowGrid,
     balance_classes,
     extract_features,
     fbm_from_fgn,
@@ -62,6 +63,28 @@ def test_window_grid_errors():
         make_windows(100, 1024, 500)
     with pytest.raises(ConfigurationError):
         make_windows(2048, 1024, 0)
+
+
+def test_a_hand_built_grid_derives_its_windows(tmp_path):
+    # extraction, the grid-end check and windows.csv read one geometry:
+    # the windows that length, stride and count give
+    grid = WindowGrid(512, 512, 2)
+    assert grid.windows == ((0, 512), (512, 1024))
+    ds = two_class_fbm_dataset(n_per_class=2, n_bins=2048, seed=5)
+    ds = SpectraDataset(ds.intensities, ds.labels, ds.sample_ids,
+                        mz_values=np.linspace(100.0, 300.0, 2048))
+    full = make_windows(2048, 512, 512)
+    for method in ("dwt", "wang", "jones"):
+        got = extract_features(ds, method, grid)
+        want = extract_features(ds, method, full)
+        np.testing.assert_array_equal(got.slopes, want.slopes[:, :2])
+        np.testing.assert_array_equal(got.hurst, want.hurst[:, :2])
+    write_window_metadata_csv(grid, ds.mz_values, tmp_path / "grid.csv")
+    write_window_metadata_csv(full, ds.mz_values, tmp_path / "full.csv")
+    rows = (tmp_path / "grid.csv").read_text().splitlines()
+    assert rows == (tmp_path / "full.csv").read_text().splitlines()[:3]
+    assert [r.split(",")[1:3] for r in rows[1:]] == [["1", "512"],
+                                                     ["513", "1024"]]
 
 
 # -------------------------------------------------------------- ingestion
